@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race race-par race-session race-matbgp race-delta race-serve fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta stress-par stress-session stress-harness stress-serve verify bench bench-json clean
+.PHONY: all build vet fmt-check test bench-check race race-par race-session race-matbgp race-delta race-serve fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta stress-par stress-session stress-harness stress-serve verify bench bench-json clean
 
 all: vet fmt-check build test
 
@@ -49,12 +49,14 @@ race-matbgp:
 
 # Race-focused pass over the incremental-repair stack: the delta
 # vocabulary, the matbgp repair differential suite (repaired columns vs
-# full rebuild), the cdn epoch layer (repair chains + epoch caches
-# shared behind one mutex), and the core epoch acceptance gate (xfaults/
-# xflap sequences bit-identical to rebuilds at workers 1/2/8).
+# full rebuild), the one epoch repair chain (bgp.EpochChain: walks vs
+# rebuilds, cancel-poison-rebuild, concurrent callers) and the cdn views
+# that bind it, and the core epoch acceptance gate (xfaults/xflap
+# sequences bit-identical to rebuilds at workers 1/2/8).
 race-delta:
 	$(GO) test -race ./internal/delta/
 	$(GO) test -race -run 'TestRepair|TestRibRepairer|TestStartRepair' ./internal/matbgp/
+	$(GO) test -race -run 'TestEpochChain' ./internal/bgp/
 	$(GO) test -race -run 'TestEpoch' ./internal/cdn/
 	$(GO) test -race -run 'TestEpochRepairBitIdenticalAcrossWorkers|TestRepairWalkerMatchesRebuild|TestFaultEpochsMemoized' ./internal/core/
 
@@ -62,10 +64,11 @@ race-delta:
 # leans on: parallel mixed queries against a live beatbgpd listener must
 # stay byte-identical to single-threaded library answers, restart on the
 # same world key must be transparent, drain must complete in-flight
-# requests — all under the detector, plus the cdn/matbgp singleflight
-# paths the daemon's queries fan into.
+# requests — all under the detector, plus the epoch-chain and matbgp
+# singleflight paths the daemon's queries fan into.
 race-serve:
 	$(GO) test -race -run 'TestServe' ./internal/serve/
+	$(GO) test -race -run 'TestEpochChainConcurrent' ./internal/bgp/
 	$(GO) test -race -run 'TestEpochConcurrentQueries' ./internal/cdn/
 	$(GO) test -race -run 'TestEngineClassColumnSingleflight|TestRepairInterleavedChains' ./internal/matbgp/
 
@@ -126,10 +129,18 @@ stress-harness:
 stress-serve:
 	STRESS_SERVE=1 $(GO) test -race -run 'TestStressServeOverload' -v -timeout 10m ./internal/serve/
 
+# The benchmark is its own module (bench/), so the tier-1 suite cannot
+# see it: vet and test it here, so a refactor that breaks the internal/
+# surface it pins fails locally.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
 # The full pre-merge gate: formatting, static checks, build, the whole
-# test suite, the race-focused passes, the delta-repair differential
-# fuzz, and the race-enabled overload soak, in fail-fast order.
-verify: fmt-check vet build test race-par race-session race-matbgp race-delta race-serve fuzz-delta stress-serve
+# test suite, the benchmark module's own checks, the race-focused
+# passes, the delta-repair differential fuzz, and the race-enabled
+# overload soak, in fail-fast order.
+verify: fmt-check vet build test bench-check race-par race-session race-matbgp race-delta race-serve fuzz-delta stress-serve
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -34,7 +34,6 @@ import (
 	"beatbgp/internal/cdn"
 	"beatbgp/internal/core"
 	"beatbgp/internal/dnsmap"
-	"beatbgp/internal/faults"
 	"beatbgp/internal/harness"
 	"beatbgp/internal/netsim"
 	"beatbgp/internal/provider"
@@ -90,45 +89,6 @@ type (
 	Series = stats.Series
 	Table  = stats.Table
 )
-
-// Fault-injection types: a scheduled, seed-deterministic timeline of
-// infrastructure events (cable cuts, AS/facility outages, session resets,
-// congestion storms, LDNS staleness) that composes with the stochastic
-// incidents via Sim.SetFaults. See the internal/faults package doc for
-// the fault model.
-type (
-	// FaultKind classifies a fault event.
-	FaultKind = faults.Kind
-	// FaultEvent is one scheduled fault.
-	FaultEvent = faults.Event
-	// FaultTimeline is a validated, queryable fault schedule; it plugs
-	// into a netsim.Sim as its fault overlay.
-	FaultTimeline = faults.Timeline
-	// FaultGenConfig parameterizes seed-deterministic fault generation.
-	FaultGenConfig = faults.GenConfig
-)
-
-// Fault kinds.
-const (
-	FaultCableCut        = faults.CableCut
-	FaultLinkDown        = faults.LinkDown
-	FaultASOutage        = faults.ASOutage
-	FaultFacilityOutage  = faults.FacilityOutage
-	FaultCongestionStorm = faults.CongestionStorm
-	FaultLDNSStale       = faults.LDNSStale
-)
-
-// NewFaultTimeline validates an explicit fault schedule against the
-// scenario's topology.
-func NewFaultTimeline(s *Scenario, events []FaultEvent) (*FaultTimeline, error) {
-	return faults.New(s.Topo, events)
-}
-
-// GenerateFaults draws a seed-deterministic fault schedule over the
-// scenario's topology.
-func GenerateFaults(s *Scenario, cfg FaultGenConfig) (*FaultTimeline, error) {
-	return faults.Generate(s.Topo, cfg)
-}
 
 // Supervisor types: the crash-safe campaign runner (internal/harness)
 // that cmd/beatbgp and long-running embedders drive. A campaign is a

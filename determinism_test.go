@@ -133,4 +133,31 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 			t.Errorf("%s: parallel runner output diverges from sequential", ids[i])
 		}
 	}
+
+	// Cell isolation: the whole registry run in parallel on one shared
+	// seed-42 scenario — a campaign, whose derived-scenario cells rebuild
+	// stages beside everyone else — renders every experiment exactly as
+	// that experiment run alone on a fresh world.
+	shared, err := beatbgp.NewScenario(facadeConfig(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign, err := beatbgp.RunAllParallel(t.Context(), shared, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range beatbgp.Experiments() {
+		fresh, err := beatbgp.NewScenario(facadeConfig(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := beatbgp.Run(fresh, e.ID)
+		if err != nil {
+			t.Fatalf("%s alone: %v", e.ID, err)
+		}
+		if got, want := campaign[i].Render(), alone.Render(); got != want {
+			t.Errorf("%s: campaign section differs from the experiment run alone\n--- campaign ---\n%s\n--- alone ---\n%s",
+				e.ID, got, want)
+		}
+	}
 }

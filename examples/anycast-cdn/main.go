@@ -19,7 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim := netsim.New(s.Topo, s.Cfg.Net)
+	sim := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
 	cat := s.Topo.Catalog
 	const when = 10 * 60 // 10:00 simulated
 

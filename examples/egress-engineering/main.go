@@ -18,7 +18,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim := netsim.New(s.Topo, s.Cfg.Net)
+	sim := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
 	cat := s.Topo.Catalog
 
 	shown := 0

@@ -32,16 +32,17 @@ func (e Edge) Other(city int) int {
 	return e.A
 }
 
-// Graph is the physical fiber map. Construct with NewGraph or WorldGraph;
-// a Graph is immutable after construction and safe for concurrent reads.
+// Graph is the physical fiber map. Construct with WorldGraph, or derive
+// a larger map with Extend; a Graph is immutable after construction and
+// safe for concurrent reads, so topologies share one by pointer.
 type Graph struct {
 	catalog *geo.Catalog
 	edges   []Edge
 	adj     [][]int // city ID -> edge IDs
 }
 
-// NewGraph returns an empty graph over the catalog's cities.
-func NewGraph(catalog *geo.Catalog) *Graph {
+// newGraph returns an empty graph over the catalog's cities.
+func newGraph(catalog *geo.Catalog) *Graph {
 	return &Graph{
 		catalog: catalog,
 		adj:     make([][]int, catalog.Len()),
@@ -64,11 +65,40 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// AddEdge inserts a segment between cities a and b. km <= 0 means "derive
-// from geodesic distance times circuity": terrestrial routes get 1.25x,
-// submarine cables 1.15x (cables run fairly straight). Self-loops and
-// out-of-range cities are rejected.
-func (g *Graph) AddEdge(a, b int, km float64, submarine bool) (Edge, error) {
+// Segment is a fiber segment to lay between cities A and B; Km <= 0
+// derives its length from the geodesic distance (see addEdge).
+type Segment struct {
+	A, B      int
+	Km        float64
+	Submarine bool
+}
+
+// Extend returns a new graph holding g's edges followed by the segments,
+// in order, their IDs continuing from g.NumEdges(). g is never modified:
+// an organization that lights private segments (the content provider's
+// WAN) lays them on its own copy of the map it shares.
+func (g *Graph) Extend(segs []Segment) (*Graph, error) {
+	ng := &Graph{
+		catalog: g.catalog,
+		edges:   append(make([]Edge, 0, len(g.edges)+len(segs)), g.edges...),
+		adj:     make([][]int, len(g.adj)),
+	}
+	for c, ids := range g.adj {
+		ng.adj[c] = append([]int(nil), ids...)
+	}
+	for _, s := range segs {
+		if _, err := ng.addEdge(s.A, s.B, s.Km, s.Submarine); err != nil {
+			return nil, err
+		}
+	}
+	return ng, nil
+}
+
+// addEdge inserts a segment between cities a and b during construction.
+// km <= 0 means "derive from geodesic distance times circuity":
+// terrestrial routes get 1.25x, submarine cables 1.15x (cables run fairly
+// straight). Self-loops and out-of-range cities are rejected.
+func (g *Graph) addEdge(a, b int, km float64, submarine bool) (Edge, error) {
 	if a == b {
 		return Edge{}, fmt.Errorf("cable: self-loop at city %d", a)
 	}

@@ -158,15 +158,32 @@ func TestRTTms(t *testing.T) {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := NewGraph(geo.World())
-	if _, err := g.AddEdge(1, 1, 0, false); err == nil {
+	g := newGraph(geo.World())
+	if _, err := g.addEdge(1, 1, 0, false); err == nil {
 		t.Fatal("self-loop accepted")
 	}
-	if _, err := g.AddEdge(-1, 2, 0, false); err == nil {
+	if _, err := g.addEdge(-1, 2, 0, false); err == nil {
 		t.Fatal("negative city accepted")
 	}
-	if _, err := g.AddEdge(0, 10_000, 0, false); err == nil {
+	if _, err := g.addEdge(0, 10_000, 0, false); err == nil {
 		t.Fatal("out-of-range city accepted")
+	}
+
+	// Extend validates the same way and never touches its receiver.
+	w, _ := world(t)
+	n, at0 := w.NumEdges(), len(w.EdgesAt(0))
+	if _, err := w.Extend([]Segment{{A: 1, B: 1}}); err == nil {
+		t.Fatal("Extend accepted a self-loop")
+	}
+	x, err := w.Extend([]Segment{{A: 1, B: 0, Km: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.NumEdges() != n || len(w.EdgesAt(0)) != at0 {
+		t.Fatal("Extend modified the graph it extends")
+	}
+	if e := x.Edge(n); x.NumEdges() != n+1 || e.A != 0 || e.B != 1 || e.Km != 100 || len(x.EdgesAt(0)) != at0+1 {
+		t.Fatalf("extended graph: %d edges, new edge %+v", x.NumEdges(), e)
 	}
 }
 

@@ -109,7 +109,7 @@ const terrestrialNeighbors = 3
 // curated long-haul cable systems. The result is connected (verified by
 // tests) and deterministic.
 func WorldGraph(catalog *geo.Catalog) (*Graph, error) {
-	g := NewGraph(catalog)
+	g := newGraph(catalog)
 	type pair struct{ a, b int }
 	seen := make(map[pair]bool)
 	add := func(a, b int, km float64, submarine bool) error {
@@ -120,7 +120,7 @@ func WorldGraph(catalog *geo.Catalog) (*Graph, error) {
 			return nil
 		}
 		seen[pair{a, b}] = true
-		_, err := g.AddEdge(a, b, km, submarine)
+		_, err := g.addEdge(a, b, km, submarine)
 		return err
 	}
 

@@ -17,7 +17,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/geo"
@@ -120,29 +119,37 @@ type CDN struct {
 	resolver *netpath.Resolver
 	comp     bgp.Computer
 
-	mu         sync.RWMutex
-	anycastRIB *bgp.RIB   // cache for ungroomed anycast
-	unicastRIB []*bgp.RIB // cache per site
+	// cache memoizes the all-links-up RIBs and resolved unicast routes;
+	// every epoch view of this CDN (WithEpochs) shares it.
+	cache *ribCache
 
-	// physCache memoizes each prefix's resolved physical route to each
-	// site, keyed site<<32|prefixID. Unicast routes are time-invariant
-	// (only link latencies move), so the walk and resolution happen once
-	// per (site, prefix) instead of once per RTT sample.
-	physMu    sync.RWMutex
-	physCache map[int64]netpath.Route
+	// anycastAt is the ungroomed anycast repair chain over the epoch
+	// sequence this view is bound to (epoch.go); nil on a built CDN.
+	anycastAt *bgp.EpochChain
+}
 
-	// Epoch layer (epoch.go): the compiled fault schedule and the
-	// per-announcement-set repair chains and epoch-keyed caches built
-	// against it, published as one atomically-swapped snapshot so
-	// SetEpochs invalidates without racing in-flight queries.
-	epochSt atomic.Pointer[epochState]
+// ribCache holds the CDN's memoized routing state. Every entry is a pure
+// function of the topology and announcement set, so the first-installed
+// value is kept and racing duplicates are discarded.
+type ribCache struct {
+	mu      sync.RWMutex
+	anycast *bgp.RIB   // ungroomed anycast
+	unicast []*bgp.RIB // per site
+
+	// phys memoizes each prefix's resolved physical route to each site,
+	// keyed site<<32|prefixID. Unicast routes are time-invariant (only
+	// link latencies move), so the walk and resolution happen once per
+	// (site, prefix) instead of once per RTT sample.
+	physMu sync.RWMutex
+	phys   map[int64]netpath.Route
 }
 
 // UseEngine selects the route computation engine behind the RIB caches.
 // Engines are interchangeable by contract (bit-identical RIBs; see
 // bgp.Computer), so this changes speed, never answers. Call it right
-// after Build, before any query warms a cache; the engine must have been
-// lowered from this CDN's (final) topology.
+// after Build, before any query warms a cache or any epoch view is
+// taken; the engine must have been lowered from this CDN's (final)
+// topology.
 func (c *CDN) UseEngine(comp bgp.Computer) { c.comp = comp }
 
 // Build places the CDN's site ASes into the topology (mutating it).
@@ -150,12 +157,12 @@ func Build(t *topology.Topo, cfg Config) (*CDN, error) {
 	cfg.setDefaults()
 	rng := xrand.New(cfg.Seed ^ 0xCD4)
 	c := &CDN{
-		Topo:      t,
-		ServerMs:  cfg.ServerMs,
-		siteByAS:  make(map[int]int),
-		resolver:  netpath.NewResolver(t),
-		comp:      bgp.NewReference(t),
-		physCache: make(map[int64]netpath.Route),
+		Topo:     t,
+		ServerMs: cfg.ServerMs,
+		siteByAS: make(map[int]int),
+		resolver: netpath.NewResolver(t),
+		comp:     bgp.NewReference(t),
+		cache:    &ribCache{phys: make(map[int64]netpath.Route)},
 	}
 	catalog := t.Catalog
 	asn := cfg.BaseASN
@@ -270,7 +277,7 @@ func Build(t *topology.Topo, cfg Config) (*CDN, error) {
 	if len(c.Sites) == 0 {
 		return nil, fmt.Errorf("cdn: no sites configured")
 	}
-	c.unicastRIB = make([]*bgp.RIB, len(c.Sites))
+	c.cache.unicast = make([]*bgp.RIB, len(c.Sites))
 	return c, nil
 }
 
@@ -328,9 +335,9 @@ func (c *CDN) Announcements(g *Grooming) []bgp.Announcement {
 // routing state.
 func (c *CDN) AnycastRIB(g *Grooming) (*bgp.RIB, error) {
 	if g == nil {
-		c.mu.RLock()
-		rib := c.anycastRIB
-		c.mu.RUnlock()
+		c.cache.mu.RLock()
+		rib := c.cache.anycast
+		c.cache.mu.RUnlock()
 		if rib != nil {
 			return rib, nil
 		}
@@ -346,13 +353,13 @@ func (c *CDN) AnycastRIB(g *Grooming) (*bgp.RIB, error) {
 		return nil, err
 	}
 	if g == nil {
-		c.mu.Lock()
-		if c.anycastRIB != nil {
-			rib = c.anycastRIB // keep the first-installed pointer stable
+		c.cache.mu.Lock()
+		if c.cache.anycast != nil {
+			rib = c.cache.anycast // keep the first-installed pointer stable
 		} else {
-			c.anycastRIB = rib
+			c.cache.anycast = rib
 		}
-		c.mu.Unlock()
+		c.cache.mu.Unlock()
 	}
 	return rib, nil
 }
@@ -362,9 +369,9 @@ func (c *CDN) UnicastRIB(site int) (*bgp.RIB, error) {
 	if site < 0 || site >= len(c.Sites) {
 		return nil, fmt.Errorf("cdn: site %d out of range", site)
 	}
-	c.mu.RLock()
-	rib := c.unicastRIB[site]
-	c.mu.RUnlock()
+	c.cache.mu.RLock()
+	rib := c.cache.unicast[site]
+	c.cache.mu.RUnlock()
 	if rib != nil {
 		return rib, nil
 	}
@@ -372,13 +379,13 @@ func (c *CDN) UnicastRIB(site int) (*bgp.RIB, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if prior := c.unicastRIB[site]; prior != nil {
+	c.cache.mu.Lock()
+	if prior := c.cache.unicast[site]; prior != nil {
 		rib = prior
 	} else {
-		c.unicastRIB[site] = rib
+		c.cache.unicast[site] = rib
 	}
-	c.mu.Unlock()
+	c.cache.mu.Unlock()
 	return rib, nil
 }
 
@@ -388,16 +395,16 @@ func (c *CDN) UnicastRIB(site int) (*bgp.RIB, error) {
 func (c *CDN) PrimeRIBs(ctx context.Context, workers int) (int, error) {
 	// Job -1 is the anycast RIB; jobs 0..len(Sites)-1 are unicast RIBs.
 	var jobs []int
-	c.mu.RLock()
-	if c.anycastRIB == nil {
+	c.cache.mu.RLock()
+	if c.cache.anycast == nil {
 		jobs = append(jobs, -1)
 	}
 	for site := range c.Sites {
-		if c.unicastRIB[site] == nil {
+		if c.cache.unicast[site] == nil {
 			jobs = append(jobs, site)
 		}
 	}
-	c.mu.RUnlock()
+	c.cache.mu.RUnlock()
 	if len(jobs) == 0 {
 		return 0, nil
 	}
@@ -506,9 +513,9 @@ func (c *CDN) UnicastRTT(sim *netsim.Sim, p topology.Prefix, site int, t float64
 // of (prefix, time) pairs per site.
 func (c *CDN) unicastPhys(p topology.Prefix, site int) (netpath.Route, error) {
 	key := int64(site)<<32 | int64(p.ID)
-	c.physMu.RLock()
-	phys, ok := c.physCache[key]
-	c.physMu.RUnlock()
+	c.cache.physMu.RLock()
+	phys, ok := c.cache.phys[key]
+	c.cache.physMu.RUnlock()
 	if ok {
 		return phys, nil
 	}
@@ -524,13 +531,13 @@ func (c *CDN) unicastPhys(p topology.Prefix, site int) (netpath.Route, error) {
 	if err != nil {
 		return netpath.Route{}, err
 	}
-	c.physMu.Lock()
-	if prior, ok := c.physCache[key]; ok {
+	c.cache.physMu.Lock()
+	if prior, ok := c.cache.phys[key]; ok {
 		phys = prior // keep the first-installed route stable
 	} else {
-		c.physCache[key] = phys
+		c.cache.phys[key] = phys
 	}
-	c.physMu.Unlock()
+	c.cache.physMu.Unlock()
 	return phys, nil
 }
 

@@ -74,7 +74,7 @@ func TestCatchmentsMostlyRegional(t *testing.T) {
 
 func TestAnycastVsBestUnicast(t *testing.T) {
 	topo, c := build(t, 5)
-	sim := netsim.New(topo, netsim.Config{Seed: 5})
+	sim := netsim.New(topo, netsim.Config{Seed: 5}, nil, nil)
 	var diffs stats.Dist
 	const when = 600
 	for i, p := range topo.Prefixes {
@@ -173,7 +173,7 @@ func TestNearestSitesOrdered(t *testing.T) {
 
 func TestRedirectorTrainsAndServes(t *testing.T) {
 	topo, c := build(t, 13)
-	sim := netsim.New(topo, netsim.Config{Seed: 13})
+	sim := netsim.New(topo, netsim.Config{Seed: 13}, nil, nil)
 	m := dnsmap.Build(topo, dnsmap.Config{Seed: 13})
 	var sample []topology.Prefix
 	for i, p := range topo.Prefixes {
@@ -212,7 +212,7 @@ func TestRedirectorTrainsAndServes(t *testing.T) {
 
 func TestTrainRedirectorValidation(t *testing.T) {
 	topo, c := build(t, 15)
-	sim := netsim.New(topo, netsim.Config{Seed: 15})
+	sim := netsim.New(topo, netsim.Config{Seed: 15}, nil, nil)
 	m := dnsmap.Build(topo, dnsmap.Config{Seed: 15})
 	if _, err := TrainRedirector(c, sim, m, topo.Prefixes[:5], nil, TrainOpts{}); err == nil {
 		t.Fatal("no training times accepted")
@@ -221,7 +221,7 @@ func TestTrainRedirectorValidation(t *testing.T) {
 
 func BenchmarkAnycastRTT(b *testing.B) {
 	topo, c := build(b, 1)
-	sim := netsim.New(topo, netsim.Config{Seed: 1})
+	sim := netsim.New(topo, netsim.Config{Seed: 1}, nil, nil)
 	p := topo.Prefixes[0]
 	if _, _, err := c.AnycastRTT(sim, p, nil, 0); err != nil {
 		b.Skip("prefix cannot reach anycast")

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"testing"
 
-	"beatbgp/internal/bgp"
 	"beatbgp/internal/matbgp"
 )
 
-// TestEpochContextCancelled: an expired context aborts the epoch
-// chain's repair with the context's error, and the chain recovers on
-// the next live-context query — the poisoned repairer is rebuilt, the
-// answers stay bit-identical to a rebuild.
+// TestEpochContextCancelled: an expired context aborts the view's
+// anycast chain with the context's error, and the chain recovers on the
+// next live-context query with answers bit-identical to a rebuild.
 func TestEpochContextCancelled(t *testing.T) {
 	topo, c := build(t, 5)
 	seq := epochSequence(t, topo, c)
@@ -21,57 +19,42 @@ func TestEpochContextCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.UseEngine(eng)
-	c.SetEpochs(seq)
+	v := c.WithEpochs(seq)
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.AnycastRIBAtContext(cancelled, 2); !errors.Is(err, context.Canceled) {
+	if _, err := v.AnycastRIBAtContext(cancelled, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled anycast query returned %v, want context.Canceled", err)
-	}
-	if _, err := c.UnicastRIBAtContext(cancelled, 0, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled unicast query returned %v, want context.Canceled", err)
 	}
 
 	// Recovery: the same epochs answer correctly with a live context.
 	for _, e := range []int{2, 0, 3} {
-		down := seq.Epoch(e).DownSet()
-		got, err := c.AnycastRIBAtContext(context.Background(), e)
+		got, err := v.AnycastRIBAtContext(context.Background(), e)
 		if err != nil {
 			t.Fatalf("epoch %d after cancellation: %v", e, err)
 		}
-		want, err := eng.ComputeWithout(c.Announcements(nil), down)
+		want, err := eng.ComputeWithout(c.Announcements(nil), seq.Epoch(e).DownSet())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRIB(t, topo, got, want, "anycast post-cancel")
-		gotU, err := c.UnicastRIBAtContext(context.Background(), 0, e)
-		if err != nil {
-			t.Fatalf("unicast epoch %d after cancellation: %v", e, err)
-		}
-		wantU, err := eng.ComputeWithout([]bgp.Announcement{{Origin: c.Sites[0].AS.ID}}, down)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRIB(t, topo, gotU, wantU, "unicast post-cancel")
 	}
 }
 
-// TestEpochContextPlainDelegates: the context-free entry points answer
-// exactly like their Context variants under a background context.
+// TestEpochContextPlainDelegates: the context-free entry point answers
+// exactly like its Context variant under a background context.
 func TestEpochContextPlainDelegates(t *testing.T) {
 	topo, c := build(t, 5)
-	seq := epochSequence(t, topo, c)
-	c.SetEpochs(seq)
-	a, err := c.AnycastRIBAt(1)
+	v := c.WithEpochs(epochSequence(t, topo, c))
+	a, err := v.AnycastRIBAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.AnycastRIBAtContext(context.Background(), 1)
+	b, err := v.AnycastRIBAtContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("AnycastRIBAt and AnycastRIBAtContext answered different memoized RIBs")
 	}
-	_ = topo
 }

@@ -4,221 +4,36 @@ import (
 	"context"
 	"fmt"
 
-	"sync"
-
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/delta"
-	"beatbgp/internal/netpath"
-	"beatbgp/internal/netsim"
-	"beatbgp/internal/topology"
 )
 
-// The epoch layer gives the CDN fault-aware routing state without the
-// per-query overlay hack: instead of recomputing a full RIB at every
-// sampled instant of a fault schedule, the schedule is compiled once
-// into a delta.Sequence (faults.Timeline.Deltas or session.History.
-// Deltas) and installed with SetEpochs; AnycastRIBAt/UnicastRIBAt then
-// carry one bgp.RouteRepairer per prefix across the epoch chain,
-// repairing only what each delta touches, and memoize the repaired RIB
-// per epoch. The per-(site, prefix) physical-route caches gain an epoch
-// dimension the same way: within one epoch routes are frozen, so every
-// sample instant in the epoch shares one resolved route.
+// The epoch layer gives a CDN fault-aware anycast routing without the
+// per-query overlay hack: the fault schedule is compiled once into a
+// delta.Sequence (faults.Timeline.Deltas or session.History.Deltas), and
+// WithEpochs binds it into a view whose AnycastRIBAt carries one
+// bgp.EpochChain across the sequence, repairing only what each delta
+// touches and memoizing the repaired RIB per epoch.
 //
-// Bit-identity contract: AnycastRIBAt(e) and UnicastRIBAt(site, e)
-// answer every query exactly like Compute(With)out at the epoch's
-// cumulative down set — repair is an engine property, never a semantic
-// one (see bgp.RouteRepairer).
-//
-// Concurrency: all epoch state built against one installed sequence
-// lives in a single immutable-once-published epochState, swapped
-// atomically by SetEpochs. A query loads the pointer once and answers
-// entirely against that snapshot, so a racing SetEpochs can never pair
-// a stale RIB with a new sequence's epoch index — in-flight queries
-// finish against the old state, later ones see only the new one.
-// Within a state, materialized RIBs are handed out through per-(chain,
-// epoch) futures: the first caller computes while only its own chain's
-// repairer lock is held, duplicates wait on the future, and readers of
-// other chains or of already-materialized epochs never block behind an
-// in-flight repair.
+// Bit-identity contract: AnycastRIBAt(e) answers every query exactly
+// like ComputeWithout at the epoch's cumulative down set (see
+// bgp.EpochChain). A view is a value: its sequence is fixed when it is
+// made, so views over different sequences — two frozen worlds sharing
+// one built CDN — answer independently.
 
-// epochState is everything built against one installed epoch sequence.
-// It is published atomically via CDN.epochSt; the maps inside are
-// guarded by mu, which is never held across a repair or a forwarding
-// walk.
-type epochState struct {
-	seq *delta.Sequence
-
-	mu        sync.Mutex // guards chain rib maps and physAt; never held during compute
-	anyChain  *epochChain
-	uniChains []*epochChain
-	physAt    map[physEpochKey]physEpochVal
-}
-
-// epochChain carries one announcement set's routing state across the
-// epoch sequence: a repairer positioned at epoch `at` (created lazily
-// on first use, positioned at epoch 0's down set), plus futures for
-// every epoch whose RIB has been requested. The ribs map is guarded by
-// epochState.mu; rep/at by the chain's own mu, so advancing one chain
-// never blocks queries against another.
-type epochChain struct {
-	mu   sync.Mutex // serializes repairer creation + advancement
-	rep  bgp.RouteRepairer
-	at   int
-	ribs map[int]*ribFuture
-}
-
-// ribFuture is one epoch's materializing RIB: the first requester
-// computes and closes done; duplicates block on done and share the
-// result. Failed computations are removed from the chain's map so
-// later callers retry with a fresh repairer instead of caching the
-// error forever.
-type ribFuture struct {
-	done chan struct{}
-	rib  *bgp.RIB
-	err  error
-}
-
-// physEpochKey keys the epoch-aware physical-route cache. Site is the
-// unicast target, or -1 for the anycast walk.
-type physEpochKey struct {
-	epoch, site, prefix int
-}
-
-// physEpochVal is one resolved walk: the physical route and, for the
-// anycast walk, the catchment site it lands on.
-type physEpochVal struct {
-	phys netpath.Route
-	site int
-}
-
-func newEpochState(seq *delta.Sequence, sites int) *epochState {
-	st := &epochState{
-		seq:       seq,
-		anyChain:  &epochChain{ribs: make(map[int]*ribFuture)},
-		uniChains: make([]*epochChain, sites),
-		physAt:    make(map[physEpochKey]physEpochVal),
-	}
-	for i := range st.uniChains {
-		st.uniChains[i] = &epochChain{ribs: make(map[int]*ribFuture)}
-	}
-	return st
-}
-
-// check validates an epoch index against the state's sequence; a nil
-// state means no sequence is installed.
-func (st *epochState) check(e int) error {
-	if st == nil {
-		return fmt.Errorf("cdn: no epoch sequence installed (SetEpochs)")
-	}
-	if e < 0 || e >= st.seq.Len() {
-		return fmt.Errorf("cdn: epoch %d out of range [0,%d)", e, st.seq.Len())
-	}
-	return nil
-}
-
-// SetEpochs installs (or, with nil, removes) the epoch sequence the
-// fault-aware queries repair across. The swap is atomic: queries in
-// flight finish coherently against the previous sequence's state, and
-// every later query sees only the new sequence with all per-epoch
-// caches discarded. Safe to call concurrently with the epoch queries.
-func (c *CDN) SetEpochs(seq *delta.Sequence) {
-	if seq == nil {
-		c.epochSt.Store(nil)
-		return
-	}
-	c.epochSt.Store(newEpochState(seq, len(c.Sites)))
-}
-
-// Epochs returns the installed epoch sequence, or nil.
-func (c *CDN) Epochs() *delta.Sequence {
-	if st := c.epochSt.Load(); st != nil {
-		return st.seq
-	}
-	return nil
-}
-
-// chainRIB returns the chain's RIB at epoch e through the per-epoch
-// singleflight: the hit path touches only the state lock, the miss
-// path repairs under the chain's own lock with the state lock
-// released, and duplicate concurrent requests for one epoch share a
-// single repair.
-func (c *CDN) chainRIB(ctx context.Context, st *epochState, ch *epochChain, anns func() []bgp.Announcement, e int) (*bgp.RIB, error) {
-	st.mu.Lock()
-	if f, ok := ch.ribs[e]; ok {
-		st.mu.Unlock()
-		// A deadline-carrying duplicate stops waiting when its context
-		// expires; the owner keeps computing and later queries still get
-		// the materialized RIB.
-		select {
-		case <-f.done:
-			return f.rib, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &ribFuture{done: make(chan struct{})}
-	ch.ribs[e] = f
-	st.mu.Unlock()
-
-	rib, err := c.advance(ctx, st.seq, ch, anns, e)
-	if err != nil {
-		st.mu.Lock()
-		delete(ch.ribs, e)
-		st.mu.Unlock()
-	}
-	f.rib, f.err = rib, err
-	close(f.done)
-	return rib, err
-}
-
-// advance walks the chain's repairer to epoch e, creating it on first
-// use — StartRepair's all-links-up state folded forward by epoch 0's
-// delta, which carries the sequence's initial down set — then folding
-// the intermediate deltas forward, or their inversions backward, which
-// is exact because every epoch's delta is normalized against its
-// predecessor. A failed Apply poisons the repairer, so it is dropped
-// and rebuilt fresh on the next request.
-func (c *CDN) advance(ctx context.Context, seq *delta.Sequence, ch *epochChain, anns func() []bgp.Announcement, e int) (*bgp.RIB, error) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ch.rep == nil {
-		rep, err := bgp.StartRepair(c.comp, anns())
-		if err != nil {
-			return nil, err
-		}
-		if err := bgp.ApplyContext(ctx, rep, seq.Epoch(0).Delta); err != nil {
-			return nil, err
-		}
-		ch.rep, ch.at = rep, 0
-	}
-	// The per-epoch steps thread the query's context down to the engine's
-	// repair-stage boundaries (bgp.ContextRepairer): a deadline hit
-	// mid-chain poisons the repairer like any failed Apply — dropped here,
-	// rebuilt fresh by the next request — never left mid-delta.
-	for ch.at < e {
-		if err := bgp.ApplyContext(ctx, ch.rep, seq.Epoch(ch.at+1).Delta); err != nil {
-			ch.rep = nil
-			return nil, err
-		}
-		ch.at++
-	}
-	for ch.at > e {
-		if err := bgp.ApplyContext(ctx, ch.rep, seq.Epoch(ch.at).Delta.Invert()); err != nil {
-			ch.rep = nil
-			return nil, err
-		}
-		ch.at--
-	}
-	return ch.rep.RIB()
+// WithEpochs returns a view of the CDN bound to the epoch sequence: it
+// shares the sites, the route engine and the all-links-up caches with c,
+// and owns a fresh anycast repair chain over seq. c is not modified.
+func (c *CDN) WithEpochs(seq *delta.Sequence) *CDN {
+	v := *c
+	v.anycastAt = bgp.NewEpochChain(c.comp, c.Announcements(nil), seq)
+	return &v
 }
 
 // AnycastRIBAt returns the ungroomed anycast RIB repaired to the given
-// epoch of the installed sequence: identical to recomputing from
-// scratch at the epoch's cumulative down set, but the repair chain pays
-// only for what each delta touches. Safe for concurrent use.
+// epoch of the view's sequence: identical to recomputing from scratch at
+// the epoch's cumulative down set, but the repair chain pays only for
+// what each delta touches. Safe for concurrent use.
 func (c *CDN) AnycastRIBAt(epoch int) (*bgp.RIB, error) {
 	return c.AnycastRIBAtContext(context.Background(), epoch)
 }
@@ -228,121 +43,8 @@ func (c *CDN) AnycastRIBAt(epoch int) (*bgp.RIB, error) {
 // finishes and later queries reuse the result) and aborts its own
 // repair at epoch-step boundaries.
 func (c *CDN) AnycastRIBAtContext(ctx context.Context, epoch int) (*bgp.RIB, error) {
-	st := c.epochSt.Load()
-	if err := st.check(epoch); err != nil {
-		return nil, err
+	if c.anycastAt == nil {
+		return nil, fmt.Errorf("cdn: no epoch sequence bound (WithEpochs)")
 	}
-	return c.chainRIB(ctx, st, st.anyChain, func() []bgp.Announcement { return c.Announcements(nil) }, epoch)
-}
-
-// UnicastRIBAt returns the site's unicast RIB repaired to the given
-// epoch, with the same contract as AnycastRIBAt.
-func (c *CDN) UnicastRIBAt(site, epoch int) (*bgp.RIB, error) {
-	return c.UnicastRIBAtContext(context.Background(), site, epoch)
-}
-
-// UnicastRIBAtContext is UnicastRIBAt honoring ctx, with the same
-// cancellation contract as AnycastRIBAtContext.
-func (c *CDN) UnicastRIBAtContext(ctx context.Context, site, epoch int) (*bgp.RIB, error) {
-	if site < 0 || site >= len(c.Sites) {
-		return nil, fmt.Errorf("cdn: site %d out of range", site)
-	}
-	st := c.epochSt.Load()
-	if err := st.check(epoch); err != nil {
-		return nil, err
-	}
-	return c.chainRIB(ctx, st, st.uniChains[site],
-		func() []bgp.Announcement { return []bgp.Announcement{{Origin: c.Sites[site].AS.ID}} }, epoch)
-}
-
-// physLookup memoizes a forwarding walk + resolution under an epoch
-// RIB: compute outside the lock (the walk is pure and cheap relative
-// to a repair), first-installed value wins so every caller sees one
-// result.
-func (st *epochState) physLookup(key physEpochKey, walk func() (physEpochVal, error)) (physEpochVal, error) {
-	st.mu.Lock()
-	if v, ok := st.physAt[key]; ok {
-		st.mu.Unlock()
-		return v, nil
-	}
-	st.mu.Unlock()
-	v, err := walk()
-	if err != nil {
-		return physEpochVal{}, err
-	}
-	st.mu.Lock()
-	if prev, ok := st.physAt[key]; ok {
-		v = prev
-	} else {
-		st.physAt[key] = v
-	}
-	st.mu.Unlock()
-	return v, nil
-}
-
-// AnycastRTTAt measures the prefix's ungroomed anycast latency at
-// minute t with the fault schedule's route changes repaired in — the
-// epoch in effect at t selects the RIB — returning the latency and the
-// catchment site. The resolved physical route is cached per (epoch,
-// prefix), so sweeping many instants inside one epoch resolves once.
-// The epoch index, RIB, and route cache all come from one atomic state
-// snapshot, so a concurrent SetEpochs cannot mix sequences mid-query.
-func (c *CDN) AnycastRTTAt(sim *netsim.Sim, p topology.Prefix, t float64) (float64, int, error) {
-	st := c.epochSt.Load()
-	if st == nil {
-		return 0, 0, fmt.Errorf("cdn: no epoch sequence installed (SetEpochs)")
-	}
-	epoch := st.seq.At(t)
-	rib, err := c.chainRIB(context.Background(), st, st.anyChain, func() []bgp.Announcement { return c.Announcements(nil) }, epoch)
-	if err != nil {
-		return 0, 0, err
-	}
-	v, err := st.physLookup(physEpochKey{epoch: epoch, site: -1, prefix: p.ID},
-		func() (physEpochVal, error) {
-			phys, site, err := c.PhysViaRIB(rib, p)
-			if err != nil {
-				return physEpochVal{}, err
-			}
-			return physEpochVal{phys: phys, site: site}, nil
-		})
-	if err != nil {
-		return 0, 0, err
-	}
-	return sim.RouteRTTMs(v.phys, p, t) + c.ServerMs, v.site, nil
-}
-
-// UnicastRTTAt is UnicastRTT with the fault schedule's route changes
-// repaired in: the epoch in effect at t selects the site's repaired
-// unicast RIB, and the resolved physical route is cached per (epoch,
-// site, prefix).
-func (c *CDN) UnicastRTTAt(sim *netsim.Sim, p topology.Prefix, site int, t float64) (float64, error) {
-	if site < 0 || site >= len(c.Sites) {
-		return 0, fmt.Errorf("cdn: site %d out of range", site)
-	}
-	st := c.epochSt.Load()
-	if st == nil {
-		return 0, fmt.Errorf("cdn: no epoch sequence installed (SetEpochs)")
-	}
-	epoch := st.seq.At(t)
-	rib, err := c.chainRIB(context.Background(), st, st.uniChains[site],
-		func() []bgp.Announcement { return []bgp.Announcement{{Origin: c.Sites[site].AS.ID}} }, epoch)
-	if err != nil {
-		return 0, err
-	}
-	v, err := st.physLookup(physEpochKey{epoch: epoch, site: site, prefix: p.ID},
-		func() (physEpochVal, error) {
-			r, err := c.forwardRoute(rib, p.Origin, p.City)
-			if err != nil {
-				return physEpochVal{}, fmt.Errorf("cdn: prefix %d cannot reach site %d: %w", p.ID, site, err)
-			}
-			phys, err := c.resolver.Resolve(r, p.City, c.Sites[site].City)
-			if err != nil {
-				return physEpochVal{}, err
-			}
-			return physEpochVal{phys: phys, site: site}, nil
-		})
-	if err != nil {
-		return 0, err
-	}
-	return sim.RouteRTTMs(v.phys, p, t) + c.ServerMs, nil
+	return c.anycastAt.RIBAt(ctx, epoch)
 }

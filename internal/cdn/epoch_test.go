@@ -8,7 +8,6 @@ import (
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/delta"
 	"beatbgp/internal/matbgp"
-	"beatbgp/internal/netsim"
 	"beatbgp/internal/topology"
 )
 
@@ -53,11 +52,10 @@ func sameRIB(t *testing.T, topo *topology.Topo, got, want *bgp.RIB, label string
 	}
 }
 
-// TestEpochRIBsBitIdentical: every epoch's repaired anycast and unicast
-// RIBs must equal a from-scratch rebuild at that epoch's down set, for
-// both the rebuild-fallback (Reference) and the incremental engine
-// (matbgp), visiting epochs out of order so the chain walks both
-// directions.
+// TestEpochRIBsBitIdentical: every epoch's repaired anycast RIB must
+// equal a from-scratch rebuild at that epoch's down set, for both the
+// rebuild-fallback (Reference) and the incremental engine (matbgp),
+// visiting epochs out of order so the chain walks both directions.
 func TestEpochRIBsBitIdentical(t *testing.T) {
 	topo, c := build(t, 5)
 	seq := epochSequence(t, topo, c)
@@ -68,105 +66,24 @@ func TestEpochRIBsBitIdentical(t *testing.T) {
 	ref := bgp.NewReference(topo)
 	for _, comp := range []bgp.Computer{ref, eng} {
 		c.UseEngine(comp)
-		c.SetEpochs(seq)
+		v := c.WithEpochs(seq)
 		for _, e := range []int{2, 0, 3, 1, 2} { // forward and backward hops
-			down := seq.Epoch(e).DownSet()
-			anyRIB, err := c.AnycastRIBAt(e)
+			anyRIB, err := v.AnycastRIBAt(e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantAny, err := comp.ComputeWithout(c.Announcements(nil), down)
+			wantAny, err := comp.ComputeWithout(c.Announcements(nil), seq.Epoch(e).DownSet())
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameRIB(t, topo, anyRIB, wantAny, "anycast")
-			uniRIB, err := c.UnicastRIBAt(0, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantUni, err := comp.ComputeWithout([]bgp.Announcement{{Origin: c.Sites[0].AS.ID}}, down)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRIB(t, topo, uniRIB, wantUni, "unicast")
 		}
 		// Revisits are memoized: the same epoch returns the same pointer.
-		a, _ := c.AnycastRIBAt(1)
-		b, _ := c.AnycastRIBAt(1)
+		a, _ := v.AnycastRIBAt(1)
+		b, _ := v.AnycastRIBAt(1)
 		if a != b {
 			t.Fatal("epoch RIB not memoized")
 		}
-	}
-}
-
-// TestEpochRTTsMatchRebuild: the epoch-cached RTT queries agree with
-// computing the RIB from scratch at the instant's down set — fault
-// routes are repaired, not overlaid.
-func TestEpochRTTsMatchRebuild(t *testing.T) {
-	topo, c := build(t, 5)
-	seq := epochSequence(t, topo, c)
-	c.SetEpochs(seq)
-	sim := netsim.New(topo, netsim.Config{Seed: 5})
-	anns := c.Announcements(nil)
-	checked := 0
-	for _, at := range []float64{5, 15, 25, 45} {
-		down := seq.Epoch(seq.At(at)).DownSet()
-		rib, err := c.comp.ComputeWithout(anns, down)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range topo.Prefixes[:4] {
-			wantMs, wantSite, wantErr := c.RTTViaRIB(sim, rib, p, at)
-			gotMs, gotSite, gotErr := c.AnycastRTTAt(sim, p, at)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("t=%v prefix %d: err %v vs %v", at, p.ID, gotErr, wantErr)
-			}
-			if wantErr != nil {
-				continue
-			}
-			if gotMs != wantMs || gotSite != wantSite {
-				t.Fatalf("t=%v prefix %d: AnycastRTTAt = (%v, %d), rebuild = (%v, %d)",
-					at, p.ID, gotMs, gotSite, wantMs, wantSite)
-			}
-			checked++
-			// Second sample in the same epoch hits the phys cache and
-			// must answer identically.
-			if again, site2, err := c.AnycastRTTAt(sim, p, at); err != nil || again != gotMs || site2 != gotSite {
-				t.Fatalf("t=%v prefix %d: cached resample diverged", at, p.ID)
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no reachable prefixes checked")
-	}
-	// Unicast at a faulted epoch: repaired route matches a rebuild.
-	uniDown := seq.Epoch(seq.At(25)).DownSet()
-	uniRIB, err := c.comp.ComputeWithout([]bgp.Announcement{{Origin: c.Sites[0].AS.ID}}, uniDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked = 0
-	for _, p := range topo.Prefixes[:4] {
-		r, err := c.forwardRoute(uniRIB, p.Origin, p.City)
-		if err != nil {
-			continue
-		}
-		phys, err := c.resolver.Resolve(r, p.City, c.Sites[0].City)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := sim.RouteRTTMs(phys, p, 25) + c.ServerMs
-		got, err := c.UnicastRTTAt(sim, p, 0, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("prefix %d: UnicastRTTAt = %v, rebuild = %v", p.ID, got, want)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no reachable prefixes checked for unicast")
 	}
 }
 
@@ -191,9 +108,9 @@ func TestEpochInitialDownSet(t *testing.T) {
 	if got := seq.Epoch(0).DownSet(); !got[la] {
 		t.Fatalf("epoch 0 down set %v does not include link %d", got, la)
 	}
-	c.SetEpochs(seq)
+	v := c.WithEpochs(seq)
 	for e := 0; e < seq.Len(); e++ {
-		rib, err := c.AnycastRIBAt(e)
+		rib, err := v.AnycastRIBAt(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,135 +122,87 @@ func TestEpochInitialDownSet(t *testing.T) {
 	}
 }
 
-// TestEpochConcurrentQueries is the epoch-cache race regression: many
-// goroutines read mixed epochs and chains — anycast, unicast, RTT
-// queries — while another goroutine repeatedly reinstalls an equal
-// sequence via SetEpochs. Every answer must match the sequential
-// rebuild (a racing SetEpochs may discard caches but can never pair a
-// stale RIB with a new epoch index), and concurrent readers at
-// different epochs must not deadlock. Run under -race (race-delta).
+// TestEpochConcurrentQueries is the epoch-view race regression: two
+// views of one CDN, bound to different sequences, are queried at mixed
+// epochs from many goroutines. Every answer must match the sequential
+// rebuild at its own view's down set — views share the built CDN's
+// caches but never each other's epoch state — and concurrent readers at
+// different epochs must not deadlock. Run under -race (race-serve).
 func TestEpochConcurrentQueries(t *testing.T) {
 	topo, c := build(t, 5)
-	seq := epochSequence(t, topo, c)
-	c.SetEpochs(seq)
-	sim := netsim.New(topo, netsim.Config{Seed: 5})
+	seqA := epochSequence(t, topo, c)
+	la := topo.Neighbors(c.Sites[0].AS.ID)[0].Link
+	seqB, err := delta.Compile([]delta.Event{{At: -1, Link: la, Down: true}}, 0, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []*CDN{c.WithEpochs(seqA), c.WithEpochs(seqB)}
+	seqs := []*delta.Sequence{seqA, seqB}
 
 	// Sequential truth, computed before the fan-out.
 	anns := c.Announcements(nil)
-	wantAny := make([]*bgp.RIB, seq.Len())
-	wantUni := make([]*bgp.RIB, seq.Len())
-	for e := 0; e < seq.Len(); e++ {
-		var err error
-		if wantAny[e], err = c.comp.ComputeWithout(anns, seq.Epoch(e).DownSet()); err != nil {
-			t.Fatal(err)
-		}
-		if wantUni[e], err = c.comp.ComputeWithout([]bgp.Announcement{{Origin: c.Sites[0].AS.ID}}, seq.Epoch(e).DownSet()); err != nil {
-			t.Fatal(err)
+	want := make([][]*bgp.RIB, len(seqs))
+	for i, seq := range seqs {
+		for e := 0; e < seq.Len(); e++ {
+			rib, err := c.comp.ComputeWithout(anns, seq.Epoch(e).DownSet())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], rib)
 		}
 	}
-	times := []float64{5, 15, 25, 45}
-	wantMs := make([]float64, len(times))
-	wantSite := make([]int, len(times))
-	wantOK := make([]bool, len(times))
 	p := topo.Prefixes[0]
-	for i, at := range times {
-		ms, site, err := c.RTTViaRIB(sim, wantAny[seq.At(at)], p, at)
-		wantMs[i], wantSite[i], wantOK[i] = ms, site, err == nil
-	}
 
 	const workers = 12
 	const rounds = 8
-	errs := make(chan error, workers*rounds*8)
-	// One goroutine keeps reinstalling a value-equal sequence, so the
-	// swap races real queries but never changes any correct answer.
-	stop := make(chan struct{})
-	var swapper sync.WaitGroup
-	swapper.Add(1)
-	go func() {
-		defer swapper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				c.SetEpochs(epochSequence(t, topo, c))
-			}
-		}
-	}()
+	errs := make(chan error, workers*rounds)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				e := (w + r) % seq.Len()
-				rib, err := c.AnycastRIBAt(e)
+				i := (w + r) % len(views)
+				e := (w + r) % seqs[i].Len()
+				rib, err := views[i].AnycastRIBAt(e)
 				if err != nil {
-					errs <- fmt.Errorf("AnycastRIBAt(%d): %v", e, err)
+					errs <- fmt.Errorf("view %d AnycastRIBAt(%d): %v", i, e, err)
 					return
 				}
-				if g, want := rib.Best(p.Origin), wantAny[e].Best(p.Origin); g.Link != want.Link || g.NextHop != want.NextHop {
-					errs <- fmt.Errorf("AnycastRIBAt(%d): best %+v, want %+v", e, g, want)
-					return
-				}
-				urib, err := c.UnicastRIBAt(0, e)
-				if err != nil {
-					errs <- fmt.Errorf("UnicastRIBAt(0,%d): %v", e, err)
-					return
-				}
-				if g, want := urib.Best(p.Origin), wantUni[e].Best(p.Origin); g.Link != want.Link || g.NextHop != want.NextHop {
-					errs <- fmt.Errorf("UnicastRIBAt(0,%d): best %+v, want %+v", e, g, want)
-					return
-				}
-				ti := (w * rounds * 7 / 3) % len(times)
-				ms, site, err := c.AnycastRTTAt(sim, p, times[ti])
-				if wantOK[ti] != (err == nil) {
-					errs <- fmt.Errorf("AnycastRTTAt(t=%v): err %v, want ok=%v", times[ti], err, wantOK[ti])
-					return
-				}
-				if err == nil && (ms != wantMs[ti] || site != wantSite[ti]) {
-					errs <- fmt.Errorf("AnycastRTTAt(t=%v) = (%v,%d), want (%v,%d)", times[ti], ms, site, wantMs[ti], wantSite[ti])
+				if g, wt := rib.Best(p.Origin), want[i][e].Best(p.Origin); g.Link != wt.Link || g.NextHop != wt.NextHop {
+					errs <- fmt.Errorf("view %d AnycastRIBAt(%d): best %+v, want %+v", i, e, g, wt)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	swapper.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 }
 
-// TestEpochLayerValidation: queries without an installed sequence and
-// out-of-range epochs fail loudly; SetEpochs(nil) tears the layer down.
+// TestEpochLayerValidation: a built CDN has no sequence, so its epoch
+// queries fail loudly, and binding a view leaves it that way; a view
+// rejects out-of-range epochs.
 func TestEpochLayerValidation(t *testing.T) {
 	topo, c := build(t, 5)
 	if _, err := c.AnycastRIBAt(0); err == nil {
 		t.Fatal("AnycastRIBAt without a sequence succeeded")
 	}
-	sim := netsim.New(topo, netsim.Config{Seed: 5})
-	if _, _, err := c.AnycastRTTAt(sim, topo.Prefixes[0], 1); err == nil {
-		t.Fatal("AnycastRTTAt without a sequence succeeded")
-	}
-	if _, err := c.UnicastRTTAt(sim, topo.Prefixes[0], 0, 1); err == nil {
-		t.Fatal("UnicastRTTAt without a sequence succeeded")
-	}
 	seq := epochSequence(t, topo, c)
-	c.SetEpochs(seq)
-	if _, err := c.AnycastRIBAt(seq.Len()); err == nil {
+	v := c.WithEpochs(seq)
+	if _, err := v.AnycastRIBAt(seq.Len()); err == nil {
 		t.Fatal("out-of-range epoch accepted")
 	}
-	if _, err := c.UnicastRIBAt(len(c.Sites), 0); err == nil {
-		t.Fatal("out-of-range site accepted")
+	if _, err := v.AnycastRIBAt(-1); err == nil {
+		t.Fatal("negative epoch accepted")
 	}
-	if _, err := c.AnycastRIBAt(0); err != nil {
+	if _, err := v.AnycastRIBAt(0); err != nil {
 		t.Fatal(err)
 	}
-	c.SetEpochs(nil)
 	if _, err := c.AnycastRIBAt(0); err == nil {
-		t.Fatal("query after SetEpochs(nil) succeeded")
+		t.Fatal("WithEpochs bound a sequence into the CDN it was taken from")
 	}
 }

@@ -390,7 +390,7 @@ func build(ctx context.Context, norm, user Config, prev *Scenario) (*Scenario, e
 	// Mutable per-scenario state: always fresh, never donated.
 	if err := stage(StageSim, s.keys.sim, "", nil,
 		func() error {
-			s.Sim = netsim.New(s.Topo, norm.Net)
+			s.Sim = netsim.New(s.Topo, norm.Net, nil, nil)
 			return nil
 		}); err != nil {
 		return nil, err

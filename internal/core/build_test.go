@@ -209,6 +209,55 @@ func TestDeriveArtifactReuse(t *testing.T) {
 		t.Error("nil-mutation derive must still build a fresh Sim")
 	}
 
+	// Provider-only: the rebuilt provider lays its WAN on its own copy of
+	// the cable map, so the base world's graph keeps its edges.
+	edges := base.Topo.Graph.NumEdges()
+	if _, err := base.Derive(func(c *Config) { c.Provider.Seed = 99 }); err != nil {
+		t.Fatal(err)
+	}
+	if got := base.Topo.Graph.NumEdges(); got != edges {
+		t.Errorf("provider-only derive grew the base cable graph from %d to %d edges", edges, got)
+	}
+
+	// Session-only: the BFD twin shares the CDN but compiles a different
+	// epoch sequence. Freezing both must leave each world answering at
+	// its own epochs: every anycast RIB of the first world equals a
+	// rebuild at that world's cumulative down set.
+	bfd, err := base.Derive(func(c *Config) { c.Session.BFD = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bfd.CDN != base.CDN {
+		t.Fatal("session-only derive must share the CDN by pointer")
+	}
+	w1, err := base.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := bfd.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqDigest(w1.Epochs) == seqDigest(w2.Epochs) {
+		t.Fatal("BFD did not change the epoch sequence; the twins cannot tell views apart")
+	}
+	anns := base.CDN.Announcements(nil)
+	for _, w := range []*World{w1, w2} {
+		for e := 0; e < w.Epochs.Len(); e++ {
+			got, err := w.CDN.AnycastRIBAt(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := base.Routes.ComputeWithout(anns, w.Epochs.Epoch(e).DownSet())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ribDigest(base, got) != ribDigest(base, want) {
+				t.Fatalf("world %s epoch %d: anycast RIB differs from the rebuild at its own down set", w.Key, e)
+			}
+		}
+	}
+
 	// A full reseed invalidates every key.
 	reseed, err := base.Derive(func(c *Config) { c.Seed = 99 })
 	if err != nil {

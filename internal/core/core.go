@@ -274,7 +274,7 @@ func Experiments() []Experiment {
 		{"xgroom", "§3.2.2 open question: anycast grooming, nature vs nurture", noCtx(GroomingStudy)},
 		{"xwan", "§3.3.2 open question: single-WAN behavior of public routes", noCtx(SingleWANStudy)},
 		{"xsplit", "§4: split TCP with WAN vs public backend", noCtx(SplitTCPStudy)},
-		{"xdiv", "§4: route diversity and peer fragility", RouteDiversityStudy},
+		{"xdiv", "§4: route diversity and peer fragility", noCtx(RouteDiversityStudy)},
 		{"xcap", "Edge Fabric's day job: capacity-driven egress overrides", noCtx(CapacityStudy)},
 		{"xdyn", "§4: site outages — anycast failover vs DNS caching", noCtx(SiteOutageStudy)},
 		{"xfaults", "Injected faults: BGP-vs-alternates degradation and blackholes", noCtx(FaultStudy)},

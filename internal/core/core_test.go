@@ -309,7 +309,7 @@ func TestSplitTCPShape(t *testing.T) {
 
 func TestAvailabilityShape(t *testing.T) {
 	s := scenario(t, 13)
-	r, err := RouteDiversityStudy(context.Background(), s)
+	r, err := RouteDiversityStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}

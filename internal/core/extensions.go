@@ -274,27 +274,20 @@ func SplitTCPStudy(s *Scenario) (Result, error) {
 // diversity as failover insurance, and the outsized fragility of small
 // peers whose capacity concentrates on a single interconnection.
 // (Scheduled fault injection lives in AnycastFaultAvailability/xavail.)
-func RouteDiversityStudy(ctx context.Context, s *Scenario) (Result, error) {
+func RouteDiversityStudy(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err
 	}
 	// Two failure processes over the same world: baseline, and one where
-	// PNI links fail 5x as often (fragile small peers). Derive with no
-	// mutation shares the whole immutable world and yields only the fresh
-	// Sim each arm needs, leaving s.Sim untouched for other experiments.
-	twinA, err := s.DeriveContext(ctx, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	twinB, err := s.DeriveContext(ctx, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	simA, simB := twinA.Sim, twinB.Sim
+	// PNI links fail 5x as often (fragile small peers). Each arm gets its
+	// own Sim, leaving s.Sim untouched for other experiments.
+	fragile := make(map[int]float64)
 	for _, l := range s.Prov.PeerLinks(provider.ClassPNI) {
-		simB.ScaleLinkFailures(l, 5)
+		fragile[l] = 5
 	}
+	simA := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
+	simB := netsim.New(s.Topo, s.Cfg.Net, nil, fragile)
 	horizonDays := 10
 	evalSim := func(sim *netsim.Sim) (prefAvail, anyAvail float64) {
 		var pref, any stats.Dist

@@ -38,8 +38,7 @@ func FaultStudy(s *Scenario) (Result, error) {
 	// sequence — is built once per scenario (see faultEpochs). The replay
 	// gives the faulty twin the EMERGENT overlay — a link is unusable
 	// while physically down or while its route is withdrawn/suppressed —
-	// rather than instantaneous fault edges; the epoch sequence indexes
-	// the same truth for per-epoch caching.
+	// rather than instantaneous fault edges.
 	fe, err := s.faultEpochs()
 	if err != nil {
 		return Result{}, err
@@ -47,10 +46,8 @@ func FaultStudy(s *Scenario) (Result, error) {
 	tl, hist := fe.tl, fe.hist
 	// Twin simulators over identical stochastic draws; only one carries the
 	// injected faults, so their difference isolates the injection.
-	clean := netsim.New(s.Topo, s.Cfg.Net)
-	faulty := netsim.New(s.Topo, s.Cfg.Net)
-	faulty.SetFaults(hist)
-	faulty.SetEpochs(fe.seq)
+	clean := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
+	faulty := netsim.New(s.Topo, s.Cfg.Net, hist, nil)
 
 	traceVol := make([]float64, len(traces))
 	for i, tr := range traces {

@@ -13,25 +13,28 @@ import (
 )
 
 // World is a frozen, concurrently-queryable view of a built Scenario:
-// the immutable artifacts of the build graph (topology, provider, CDN,
-// DNS map, oracle, resolver, route engine) shared by pointer, plus the
-// fault-dynamics pipeline — the session replay installed as the Sim's
-// fault overlay and the compiled epoch sequence installed on both the
-// Sim and the CDN's epoch-keyed caches. Key is the build graph's
+// the immutable artifacts of the build graph (topology, provider, DNS
+// map, oracle, resolver, route engine) shared by pointer, plus the
+// fault-dynamics pipeline — the session replay bound into a private Sim
+// as its fault overlay, and the compiled epoch sequence bound into a
+// private CDN view's anycast repair chain. Key is the build graph's
 // content key, so two worlds with equal keys answer every query
 // byte-identically (the harness checkpoints on the same invariant).
 //
 // A World is the serving layer's handle (internal/serve): everything
 // reachable from it is either immutable or guarded, so any number of
-// goroutines may query it. What-if mutations must go through scratch
-// bgp.RouteRepairer chains (bgp.StartRepair against Routes), never
-// through the shared caches.
+// goroutines may query it, and nothing a World holds is changed by
+// building, deriving or freezing any other scenario. What-if mutations
+// must go through scratch bgp.RouteRepairer chains (bgp.StartRepair
+// against Routes), never through the shared caches.
 type World struct {
 	Key string
 	Cfg Config
 
-	Topo   *topology.Topo
-	Prov   *provider.Provider
+	Topo *topology.Topo
+	Prov *provider.Provider
+	// CDN is this world's view of the scenario's CDN (cdn.WithEpochs):
+	// its AnycastRIBAt walks Epochs.
 	CDN    *cdn.CDN
 	DNS    *dnsmap.Mapping
 	Oracle *bgp.Oracle
@@ -39,9 +42,7 @@ type World struct {
 	Routes bgp.Computer
 
 	// Sim is a private simulator over the scenario's config with the
-	// session-replay fault overlay and epoch sequence pre-installed —
-	// queries are safe from any number of goroutines, and no experiment
-	// shares it, so nothing re-installs overlays mid-serve.
+	// session replay bound as its fault overlay; no experiment shares it.
 	Sim *netsim.Sim
 
 	// Hist is the session replay of the scenario's fault schedule; its
@@ -52,11 +53,11 @@ type World struct {
 }
 
 // Freeze builds the scenario's fault-dynamics pipeline (once — the
-// same lazily-built state the fault studies share), installs the epoch
-// sequence on the CDN's epoch caches and on a private Sim, and returns
-// the frozen world handle. Call it after the scenario is built and
-// before fanning out concurrent queries; calling it twice returns
-// equivalent handles over the same shared artifacts.
+// same lazily-built state the fault studies share) and returns a frozen
+// world handle with its own Sim and CDN view bound to it. The scenario
+// and its shared artifacts are not modified, so freezing any number of
+// scenarios — including derived ones sharing this CDN — never changes
+// another world's answers.
 func (s *Scenario) Freeze() (*World, error) {
 	key, err := WorldKey(s.userCfg)
 	if err != nil {
@@ -66,21 +67,17 @@ func (s *Scenario) Freeze() (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := netsim.New(s.Topo, s.Cfg.Net)
-	sim.SetFaults(fe.hist)
-	sim.SetEpochs(fe.seq)
-	s.CDN.SetEpochs(fe.seq)
 	return &World{
 		Key:    key,
 		Cfg:    s.Cfg,
 		Topo:   s.Topo,
 		Prov:   s.Prov,
-		CDN:    s.CDN,
+		CDN:    s.CDN.WithEpochs(fe.seq),
 		DNS:    s.DNS,
 		Oracle: s.Oracle,
 		Res:    s.Res,
 		Routes: s.Routes,
-		Sim:    sim,
+		Sim:    netsim.New(s.Topo, s.Cfg.Net, fe.hist, nil),
 		Hist:   fe.hist,
 		Epochs: fe.seq,
 	}, nil

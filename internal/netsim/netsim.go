@@ -22,7 +22,6 @@ import (
 	"math"
 	"sync"
 
-	"beatbgp/internal/delta"
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/topology"
 	"beatbgp/internal/xrand"
@@ -173,23 +172,23 @@ type FaultOverlay interface {
 // Clone — it samples the same world from a private memo, trading a little
 // duplicated schedule construction for zero lock traffic.
 //
-// Configuration mutators (SetFaults, ScaleLinkFailures) are not meant for
-// concurrent use with queries: install overlays and failure-rate scales
-// before fanning out, exactly as before.
+// Everything that shapes a Sim's answers — config, fault overlay,
+// per-link failure scales — is bound at construction; nothing changes it
+// afterwards.
 type Sim struct {
 	topo *topology.Topo
 	cfg  Config
+	// faults is the scheduled fault overlay (nil for none); failScale
+	// multiplies individual links' failure rates (e.g. fragile small
+	// peers). Both are read-only after New.
+	faults    FaultOverlay
+	failScale map[int]float64
 
 	mu        sync.RWMutex
 	prefixes  map[int]*prefixProc
 	links     map[int]*linkProc
 	asNoise   map[int]float64
 	linkFails map[int][]incident
-	// failRate optionally scales a link's failure rate (e.g. fragile
-	// small peers). Set before first Failed query for the link.
-	failRate map[int]float64
-	faults   FaultOverlay
-	epochs   *delta.Sequence
 }
 
 type prefixProc struct {
@@ -206,18 +205,30 @@ type linkProc struct {
 	incidents []incident
 }
 
-// New creates a simulator over the topology.
-func New(t *topology.Topo, cfg Config) *Sim {
+// New creates a simulator over the topology. faults, when non-nil, is a
+// scheduled fault process composed on top of the stochastic incidents (a
+// link is down when either says so; injected congestion adds to the
+// drawn congestion). failScale, when non-nil, multiplies the failure rate
+// of the links it names; it is copied, so later edits by the caller do
+// not reach the Sim.
+func New(t *topology.Topo, cfg Config, faults FaultOverlay, failScale map[int]float64) *Sim {
 	cfg.setDefaults()
-	return &Sim{
+	s := &Sim{
 		topo:      t,
 		cfg:       cfg,
+		faults:    faults,
 		prefixes:  make(map[int]*prefixProc),
 		links:     make(map[int]*linkProc),
 		asNoise:   make(map[int]float64),
 		linkFails: make(map[int][]incident),
-		failRate:  make(map[int]float64),
 	}
+	if len(failScale) > 0 {
+		s.failScale = make(map[int]float64, len(failScale))
+		for l, f := range failScale {
+			s.failScale[l] = f
+		}
+	}
+	return s
 }
 
 // Config returns the effective configuration (defaults applied).
@@ -230,68 +241,7 @@ func (s *Sim) Config() Config { return s.cfg }
 // as the per-worker state factory for parallel fan-out (internal/par), so
 // hot loops sample without cross-worker lock contention.
 func (s *Sim) Clone() *Sim {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := New(s.topo, s.cfg)
-	for l, f := range s.failRate {
-		c.failRate[l] = f
-	}
-	c.faults = s.faults
-	c.epochs = s.epochs
-	return c
-}
-
-// SetFaults installs (or, with nil, removes) a scheduled fault overlay.
-// The overlay composes with the stochastic processes — it does not replace
-// them — and may be swapped at any time; the underlying stochastic
-// schedules are unaffected. The installation itself is guarded, so a
-// SetFaults racing a Clone (or another accessor) is safe; queries that
-// read the overlay still expect it installed before the fan-out starts,
-// per the type's contract.
-func (s *Sim) SetFaults(f FaultOverlay) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults = f
-}
-
-// Faults returns the installed overlay, or nil.
-func (s *Sim) Faults() FaultOverlay {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.faults
-}
-
-// SetEpochs installs (or, with nil, removes) the compiled epoch sequence
-// of the installed fault overlay — the same schedule the overlay answers
-// instant queries from, folded into constant-topology spans. It is an
-// index, not a second fault source: consumers that cache per-epoch state
-// (repaired RIB views, physical-route caches) key on EpochAt(t) so that
-// every instant within one epoch shares one cache line, while plain
-// instant queries keep going through the overlay. Install it alongside
-// SetFaults, before fanning out; a Sequence is immutable, so clones
-// share it.
-func (s *Sim) SetEpochs(seq *delta.Sequence) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epochs = seq
-}
-
-// Epochs returns the installed epoch sequence, or nil.
-func (s *Sim) Epochs() *delta.Sequence {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epochs
-}
-
-// EpochAt returns the index of the epoch in effect at minute t, or -1
-// when no sequence is installed. Instants outside the compiled span
-// clamp to the first or last epoch, mirroring delta.Sequence.At.
-func (s *Sim) EpochAt(t float64) int {
-	seq := s.Epochs()
-	if seq == nil {
-		return -1
-	}
-	return seq.At(t)
+	return New(s.topo, s.cfg, s.faults, s.failScale)
 }
 
 // rngFor derives a deterministic generator for one entity, independent of
@@ -517,13 +467,6 @@ func (s *Sim) LossRate(r netpath.Route, p topology.Prefix, t float64) float64 {
 	return loss
 }
 
-// ScaleLinkFailures multiplies the failure rate of a link (e.g. fragile
-// small peers fail more often). Must be called before the first Failed
-// query for that link.
-func (s *Sim) ScaleLinkFailures(linkID int, factor float64) {
-	s.failRate[linkID] = factor
-}
-
 func (s *Sim) failSchedule(linkID int) []incident {
 	s.mu.RLock()
 	f, ok := s.linkFails[linkID]
@@ -532,7 +475,7 @@ func (s *Sim) failSchedule(linkID int) []incident {
 		return f
 	}
 	rate := s.cfg.LinkFailuresPerDay
-	if scale, ok := s.failRate[linkID]; ok {
+	if scale, ok := s.failScale[linkID]; ok {
 		rate *= scale
 	}
 	rng := s.rngFor(kindLinkFail, linkID)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"beatbgp/internal/bgp"
-	"beatbgp/internal/delta"
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/topology"
 )
@@ -66,7 +65,7 @@ func setup(t testing.TB) fixture {
 
 func TestRTTAboveProp(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 1})
+	s := New(f.topo, Config{Seed: 1}, nil, nil)
 	for tm := 0.0; tm < 24*60; tm += 97 {
 		rtt := s.RouteRTTMs(f.route, f.prefix, tm)
 		if rtt < f.route.PropRTTMs() {
@@ -77,8 +76,8 @@ func TestRTTAboveProp(t *testing.T) {
 
 func TestDeterministicAcrossInstances(t *testing.T) {
 	f := setup(t)
-	a := New(f.topo, Config{Seed: 9})
-	b := New(f.topo, Config{Seed: 9})
+	a := New(f.topo, Config{Seed: 9}, nil, nil)
+	b := New(f.topo, Config{Seed: 9}, nil, nil)
 	// Query b in a different order to confirm order independence.
 	_ = b.RouteRTTMs(f.route, f.prefix, 5000)
 	for tm := 0.0; tm < 3000; tm += 333 {
@@ -90,8 +89,8 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 
 func TestSeedChangesCongestion(t *testing.T) {
 	f := setup(t)
-	a := New(f.topo, Config{Seed: 1})
-	b := New(f.topo, Config{Seed: 2})
+	a := New(f.topo, Config{Seed: 1}, nil, nil)
+	b := New(f.topo, Config{Seed: 2}, nil, nil)
 	diff := false
 	for tm := 0.0; tm < 5000; tm += 100 {
 		if a.RouteRTTMs(f.route, f.prefix, tm) != b.RouteRTTMs(f.route, f.prefix, tm) {
@@ -109,7 +108,7 @@ func TestSharedFateHitsAllRoutes(t *testing.T) {
 	if len(f.alt.Hops) == 0 {
 		t.Skip("no alternate route in fixture")
 	}
-	s := New(f.topo, Config{Seed: 3})
+	s := New(f.topo, Config{Seed: 3}, nil, nil)
 	// Find a moment with a strong prefix incident.
 	base := s.prefixProcFor(f.prefix).baseMs
 	found := false
@@ -133,8 +132,8 @@ func TestSharedFateHitsAllRoutes(t *testing.T) {
 
 func TestDisableSharedFateAblation(t *testing.T) {
 	f := setup(t)
-	on := New(f.topo, Config{Seed: 4})
-	off := New(f.topo, Config{Seed: 4, DisableSharedFate: true})
+	on := New(f.topo, Config{Seed: 4}, nil, nil)
+	off := New(f.topo, Config{Seed: 4, DisableSharedFate: true}, nil, nil)
 	base := off.LastMileMs(f.prefix, 0)
 	for tm := 0.0; tm < 3*24*60; tm += 13 {
 		if off.LastMileMs(f.prefix, tm) != base {
@@ -180,7 +179,7 @@ func TestDiurnalShape(t *testing.T) {
 
 func TestMinRTTAtMostMaxOfWindow(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 6})
+	s := New(f.topo, Config{Seed: 6}, nil, nil)
 	for tm := 0.0; tm < 24*60; tm += 60 {
 		minRTT := s.MinRTTMs(f.route, f.prefix, tm, 15)
 		// MinRTT must be at least the propagation floor and at most the
@@ -202,7 +201,7 @@ func TestMinRTTAtMostMaxOfWindow(t *testing.T) {
 
 func TestMinRTTStableAcrossCalls(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 8})
+	s := New(f.topo, Config{Seed: 8}, nil, nil)
 	a := s.MinRTTMs(f.route, f.prefix, 100, 15)
 	b := s.MinRTTMs(f.route, f.prefix, 100, 15)
 	if a != b {
@@ -212,7 +211,7 @@ func TestMinRTTStableAcrossCalls(t *testing.T) {
 
 func TestLossRateBounds(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 10})
+	s := New(f.topo, Config{Seed: 10}, nil, nil)
 	for tm := 0.0; tm < 24*60; tm += 37 {
 		l := s.LossRate(f.route, f.prefix, tm)
 		if l < 0.0005 || l > 0.2 {
@@ -223,7 +222,7 @@ func TestLossRateBounds(t *testing.T) {
 
 func TestLinkFailures(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 12, LinkFailuresPerDay: 2})
+	s := New(f.topo, Config{Seed: 12, LinkFailuresPerDay: 2}, nil, nil)
 	link := f.route.Links[0]
 	down := 0.0
 	for tm := 0.0; tm < 10*24*60; tm++ {
@@ -254,9 +253,10 @@ func TestLinkFailures(t *testing.T) {
 func TestScaleLinkFailures(t *testing.T) {
 	f := setup(t)
 	link := f.route.Links[0]
-	base := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5})
-	scaled := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5})
-	scaled.ScaleLinkFailures(link, 10)
+	base := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5}, nil, nil)
+	scales := map[int]float64{link: 10}
+	scaled := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5}, nil, scales)
+	scales[link] = 1 // the Sim holds its own copy
 	horizon := base.cfg.HorizonMinutes
 	if b, s2 := base.DowntimeMinutes(link, 0, horizon), scaled.DowntimeMinutes(link, 0, horizon); s2 <= b {
 		t.Fatalf("scaled downtime %v not above base %v", s2, b)
@@ -265,7 +265,7 @@ func TestScaleLinkFailures(t *testing.T) {
 
 func TestPersistentImpairmentExists(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 16})
+	s := New(f.topo, Config{Seed: 16}, nil, nil)
 	impaired := 0
 	for l := range f.topo.Links {
 		if s.linkProcFor(l).impairMs > 0 {
@@ -280,7 +280,7 @@ func TestPersistentImpairmentExists(t *testing.T) {
 
 func BenchmarkMinRTT(b *testing.B) {
 	f := setup(b)
-	s := New(f.topo, Config{Seed: 1})
+	s := New(f.topo, Config{Seed: 1}, nil, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.MinRTTMs(f.route, f.prefix, float64(i%10000), 15)
@@ -291,7 +291,7 @@ func BenchmarkMinRTT(b *testing.B) {
 // the per-worker state-factory contract of the parallel runtime.
 func TestCloneBitIdentical(t *testing.T) {
 	f := setup(t)
-	parent := New(f.topo, Config{Seed: 11})
+	parent := New(f.topo, Config{Seed: 11}, nil, nil)
 	// Warm the parent out of order relative to how the clone will query.
 	_ = parent.MinRTTMs(f.route, f.prefix, 300, 15)
 	clone := parent.Clone()
@@ -308,20 +308,33 @@ func TestCloneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCloneCarriesFailureScales: failure-rate scaling installed before
-// cloning must shape the clone's outage schedules identically.
+// downOverlay is a fault overlay holding one link down over [from, to).
+type downOverlay struct {
+	link     int
+	from, to float64
+}
+
+func (o downOverlay) LinkDownAt(l int, t float64) bool { return l == o.link && t >= o.from && t < o.to }
+func (o downOverlay) ExtraLinkMs(int, float64) float64 { return 0 }
+
+// TestCloneCarriesFailureScales: the failure-rate scales and the fault
+// overlay bound at construction must shape the clone's answers
+// identically.
 func TestCloneCarriesFailureScales(t *testing.T) {
 	f := setup(t)
 	if len(f.route.Links) == 0 {
 		t.Skip("route crosses no interdomain link")
 	}
-	parent := New(f.topo, Config{Seed: 3})
-	parent.ScaleLinkFailures(f.route.Links[0], 50)
+	link := f.route.Links[0]
+	parent := New(f.topo, Config{Seed: 3}, downOverlay{link: link, from: 100, to: 200}, map[int]float64{link: 50})
 	clone := parent.Clone()
-	a := parent.DowntimeMinutes(f.route.Links[0], 0, 16*24*60)
-	b := clone.DowntimeMinutes(f.route.Links[0], 0, 16*24*60)
+	a := parent.DowntimeMinutes(link, 0, 16*24*60)
+	b := clone.DowntimeMinutes(link, 0, 16*24*60)
 	if a != b {
 		t.Fatalf("clone downtime %v != parent %v", b, a)
+	}
+	if !parent.LinkFailed(link, 150) || !clone.LinkFailed(link, 150) {
+		t.Fatal("fault overlay not honored by the parent and its clone")
 	}
 }
 
@@ -330,8 +343,8 @@ func TestCloneCarriesFailureScales(t *testing.T) {
 // serially warmed twin.
 func TestConcurrentQueries(t *testing.T) {
 	f := setup(t)
-	shared := New(f.topo, Config{Seed: 7})
-	oracle := New(f.topo, Config{Seed: 7})
+	shared := New(f.topo, Config{Seed: 7}, nil, nil)
+	oracle := New(f.topo, Config{Seed: 7}, nil, nil)
 	times := make([]float64, 64)
 	for i := range times {
 		times[i] = float64(i) * 37
@@ -356,47 +369,5 @@ func TestConcurrentQueries(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestEpochIndex: the installed epoch sequence indexes time into
-// constant-topology spans, clones share it, and removing it returns the
-// sim to instant-only behavior.
-func TestEpochIndex(t *testing.T) {
-	f := setup(t)
-	s := New(f.topo, Config{Seed: 5})
-	if got := s.EpochAt(10); got != -1 {
-		t.Fatalf("EpochAt without a sequence = %d, want -1", got)
-	}
-	seq, err := delta.Compile([]delta.Event{
-		{At: 10, Link: 0, Down: true},
-		{At: 20, Link: 0, Down: false},
-	}, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetEpochs(seq)
-	if s.Epochs() != seq {
-		t.Fatal("Epochs does not return the installed sequence")
-	}
-	for _, probe := range []struct {
-		at   float64
-		want int
-	}{{0, 0}, {9.999, 0}, {10, 1}, {19.999, 1}, {20, 2}, {99, 2}, {500, 2}} {
-		if got := s.EpochAt(probe.at); got != probe.want {
-			t.Fatalf("EpochAt(%v) = %d, want %d", probe.at, got, probe.want)
-		}
-	}
-	clone := s.Clone()
-	if clone.Epochs() != seq || clone.EpochAt(15) != 1 {
-		t.Fatal("clone does not carry the epoch sequence")
-	}
-	s.SetEpochs(nil)
-	if got := s.EpochAt(15); got != -1 {
-		t.Fatalf("EpochAt after removal = %d, want -1", got)
-	}
-	// The clone keeps its own reference.
-	if clone.EpochAt(15) != 1 {
-		t.Fatal("removal on the parent leaked into the clone")
 	}
 }

@@ -208,10 +208,13 @@ func Build(t *topology.Topo, cfg Config) (*Provider, error) {
 		sort.Ints(footprint)
 	}
 
-	wan, err := buildWAN(t.Graph, cfg.Name+"-wan", footprint, dc.ID, cfg.WANStretch, cfg.EuropeAsiaCorridor)
+	graph, wan, err := buildWAN(t.Graph, cfg.Name+"-wan", footprint, cfg.WANStretch, cfg.EuropeAsiaCorridor)
 	if err != nil {
 		return nil, err
 	}
+	// The topology adopts the WAN-extended map; the graph it was cloned
+	// with stays as built, shared with every other topology over it.
+	t.Graph = graph
 	as, err := t.AddASWithNetwork(cfg.ASN, cfg.Name, topology.Content,
 		geo.NorthAmerica, footprint, wan, topology.LateExit)
 	if err != nil {
@@ -249,8 +252,9 @@ func contains(sorted []int, v int) bool {
 // Europe<->Asia corridor: Asian PoPs (including India) reach the rest of
 // the WAN via the trans-Pacific gateways, reproducing the eastward
 // carriage the paper observed for Google (§3.3.2). Every WAN segment is
-// leased along the physical shortest route, so its length is honest.
-func buildWAN(g *cable.Graph, name string, cities []int, dc int, stretch float64, europeAsia bool) (*cable.Network, error) {
+// leased along the physical shortest route, so its length is honest. The
+// segments are laid on a private extension of g, returned with the WAN.
+func buildWAN(g *cable.Graph, name string, cities []int, stretch float64, europeAsia bool) (*cable.Graph, *cable.Network, error) {
 	catalog := g.Catalog()
 	byRegion := make(map[geo.Region][]int)
 	for _, c := range cities {
@@ -302,24 +306,23 @@ func buildWAN(g *cable.Graph, name string, cities []int, dc int, stretch float64
 			segments = append(segments, pair{a, b})
 		}
 	}
-	// Make sure the DC is meshed with its region (it is, via intra-region
-	// mesh, since the footprint includes it).
-	_ = dc
-
-	var edgeIDs []int
-	for _, s := range segments {
+	// The DC is meshed with its region by the intra-region mesh, since
+	// the footprint includes it.
+	leased := make([]cable.Segment, len(segments))
+	edgeIDs := make([]int, len(segments))
+	for i, s := range segments {
 		sp, ok := g.ShortestPath(s.a, s.b)
 		if !ok {
-			return nil, fmt.Errorf("provider: no physical route %d-%d for WAN", s.a, s.b)
+			return nil, nil, fmt.Errorf("provider: no physical route %d-%d for WAN", s.a, s.b)
 		}
-		e, err := g.AddEdge(s.a, s.b, sp.Km, false)
-		if err != nil {
-			return nil, err
-		}
-		edgeIDs = append(edgeIDs, e.ID)
+		leased[i] = cable.Segment{A: s.a, B: s.b, Km: sp.Km}
+		edgeIDs[i] = g.NumEdges() + i
 	}
-	n := cable.NewNetwork(g, name, edgeIDs, stretch)
-	return n, nil
+	wg, err := g.Extend(leased)
+	if err != nil {
+		return nil, nil, err
+	}
+	return wg, cable.NewNetwork(wg, name, edgeIDs, stretch), nil
 }
 
 // buyTransit contracts Tier-1 transit: one global link (all shared

@@ -136,13 +136,3 @@ func (b *breaker) failure() {
 	}
 	b.mu.Unlock()
 }
-
-// open reports whether the circuit is currently refusing (test hook).
-func (b *breaker) open() bool {
-	if b.threshold <= 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fails >= b.threshold && time.Now().Before(b.openUntil)
-}

@@ -1,10 +1,16 @@
 // Package chaos is the deterministic fault-injection seam of the
 // serving path: the serve layer asks an Injector, at two well-defined
 // middleware points, whether this query gets extra transport latency
-// and whether this repair attempt fails or stalls. Nothing here touches
-// routing state — chaos perturbs delivery so the overload machinery
-// (deadlines, admission, circuit breaker, degraded fallback) is tested
-// against misbehavior instead of assumed to handle it.
+// (QueryDelay, once per query in front of the handler or load target)
+// and whether this repair attempt fails or stalls (RepairFault). The
+// repair point sits between a repair chain's circuit breaker and the
+// chain itself, the same for the anycast chain (-1) and every origin's
+// egress chain: each request the breaker lets through draws one attempt
+// on (chain, epoch) before the chain is asked for the epoch, whether or
+// not the chain already holds it. Nothing here touches routing state —
+// chaos perturbs delivery so the overload machinery (deadlines,
+// admission, circuit breaker, degraded fallback) is tested against
+// misbehavior instead of assumed to handle it.
 //
 // Determinism: every draw is a pure function of (Seed, site, attempt) —
 // query delays are keyed by a global query counter, repair faults by a

@@ -218,16 +218,23 @@ func TestServeCatchmentDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetChaos(mustChaos(t, chaos.Config{Seed: 4, RepairErrP: 1}))
-	resp, err := srv.AnswerCatchment(0, 1)
-	if err != nil {
-		t.Fatalf("degraded catchment: %v", err)
+	inj := mustChaos(t, chaos.Config{Seed: 4, RepairErrP: 1})
+	srv.SetChaos(inj)
+	for i := 0; i < 10; i++ {
+		resp, err := srv.AnswerCatchment(0, 1)
+		if err != nil {
+			t.Fatalf("query %d: degraded catchment: %v", i, err)
+		}
+		if !resp.Degraded || resp.Epoch != 0 {
+			t.Fatalf("query %d: fallback catchment %+v, want degraded at epoch 0", i, resp)
+		}
+		if resp.Site != warm.Site {
+			t.Fatalf("query %d: fallback site %d != last-good site %d", i, resp.Site, warm.Site)
+		}
 	}
-	if !resp.Degraded || resp.Epoch != 0 {
-		t.Fatalf("fallback catchment %+v, want degraded at epoch 0", resp)
-	}
-	if resp.Site != warm.Site {
-		t.Fatalf("fallback site %d != last-good site %d", resp.Site, warm.Site)
+	// Same breaker contract as the origin chains: 3 attempts, then open.
+	if got := inj.Attempts(-1, 1); got != 3 {
+		t.Fatalf("failing anycast chain attempted %d times, want 3 (breaker open)", got)
 	}
 }
 
@@ -251,6 +258,16 @@ func TestServeColdChainUnavailable(t *testing.T) {
 	_, err = srv.AnswerLatency(0, epochStart(w, 0))
 	want := fmt.Sprintf("unavailable: origin %d repair chain circuit open", origin)
 	if err == nil || err.Error() != want {
+		t.Fatalf("open-circuit error %q, want %q", err, want)
+	}
+	// The anycast chain's circuit-open form.
+	for i := 0; i < 3; i++ {
+		if _, err := srv.AnswerCatchment(0, 0); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("cold failing anycast chain got %v, want ErrUnavailable", err)
+		}
+	}
+	_, err = srv.AnswerCatchment(0, 0)
+	if want := "unavailable: anycast repair chain circuit open"; err == nil || err.Error() != want {
 		t.Fatalf("open-circuit error %q, want %q", err, want)
 	}
 }

@@ -115,9 +115,10 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 
 // Server answers queries against one frozen world. All methods are
 // safe for concurrent use: the world's artifacts are immutable or
-// guarded, the per-origin egress repair chains live behind a
-// singleflight mirroring the CDN epoch layer's, and what-if queries
-// build private scratch repairers that never touch shared caches.
+// guarded, the per-origin egress repair chains are bgp.EpochChains
+// (per-epoch singleflight, like the world CDN's anycast chain), and
+// what-if queries build private scratch repairers that never touch
+// shared caches.
 type Server struct {
 	w    *core.World
 	opts Options
@@ -136,35 +137,29 @@ type Server struct {
 	// draining flips /readyz to 503 ahead of the listener drain.
 	draining atomic.Bool
 
-	// Per-origin egress repair chains for the latency query: one
-	// repairer per client-prefix origin walked across the epoch
-	// sequence, RIBs memoized per epoch behind futures so duplicate
-	// concurrent requests repair once. Each chain carries its own
+	// chains holds every repair chain the queries walk, keyed by chain
+	// ID: a client-prefix origin's egress chain for the latency query,
+	// or anycastChain for the catchment query. Each carries its own
 	// circuit breaker and last-good fallback.
-	mu     sync.Mutex // guards chains, each chain's ribs map, and each chain's good
-	chains map[int]*originChain
-
-	// anyBr/lastAny are the anycast (catchment) chain's breaker and
-	// last successfully materialized epoch RIB — the cdn owns the
-	// chain itself, the serving layer owns its overload policy.
-	anyBr   breaker
-	lastAny atomic.Pointer[ribAt]
+	mu     sync.Mutex // guards chains
+	chains map[int]*chainState
 
 	// Listener state (httpd.go): set by Start, cleared by Shutdown.
 	httpMu sync.Mutex
 	http   *httpState
 }
 
-// originChain mirrors the cdn epoch layer's chain: rep/at guarded by
-// the chain's own mu so advancing one origin never blocks another,
-// ribs and good guarded by Server.mu.
-type originChain struct {
-	mu   sync.Mutex
-	rep  bgp.RouteRepairer
-	at   int
-	ribs map[int]*ribFuture
-	br   breaker
-	good *ribAt
+// anycastChain is the chain ID of the world CDN's anycast chain; every
+// other ID is a client-prefix origin.
+const anycastChain = -1
+
+// chainState is one repair chain plus the serving layer's overload
+// policy around it: the circuit breaker and the last successfully
+// materialized epoch.
+type chainState struct {
+	source func(ctx context.Context, epoch int) (*bgp.RIB, error)
+	br     breaker
+	good   atomic.Pointer[ribAt]
 }
 
 // ribAt is one chain's last successfully materialized answer state:
@@ -172,12 +167,6 @@ type originChain struct {
 type ribAt struct {
 	rib   *bgp.RIB
 	epoch int
-}
-
-type ribFuture struct {
-	done chan struct{}
-	rib  *bgp.RIB
-	err  error
 }
 
 // New returns a Server over the frozen world.
@@ -196,8 +185,7 @@ func New(w *core.World, opts ...Option) *Server {
 		w:      w,
 		opts:   o,
 		admit:  newAdmission(o.MaxInFlight, o.MaxQueue),
-		chains: make(map[int]*originChain),
-		anyBr:  newBreaker(o),
+		chains: make(map[int]*chainState),
 	}
 }
 
@@ -239,48 +227,57 @@ func (s *Server) checkEpoch(e int) error {
 // CurrentEpoch returns the live epoch cursor.
 func (s *Server) CurrentEpoch() int { return int(s.cur.Load()) }
 
-// chain returns (creating on first use) the origin's repair chain.
-func (s *Server) chain(origin int) *originChain {
+// chain returns (creating on first use) the repair chain with the ID:
+// the world CDN's anycast chain, or a new egress chain toward the
+// origin.
+func (s *Server) chain(id int) *chainState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ch := s.chains[origin]
-	if ch == nil {
-		ch = &originChain{ribs: make(map[int]*ribFuture), br: newBreaker(s.opts)}
-		s.chains[origin] = ch
+	cs := s.chains[id]
+	if cs == nil {
+		cs = &chainState{br: newBreaker(s.opts)}
+		if id == anycastChain {
+			cs.source = s.w.CDN.AnycastRIBAtContext
+		} else {
+			cs.source = bgp.NewEpochChain(s.w.Routes, []bgp.Announcement{{Origin: id}}, s.w.Epochs).RIBAt
+		}
+		s.chains[id] = cs
 	}
-	return ch
+	return cs
 }
 
-// egressRIBAt returns the converged RIB toward the origin at the given
-// epoch's cumulative down set, carried by the origin's repair chain —
-// or, when the chain fails, stalls past the deadline, or its circuit
+// chainName names a chain in error text.
+func chainName(id int) string {
+	if id == anycastChain {
+		return "anycast"
+	}
+	return fmt.Sprintf("origin %d", id)
+}
+
+// chainRIB returns the chain's RIB at the epoch's cumulative down set
+// — or, when the chain fails, stalls past the deadline, or its circuit
 // is open, the chain's last successfully materialized epoch with
 // degraded reported true. The returned epoch is the one actually
 // answered (the fallback's on the degraded path).
-func (s *Server) egressRIBAt(ctx context.Context, origin, epoch int) (rib *bgp.RIB, at int, degraded bool, err error) {
-	ch := s.chain(origin)
-	if !ch.br.allow() {
-		return s.chainFallback(ch, fmt.Errorf("%w: origin %d repair chain circuit open", ErrUnavailable, origin))
+func (s *Server) chainRIB(ctx context.Context, id, epoch int) (rib *bgp.RIB, at int, degraded bool, err error) {
+	cs := s.chain(id)
+	if !cs.br.allow() {
+		return cs.fallback(fmt.Errorf("%w: %s repair chain circuit open", ErrUnavailable, chainName(id)))
 	}
-	rib, err = s.fetchEgressRIB(ctx, ch, origin, epoch)
+	rib, err = s.fetch(ctx, cs, id, epoch)
 	if err == nil {
-		ch.br.success()
-		s.mu.Lock()
-		ch.good = &ribAt{rib: rib, epoch: epoch}
-		s.mu.Unlock()
+		cs.br.success()
+		cs.good.Store(&ribAt{rib: rib, epoch: epoch})
 		return rib, epoch, false, nil
 	}
-	ch.br.failure()
-	return s.chainFallback(ch, s.chainErr(ctx, err))
+	cs.br.failure()
+	return cs.fallback(chainErr(ctx, err))
 }
 
-// chainFallback answers from the chain's last good epoch, or
-// propagates the chain's error when nothing was ever materialized.
-func (s *Server) chainFallback(ch *originChain, cause error) (*bgp.RIB, int, bool, error) {
-	s.mu.Lock()
-	g := ch.good
-	s.mu.Unlock()
-	if g != nil {
+// fallback answers from the chain's last good epoch, or propagates the
+// chain's error when nothing was ever materialized.
+func (cs *chainState) fallback(cause error) (*bgp.RIB, int, bool, error) {
+	if g := cs.good.Load(); g != nil {
 		return g.rib, g.epoch, true, nil
 	}
 	return nil, 0, false, cause
@@ -288,49 +285,20 @@ func (s *Server) chainFallback(ch *originChain, cause error) (*bgp.RIB, int, boo
 
 // chainErr types a repair-chain failure: a deadline hit mid-chain is
 // ErrDeadline, anything else is ErrUnavailable.
-func (s *Server) chainErr(ctx context.Context, err error) error {
+func chainErr(ctx context.Context, err error) error {
 	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return fmt.Errorf("%w: %v", ErrDeadline, err)
 	}
 	return fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
-// fetchEgressRIB is the chain's per-epoch singleflight: the first
-// caller repairs (with chaos faults injected at this boundary),
-// duplicates wait on the future until their context expires, failures
-// are dropped for retry.
-func (s *Server) fetchEgressRIB(ctx context.Context, ch *originChain, origin, epoch int) (*bgp.RIB, error) {
-	s.mu.Lock()
-	if f, ok := ch.ribs[epoch]; ok {
-		s.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.rib, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &ribFuture{done: make(chan struct{})}
-	ch.ribs[epoch] = f
-	s.mu.Unlock()
-
-	rib, err := s.repairEgress(ctx, ch, origin, epoch)
-	if err != nil {
-		s.mu.Lock()
-		delete(ch.ribs, epoch)
-		s.mu.Unlock()
-	}
-	f.rib, f.err = rib, err
-	close(f.done)
-	return rib, err
-}
-
-// repairEgress runs one materialization attempt: the chaos seam first
-// (injected stalls honor the query's deadline; injected errors count
-// as chain failures), then the real repair walk.
-func (s *Server) repairEgress(ctx context.Context, ch *originChain, origin, epoch int) (*bgp.RIB, error) {
+// fetch asks the chain for the epoch, behind the chaos seam: every
+// request the breaker lets through draws one chaos attempt first
+// (injected stalls honor the query's deadline; injected errors count as
+// chain failures).
+func (s *Server) fetch(ctx context.Context, cs *chainState, id, epoch int) (*bgp.RIB, error) {
 	if inj := s.chaosInj.Load(); inj != nil {
-		stall, ierr := inj.RepairFault(origin, epoch)
+		stall, ierr := inj.RepairFault(id, epoch)
 		if stall > 0 {
 			if err := chaos.Sleep(ctx, stall); err != nil {
 				return nil, err
@@ -340,85 +308,7 @@ func (s *Server) repairEgress(ctx context.Context, ch *originChain, origin, epoc
 			return nil, ierr
 		}
 	}
-	return s.advance(ctx, ch, origin, epoch)
-}
-
-// advance walks the origin chain's repairer to the epoch, creating it
-// on first use (folding in epoch 0's initial down set, exactly like
-// the cdn epoch layer). The query's context is threaded down to the
-// engine's repair-stage boundaries; a failed or cancelled Apply
-// poisons the repairer, so it is dropped for a fresh rebuild on retry.
-func (s *Server) advance(ctx context.Context, ch *originChain, origin, epoch int) (*bgp.RIB, error) {
-	seq := s.w.Epochs
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if ch.rep == nil {
-		rep, err := bgp.StartRepair(s.w.Routes, []bgp.Announcement{{Origin: origin}})
-		if err != nil {
-			return nil, err
-		}
-		if err := bgp.ApplyContext(ctx, rep, seq.Epoch(0).Delta); err != nil {
-			return nil, err
-		}
-		ch.rep, ch.at = rep, 0
-	}
-	for ch.at < epoch {
-		if err := bgp.ApplyContext(ctx, ch.rep, seq.Epoch(ch.at+1).Delta); err != nil {
-			ch.rep = nil
-			return nil, err
-		}
-		ch.at++
-	}
-	for ch.at > epoch {
-		if err := bgp.ApplyContext(ctx, ch.rep, seq.Epoch(ch.at).Delta.Invert()); err != nil {
-			ch.rep = nil
-			return nil, err
-		}
-		ch.at--
-	}
-	return ch.rep.RIB()
-}
-
-// anycastRIBAt is the catchment path's overload wrapper around the cdn
-// epoch layer's anycast chain: breaker, chaos seam, and last-good
-// fallback, with the same contract as egressRIBAt.
-func (s *Server) anycastRIBAt(ctx context.Context, epoch int) (rib *bgp.RIB, at int, degraded bool, err error) {
-	if !s.anyBr.allow() {
-		return s.anyFallback(fmt.Errorf("%w: anycast repair chain circuit open", ErrUnavailable))
-	}
-	rib, err = s.fetchAnycastRIB(ctx, epoch)
-	if err == nil {
-		s.anyBr.success()
-		s.lastAny.Store(&ribAt{rib: rib, epoch: epoch})
-		return rib, epoch, false, nil
-	}
-	s.anyBr.failure()
-	return s.anyFallback(s.chainErr(ctx, err))
-}
-
-func (s *Server) anyFallback(cause error) (*bgp.RIB, int, bool, error) {
-	if g := s.lastAny.Load(); g != nil {
-		return g.rib, g.epoch, true, nil
-	}
-	return nil, 0, false, cause
-}
-
-func (s *Server) fetchAnycastRIB(ctx context.Context, epoch int) (*bgp.RIB, error) {
-	if inj := s.chaosInj.Load(); inj != nil {
-		stall, ierr := inj.RepairFault(-1, epoch)
-		if stall > 0 {
-			if err := chaos.Sleep(ctx, stall); err != nil {
-				return nil, err
-			}
-		}
-		if ierr != nil {
-			return nil, ierr
-		}
-	}
-	return s.w.CDN.AnycastRIBAtContext(ctx, epoch)
+	return cs.source(ctx, epoch)
 }
 
 // CatchmentResp answers "which front-end site does BGP anycast hand
@@ -462,7 +352,7 @@ func (s *Server) AnswerCatchmentContext(ctx context.Context, prefixID, epoch int
 	if err := s.checkEpoch(epoch); err != nil {
 		return CatchmentResp{}, err
 	}
-	rib, at, degraded, err := s.anycastRIBAt(ctx, epoch)
+	rib, at, degraded, err := s.chainRIB(ctx, anycastChain, epoch)
 	if err != nil {
 		return CatchmentResp{}, err
 	}
@@ -543,7 +433,7 @@ func (s *Server) AnswerLatencyContext(ctx context.Context, prefixID int, t float
 		return LatencyResp{}, err
 	}
 	epoch := s.w.Epochs.At(t)
-	rib, at, degraded, err := s.egressRIBAt(ctx, p.Origin, epoch)
+	rib, at, degraded, err := s.chainRIB(ctx, p.Origin, epoch)
 	if err != nil {
 		return LatencyResp{}, err
 	}

@@ -195,10 +195,11 @@ func (t *Topo) NumASes() int { return len(t.ASes) }
 // AddAS, Connect, and AddPrefix on the clone never mutate the original
 // (and vice versa), and the two evolve identically given identical calls,
 // so "clone then extend" is byte-equivalent to "extend in place". The
-// immutable substructures — the city catalog, the physical cable graph,
-// and each AS's backbone cable.Network (whose distance memo is
-// concurrency-safe) — are shared by pointer, which keeps a clone cheap:
-// the cost is one AS-table copy plus the prefix FIB.
+// immutable substructures — the city catalog, the physical cable graph
+// (which nothing mutates: provider.Build replaces the clone's Graph with
+// its own WAN-extended copy), and each AS's backbone cable.Network (whose
+// distance memo is concurrency-safe) — are shared by pointer, which keeps
+// a clone cheap: the cost is one AS-table copy plus the prefix FIB.
 func (t *Topo) Clone() *Topo {
 	nt := &Topo{
 		Catalog:  t.Catalog,
