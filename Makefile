@@ -24,12 +24,15 @@ race: race-par race-session
 # Race-focused pass over the parallel runtime and everything it fans out
 # into: the pool itself, the goroutine-confined caches it hammers, the
 # parallel fig1 path end to end (efTraces under the determinism sweep),
-# and two derived scenarios sharing a world's immutable artifacts.
+# two derived scenarios sharing a world's immutable artifacts, the
+# campaign runner (concurrent cells and abandoned timed-out attempts on
+# one scenario), and the whole registry as one campaign.
 race-par:
 	$(GO) vet ./internal/par/ ./internal/core/
 	$(GO) test -race ./internal/par/ ./internal/cable/ ./internal/netsim/ ./internal/bgp/ ./internal/workload/
 	$(GO) test -race -run 'TestConcurrentDerivedScenarios|TestDeriveArtifactReuse' ./internal/core/
-	$(GO) test -race -run 'TestRenderDeterministicAcrossWorkers|TestParallelRunnerMatchesSequential' .
+	$(GO) test -race ./internal/harness/
+	$(GO) test -race -run 'TestRenderDeterministicAcrossWorkers|TestCampaignMatchesRunAlone' .
 
 # Race-focused pass over the event-driven session layer and the core
 # experiments that replay it inside parallel sweeps (xdetect fans one

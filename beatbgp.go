@@ -29,7 +29,6 @@ package beatbgp
 
 import (
 	"context"
-	"time"
 
 	"beatbgp/internal/cdn"
 	"beatbgp/internal/core"
@@ -91,14 +90,15 @@ type (
 )
 
 // Supervisor types: the crash-safe campaign runner (internal/harness)
-// that cmd/beatbgp and long-running embedders drive. A campaign is a
-// grid of (experiment, seed) cells run with panic isolation, typed
-// failure taxonomy, deterministic retry backoff, watchdog warnings,
-// checkpoint/resume keyed by build-graph content, and graceful drain.
+// that cmd/beatbgp and long-running embedders drive, and the one way to
+// run many experiments. A campaign is a grid of (experiment, seed) cells
+// run with panic isolation, typed failure taxonomy, per-attempt
+// deadlines, watchdog warnings, checkpoint/resume keyed by build-graph
+// content, and graceful drain.
 type (
 	// Campaign is the work grid: experiments × seeds over a base config.
 	Campaign = harness.Campaign
-	// SupervisorConfig tunes retries, deadlines, checkpointing and drain.
+	// SupervisorConfig tunes deadlines, checkpointing and drain.
 	SupervisorConfig = harness.Config
 	// SupervisorEvent is one operator notification from a running campaign.
 	SupervisorEvent = harness.Event
@@ -120,7 +120,6 @@ type (
 const (
 	EventWorld         = harness.EventWorld
 	EventSlow          = harness.EventSlow
-	EventRetry         = harness.EventRetry
 	EventCheckpoint    = harness.EventCheckpoint
 	EventResumed       = harness.EventResumed
 	EventBadCheckpoint = harness.EventBadCheckpoint
@@ -141,7 +140,7 @@ var (
 )
 
 // RunCampaign executes a supervised campaign: every (experiment, seed)
-// cell isolated, retried, checkpointed and drained per cfg. A resumed
+// cell isolated, bounded, checkpointed and drained per cfg. A resumed
 // campaign's CampaignReport.FinalResults render byte-identically to an
 // uninterrupted one's.
 func RunCampaign(ctx context.Context, camp Campaign, cfg SupervisorConfig) (*CampaignReport, error) {
@@ -183,59 +182,6 @@ func Experiments() []Experiment { return core.Experiments() }
 func Engines() []string { return core.Engines() }
 
 // Run executes one experiment by registry ID (e.g. "fig1", "t311",
-// "xgroom") against the scenario.
+// "xgroom") against the scenario. To run many experiments, sweep seeds,
+// or bound a run with a deadline, use RunCampaign.
 func Run(s *Scenario, id string) (Result, error) { return core.RunByID(s, id) }
-
-// RunSeeds runs one experiment across several seeds — each world derived
-// from the previous via Scenario.Derive, reseeding every stage the caller
-// left on defaults — and aggregates every reported table cell into
-// mean/min/max, the robustness check for any headline number.
-func RunSeeds(base Config, id string, seeds []uint64) (Result, error) {
-	return core.RunSeeds(base, id, seeds)
-}
-
-// RunAll executes every registered experiment in order, stopping at the
-// first error.
-func RunAll(s *Scenario) ([]Result, error) {
-	var out []Result
-	for _, e := range Experiments() {
-		r, err := e.Run(context.Background(), s)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunContext is Run honoring context cancellation and, when timeout > 0, a
-// per-experiment deadline. A panic inside the experiment is recovered and
-// returned as an error. After a cancellation or timeout the scenario must
-// be discarded: the abandoned experiment goroutine may still be mutating
-// its caches.
-func RunContext(ctx context.Context, s *Scenario, id string, timeout time.Duration) (Result, error) {
-	return core.RunByIDContext(ctx, s, id, timeout)
-}
-
-// RunAllContext is RunAll under a context with an optional per-experiment
-// timeout, stopping at the first error. The same discard-on-timeout rule
-// as RunContext applies.
-func RunAllContext(ctx context.Context, s *Scenario, timeout time.Duration) ([]Result, error) {
-	return core.RunAllContext(ctx, s, timeout)
-}
-
-// RunAllParallel runs the whole registry concurrently on the shared
-// scenario, bounded by Config.Workers (GOMAXPROCS when zero), and returns
-// results in registry order. Experiments are read-only consumers of the
-// built world, so the Results — including every Render() byte — match the
-// sequential runner's at any worker count. Results are cut at the first
-// registry-order failure; siblings are not cancelled by it.
-func RunAllParallel(ctx context.Context, s *Scenario, timeout time.Duration) ([]Result, error) {
-	return core.RunAllParallelContext(ctx, s, timeout)
-}
-
-// RunManyParallel is RunAllParallel restricted to the named experiments,
-// with results in the order the IDs were given.
-func RunManyParallel(ctx context.Context, s *Scenario, ids []string, timeout time.Duration) ([]Result, error) {
-	return core.RunManyParallelContext(ctx, s, ids, timeout)
-}

@@ -75,14 +75,13 @@ func TestFacadeScenarioExposesSubstrates(t *testing.T) {
 	}
 }
 
-func TestRunAllStopsOnError(t *testing.T) {
-	// RunAll on a healthy small scenario completes a prefix of cheap
-	// experiments; full RunAll is exercised by the CLI and benchmarks.
+// TestRunSeveralOnOneScenario: experiments run one after another on one
+// scenario, sharing its lazily built state.
+func TestRunSeveralOnOneScenario(t *testing.T) {
 	s, err := beatbgp.NewScenario(facadeConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run a few directly to keep the test quick.
 	for _, id := range []string{"t32", "fig3", "t33"} {
 		if _, err := beatbgp.Run(s, id); err != nil {
 			t.Fatalf("%s: %v", id, err)

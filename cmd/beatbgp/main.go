@@ -4,19 +4,19 @@
 // Usage:
 //
 //	beatbgp [-seed N] [-exp id[,id...]] [-list] [-days N] [-eyeballs N]
-//	        [-seeds N] [-timeout D] [-watchdog D] [-retries N] [-workers N]
+//	        [-seeds N] [-timeout D] [-watchdog D] [-workers N]
 //	        [-engine matbgp|oracle] [-run-dir DIR] [-resume DIR] [-hold SEC]
 //	        [-bfd]
 //
 // With no -exp, every registered experiment runs in the paper's order.
 // Every run is a supervised campaign over (experiment, seed) cells:
 // panics inside an experiment are isolated (siblings keep running),
-// transient failures retry up to -retries times, -watchdog warns about
-// slow cells, and with -run-dir every completed cell is checkpointed so
-// -resume can finish an interrupted campaign without re-running done
-// work. SIGINT/SIGTERM drains gracefully: in-flight experiments get a
-// short grace period to finish (and checkpoint), then partial results
-// print with an INCOMPLETE banner.
+// -timeout bounds each cell, -watchdog warns about slow cells, and with
+// -run-dir every completed cell is checkpointed so -resume can finish an
+// interrupted or partly failed campaign without re-running done work.
+// SIGINT/SIGTERM drains gracefully: in-flight experiments get a short
+// grace period to finish (and checkpoint), then partial results print
+// with an INCOMPLETE banner.
 //
 // Result data goes to stdout and is byte-identical at any worker count —
 // a resumed campaign renders exactly what an uninterrupted one would.
@@ -71,7 +71,6 @@ func run() error {
 		seeds    = flag.Int("seeds", 0, "run each experiment across N seeds (fresh worlds) and report mean/min/max per table cell")
 		timeout  = flag.Duration("timeout", 0, "per-attempt experiment deadline (e.g. 2m); 0 means none")
 		watchdog = flag.Duration("watchdog", 0, "warn on stderr when an experiment outlives this; it keeps running")
-		retries  = flag.Int("retries", 0, "extra attempts granted to transiently failing cells (timeouts)")
 		runDir   = flag.String("run-dir", "", "checkpoint directory: completed cells and the run manifest are persisted here")
 		resume   = flag.String("resume", "", "resume an interrupted campaign from this run directory (implies -run-dir)")
 		workers  = flag.Int("workers", 0, "parallel worker budget for sweeps and the experiment runner; 0 means GOMAXPROCS")
@@ -94,8 +93,8 @@ func run() error {
 	if flag.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q (flags only)", flag.Args())
 	}
-	if *days < 0 || *eyeballs < 0 || *seeds < 0 || *workers < 0 || *retries < 0 || *hold < 0 {
-		return fmt.Errorf("-days, -eyeballs, -seeds, -workers, -retries and -hold must be non-negative")
+	if *days < 0 || *eyeballs < 0 || *seeds < 0 || *workers < 0 || *hold < 0 {
+		return fmt.Errorf("-days, -eyeballs, -seeds, -workers and -hold must be non-negative")
 	}
 	if *timeout < 0 || *watchdog < 0 {
 		return fmt.Errorf("-timeout and -watchdog must be non-negative")
@@ -184,14 +183,12 @@ func run() error {
 	rep, err := beatbgp.RunCampaign(ctx,
 		beatbgp.Campaign{Base: cfg, IDs: ids, Seeds: seedList},
 		beatbgp.SupervisorConfig{
-			RunDir:      *runDir,
-			Resume:      *resume != "",
-			Retries:     *retries,
-			BackoffSeed: *seed,
-			Timeout:     *timeout,
-			Watchdog:    *watchdog,
-			Grace:       drainGrace,
-			Events:      events,
+			RunDir:   *runDir,
+			Resume:   *resume != "",
+			Timeout:  *timeout,
+			Watchdog: *watchdog,
+			Grace:    drainGrace,
+			Events:   events,
 		})
 	close(events) // RunCampaign has returned; no sender remains
 	<-eventsDone
@@ -199,11 +196,7 @@ func run() error {
 		return err
 	}
 
-	results, err := rep.FinalResults()
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
+	for _, r := range rep.FinalResults() {
 		fmt.Printf("\n# %s\n", r.ID)
 		switch {
 		case *asJSON:
@@ -241,16 +234,17 @@ func run() error {
 func printEvent(ev beatbgp.SupervisorEvent, bstats bool) {
 	switch ev.Kind {
 	case beatbgp.EventWorld:
+		if ev.Err != "" {
+			fmt.Fprintf(os.Stderr, "# world seed=%d build failed: %s\n", ev.Seed, ev.Err)
+			return
+		}
 		fmt.Fprintf(os.Stderr, "# world seed=%d built in %v\n", ev.Seed, ev.Wall.Round(time.Millisecond))
 		if bstats && ev.Detail != "" {
 			fmt.Fprint(os.Stderr, ev.Detail)
 		}
 	case beatbgp.EventSlow:
-		fmt.Fprintf(os.Stderr, "# slow: %s still running after %v (attempt %d)\n",
-			ev.Cell, ev.Wall.Round(time.Second), ev.Attempt)
-	case beatbgp.EventRetry:
-		fmt.Fprintf(os.Stderr, "# retry: %s attempt %d failed (%s); retrying in %v\n",
-			ev.Cell, ev.Attempt, ev.Err, ev.Wall.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "# slow: %s still running after %v\n",
+			ev.Cell, ev.Wall.Round(time.Second))
 	case beatbgp.EventCheckpoint:
 		fmt.Fprintf(os.Stderr, "# checkpoint: %s\n", ev.Cell)
 	case beatbgp.EventResumed:

@@ -90,38 +90,43 @@ func TestRenderDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelRunnerMatchesSequential locks the runner-level contract:
-// RunManyParallel returns the same rendered results, in the requested
-// order, as running the experiments one at a time.
-func TestParallelRunnerMatchesSequential(t *testing.T) {
+// TestCampaignMatchesRunAlone locks the runner-level contract: a
+// campaign returns its results in the requested order, and each renders
+// exactly as that experiment run alone on a fresh world of the same
+// config, whatever ran beside it.
+func TestCampaignMatchesRunAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scenario sweep")
 	}
-	ids := []string{"t32", "fig3", "t33"}
-
-	seqS, err := beatbgp.NewScenario(facadeConfig(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, id := range ids {
-		r, err := beatbgp.Run(seqS, id)
+	campaign := func(cfg beatbgp.Config, ids []string) []beatbgp.Result {
+		t.Helper()
+		rep, err := beatbgp.RunCampaign(t.Context(), beatbgp.Campaign{Base: cfg, IDs: ids}, beatbgp.SupervisorConfig{})
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatal(err)
 		}
-		want = append(want, r.Render())
+		if !rep.Complete() {
+			t.Fatalf("campaign incomplete: %v", rep.FirstError())
+		}
+		return rep.FinalResults()
+	}
+	alone := func(cfg beatbgp.Config, id string) string {
+		t.Helper()
+		s, err := beatbgp.NewScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := beatbgp.Run(s, id)
+		if err != nil {
+			t.Fatalf("%s alone: %v", id, err)
+		}
+		return r.Render()
 	}
 
+	// Request order, at a worker budget above the cell count.
+	ids := []string{"t32", "fig3", "t33"}
 	parCfg := facadeConfig(9)
 	parCfg.Workers = 8
-	parS, err := beatbgp.NewScenario(parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := beatbgp.RunManyParallel(t.Context(), parS, ids, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := campaign(parCfg, ids)
 	if len(got) != len(ids) {
 		t.Fatalf("got %d results, want %d", len(got), len(ids))
 	}
@@ -129,33 +134,21 @@ func TestParallelRunnerMatchesSequential(t *testing.T) {
 		if r.ID != ids[i] {
 			t.Errorf("result %d is %q, want %q (order must match the request)", i, r.ID, ids[i])
 		}
-		if r.Render() != want[i] {
-			t.Errorf("%s: parallel runner output diverges from sequential", ids[i])
+		if r.Render() != alone(facadeConfig(9), ids[i]) {
+			t.Errorf("%s: campaign output diverges from the experiment run alone", ids[i])
 		}
 	}
 
-	// Cell isolation: the whole registry run in parallel on one shared
-	// seed-42 scenario — a campaign, whose derived-scenario cells rebuild
-	// stages beside everyone else — renders every experiment exactly as
-	// that experiment run alone on a fresh world.
-	shared, err := beatbgp.NewScenario(facadeConfig(42))
-	if err != nil {
-		t.Fatal(err)
+	// Cell isolation: the whole registry as one seed-42 campaign — whose
+	// derived-scenario cells rebuild stages beside everyone else — renders
+	// every experiment exactly as that experiment run alone.
+	exps := beatbgp.Experiments()
+	full := campaign(facadeConfig(42), nil)
+	if len(full) != len(exps) {
+		t.Fatalf("campaign returned %d results, want %d", len(full), len(exps))
 	}
-	campaign, err := beatbgp.RunAllParallel(t.Context(), shared, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range beatbgp.Experiments() {
-		fresh, err := beatbgp.NewScenario(facadeConfig(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		alone, err := beatbgp.Run(fresh, e.ID)
-		if err != nil {
-			t.Fatalf("%s alone: %v", e.ID, err)
-		}
-		if got, want := campaign[i].Render(), alone.Render(); got != want {
+	for i, e := range exps {
+		if got, want := full[i].Render(), alone(facadeConfig(42), e.ID); got != want {
 			t.Errorf("%s: campaign section differs from the experiment run alone\n--- campaign ---\n%s\n--- alone ---\n%s",
 				e.ID, got, want)
 		}

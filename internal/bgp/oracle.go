@@ -79,10 +79,9 @@ func (o *Oracle) ToPrefix(p topology.Prefix) (*RIB, error) {
 // memo, so subsequent ToOrigin calls are read-only lookups. Origins
 // already resident are skipped.
 //
-// Error contract, matching core.RunManyParallelContext: a real
-// computation failure is returned as-is. When the caller's context is
-// cancelled mid-prime, the bare cancellation would mask what was going
-// on, so it is annotated — with the first origin that had already failed
+// Error contract: a real computation failure is returned as-is. When the
+// caller's context is cancelled mid-prime, the bare cancellation would
+// mask what was going on, so it is annotated — with the first origin that had already failed
 // for a real reason if there is one, otherwise with the first origin
 // whose RIB never finished.
 func (o *Oracle) PrimeOrigins(ctx context.Context, workers int, origins []int) error {

@@ -49,10 +49,10 @@ func TestPrimeOriginsAnnotatesUnfinishedOnCancel(t *testing.T) {
 	}
 }
 
-// TestPrimeOriginsAnnotatesFirstFailure locks the drain contract shared
-// with core.RunManyParallelContext: when the context is cancelled after
-// some origin already failed for a real reason, the cancellation error
-// must carry that first failure instead of masking it.
+// TestPrimeOriginsAnnotatesFirstFailure locks the drain contract: when
+// the context is cancelled after some origin already failed for a real
+// reason, the cancellation error must carry that first failure instead
+// of masking it.
 func TestPrimeOriginsAnnotatesFirstFailure(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

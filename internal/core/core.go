@@ -184,7 +184,7 @@ type Scenario struct {
 	provTopo *topology.Topo
 
 	// The lazy caches are built under their own mutexes so concurrent
-	// experiments (RunAllContext) block only on the cache they share.
+	// experiments (a campaign's cells) block only on the cache they share.
 	tracesMu sync.Mutex
 	traces   []workload.Trace // lazily built Edge-Fabric trace (see efTraces)
 	tierMu   sync.Mutex

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -489,32 +490,6 @@ func TestAblationPNIShape(t *testing.T) {
 	}
 }
 
-func TestRunSeeds(t *testing.T) {
-	r, err := RunSeeds(smallConfig(0), "t32", []uint64{51, 52})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "t32@seeds" {
-		t.Fatalf("aggregated ID = %s", r.ID)
-	}
-	tb := r.Tables[0]
-	mean, ok1 := tb.Cell("nearest", "median_km_mean")
-	lo, ok2 := tb.Cell("nearest", "median_km_min")
-	hi, ok3 := tb.Cell("nearest", "median_km_max")
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatal("aggregate cells missing")
-	}
-	if !(lo <= mean && mean <= hi) {
-		t.Fatalf("aggregate ordering broken: %v %v %v", lo, mean, hi)
-	}
-	if _, err := RunSeeds(smallConfig(0), "t32", nil); err == nil {
-		t.Fatal("empty seed list accepted")
-	}
-	if _, err := RunSeeds(smallConfig(0), "nope", []uint64{1}); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
 func TestCatchmentInferenceShape(t *testing.T) {
 	s := scenario(t, 22)
 	r, err := CatchmentInference(s)
@@ -585,5 +560,27 @@ func TestSharedFateAblationWidensTail(t *testing.T) {
 	degOff := cell(t, rOff, "s3.1.1 degrade-together analysis", "mean_frac_windows_preferred_degraded", "value")
 	if degOff >= degOn {
 		t.Fatalf("disabling shared fate should reduce preferred-path degradation windows: %v vs %v", degOff, degOn)
+	}
+}
+
+func TestConfigValidateRejects(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"negative eyeballs", func(c *Config) { c.Topology.EyeballsPerRegion = -1 }},
+		{"prob above one", func(c *Config) { c.Provider.PNIProb = 1.5 }},
+		{"NaN impair prob", func(c *Config) { c.Net.LinkImpairedProb = math.NaN() }},
+		{"negative days", func(c *Config) { c.Workload.Days = -3 }},
+		{"wan stretch below one", func(c *Config) { c.Provider.WANStretch = 0.5 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(9)
+			tc.mut(&cfg)
+			if _, err := NewScenario(cfg); err == nil {
+				t.Fatalf("NewScenario accepted invalid config (%s)", tc.name)
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Kind is the supervisor's error taxonomy: every failed cell is filed
-// under exactly one kind, which drives the retry policy (only transient
-// kinds are retried) and the manifest's machine-readable outcome records.
+// under exactly one kind, which the manifest's machine-readable outcome
+// records carry.
 type Kind string
 
 const (
@@ -19,17 +19,13 @@ const (
 	// KindPanic is a panic inside Experiment.Run, captured with its stack.
 	KindPanic Kind = "panic"
 	// KindTimeout is a per-attempt deadline (Config.Timeout) that fired.
-	// Timeouts are the one transient kind: a hung probe or a fault-window
-	// stall can clear on a retry against a fresh world.
 	KindTimeout Kind = "timeout"
-	// KindCancelled is a campaign-context cancellation — a drain. Never
-	// retried: the operator asked us to stop.
+	// KindCancelled is a campaign-context cancellation — a drain.
 	KindCancelled Kind = "cancelled"
-	// KindBuildFailed is a scenario (world) build failure. Deterministic
-	// in the config, so never retried.
+	// KindBuildFailed is a scenario (world) build failure. It files every
+	// pending cell of the seed whose world could not be built.
 	KindBuildFailed Kind = "build-failed"
-	// KindError is any other experiment error. Not retried by default;
-	// Config.Transient can opt specific errors in.
+	// KindError is any other experiment error.
 	KindError Kind = "error"
 )
 
@@ -91,8 +87,8 @@ func (e *CellError) Is(target error) bool {
 }
 
 // Classify files an error from an experiment run under the taxonomy:
-// captured panics (par.PanicError, which core.RunExperimentContext
-// produces) are KindPanic, deadline errors KindTimeout, cancellations
+// captured panics (par.PanicError, which runWithContext produces) are
+// KindPanic, deadline errors KindTimeout, cancellations
 // KindCancelled, everything else KindError. Build failures cannot be
 // recognized from the error alone; the supervisor files them at the
 // build site.
@@ -112,13 +108,9 @@ func Classify(err error) Kind {
 }
 
 // cellError classifies err for cell, extracting the panic stack when
-// there is one. buildSite reroutes unclassified errors to
-// KindBuildFailed (scenario construction instead of experiment code).
-func cellError(cell CellRef, err error, buildSite bool) *CellError {
+// there is one.
+func cellError(cell CellRef, err error) *CellError {
 	kind := Classify(err)
-	if kind == KindError && buildSite {
-		kind = KindBuildFailed
-	}
 	var stack string
 	var pe *par.PanicError
 	if errors.As(err, &pe) {

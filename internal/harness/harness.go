@@ -1,25 +1,23 @@
-// Package harness is the crash-safe experiment supervisor: it wraps the
-// experiment registry and the multi-seed sweeps in the run layer a long
-// campaign needs to survive its own failures.
+// Package harness is the crash-safe experiment supervisor and the one
+// way to run many experiments: it runs the experiment registry over one
+// or more seeds inside the run layer a long campaign needs to survive
+// its own failures.
 //
 // A campaign is a grid of cells — one (experiment, seed) pair each — and
 // the supervisor guarantees that one bad cell never discards the rest:
 //
-//   - Isolation. Every cell runs through core.RunExperimentContext, so a
-//     panic inside Run is captured (internal/par's panic plumbing, stack
+//   - Isolation. Every cell runs through runWithContext, so a panic
+//     inside Run is captured (internal/par's panic plumbing, stack
 //     included) and filed under a typed taxonomy (Kind / CellError /
 //     errors.Is-able sentinels) instead of crashing the campaign.
-//   - Retries. Failures classified transient — timeouts, plus whatever
-//     Config.Transient opts in — are retried up to Config.Retries times
-//     with exponential backoff whose jitter is drawn from xrand.Derive
-//     streams keyed by ⟨experiment, seed, attempt⟩: deterministic, and
-//     uncorrelated across cells.
-//   - Watchdog. Config.Watchdog emits a slow-experiment warning event
-//     while Config.Timeout (layered on core's per-run deadline) kills
-//     the attempt. A timed-out world is tainted — the abandoned
-//     goroutine may still be mutating its caches — and later attempts
-//     derive a fresh twin (immutable artifacts shared, mutable state
-//     rebuilt).
+//   - Deadlines. Config.Watchdog emits a slow-experiment warning event
+//     while Config.Timeout kills the attempt. Each cell runs once: a
+//     deterministic cell that timed out would time out again, and
+//     -resume re-runs exactly the incomplete cells. The abandoned
+//     goroutine of a timed-out cell runs on against the seed's world like
+//     any concurrent cell; the world's lazy memos are guarded, cache only
+//     successes and are value-deterministic (DESIGN §9), so the world
+//     stays in use.
 //   - Checkpoints. With Config.RunDir set, every completed cell is
 //     persisted as JSON keyed by the build graph's content key
 //     (WorldKey ⊕ experiment ID), written via temp file + atomic rename;
@@ -41,26 +39,26 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
 	"beatbgp/internal/core"
 	"beatbgp/internal/par"
-	"beatbgp/internal/xrand"
 )
 
 // Campaign is the work grid: one experiment per ID, run against the
 // world of every seed.
 type Campaign struct {
 	// Base is the scenario configuration; Seed is overridden per cell by
-	// the Seeds sweep (via the same central derivation RunSeeds uses).
+	// the Seeds sweep (Scenario.Derive's central seed derivation).
 	Base core.Config
 	// IDs are the experiments to run, in output order. Empty means the
 	// full registry.
 	IDs []string
 	// Seeds are the worlds to sweep. Empty means {Base.Seed}: a plain
 	// single-world run. With more than one seed, FinalResults aggregates
-	// per-seed table cells exactly like core.RunSeeds.
+	// per-seed table cells into mean/min/max.
 	Seeds []uint64
 	// Experiments optionally overrides the registry the IDs resolve
 	// against — the hook tests (and embedders with custom studies) use
@@ -69,20 +67,12 @@ type Campaign struct {
 }
 
 // Config tunes the supervisor. The zero value runs the campaign once,
-// in-memory, with no retries, checkpoints, or deadlines.
+// in-memory, with no checkpoints or deadlines.
 type Config struct {
 	// RunDir is the checkpoint directory; "" disables persistence.
 	RunDir string
 	// Resume skips cells whose checkpoint already exists in RunDir.
 	Resume bool
-	// Retries caps the extra attempts granted to transient failures.
-	Retries int
-	// Backoff is the base delay before a retry (default 100ms); attempt
-	// n sleeps Backoff·2^(n-1) scaled by a deterministic jitter in
-	// [0.5, 1.5) drawn from xrand.Derive(BackoffSeed, experiment, seed,
-	// attempt).
-	Backoff     time.Duration
-	BackoffSeed uint64
 	// Timeout is the hard per-attempt deadline (0: none).
 	Timeout time.Duration
 	// Watchdog emits an EventSlow warning when an attempt outlives it
@@ -93,29 +83,22 @@ type Config struct {
 	// checkpoint directory instead of discarding it (0: abandon
 	// immediately).
 	Grace time.Duration
-	// Transient optionally classifies additional errors (beyond
-	// timeouts) as retryable.
-	Transient func(error) bool
-	// Events receives supervisor notifications (slow warnings, retries,
+	// Events receives supervisor notifications (slow warnings,
 	// checkpoints, world builds). Sends never block: when the channel is
 	// full the event is dropped, so a slow consumer cannot stall the
 	// campaign.
 	Events chan<- Event
-
-	// sleep stubs the backoff delay in tests.
-	sleep func(ctx context.Context, d time.Duration)
 }
 
 // EventKind tags a supervisor notification.
 type EventKind string
 
 const (
-	// EventWorld: a seed's world was built (Detail carries the build report).
+	// EventWorld: a seed's world was built (Detail carries the build
+	// report), or its build failed (Err is set).
 	EventWorld EventKind = "world"
 	// EventSlow: an attempt outlived the watchdog and is still running.
 	EventSlow EventKind = "slow"
-	// EventRetry: a transient failure is about to be retried after Wall.
-	EventRetry EventKind = "retry"
 	// EventCheckpoint: a completed cell was persisted.
 	EventCheckpoint EventKind = "checkpoint"
 	// EventResumed: a cell was restored from RunDir and will not re-run.
@@ -127,13 +110,12 @@ const (
 
 // Event is one supervisor notification.
 type Event struct {
-	Kind    EventKind
-	Cell    CellRef // zero for world builds
-	Seed    uint64  // world builds only
-	Attempt int
-	Wall    time.Duration // elapsed (slow), delay (retry), build time (world)
-	Err     string
-	Detail  string
+	Kind   EventKind
+	Cell   CellRef       // zero for world builds
+	Seed   uint64        // world builds only
+	Wall   time.Duration // elapsed (slow), build time (world)
+	Err    string
+	Detail string
 }
 
 func (c *Config) emit(ev Event) {
@@ -144,57 +126,6 @@ func (c *Config) emit(ev Event) {
 	case c.Events <- ev:
 	default:
 	}
-}
-
-func (c *Config) isTransient(ce *CellError) bool {
-	if ce.Kind == KindTimeout {
-		return true
-	}
-	if ce.Kind == KindError && c.Transient != nil {
-		return c.Transient(ce.Err)
-	}
-	return false
-}
-
-// backoffDelay is the deterministic retry delay for a cell's attempt:
-// exponential in the attempt, jittered by a stream that is a pure
-// function of ⟨BackoffSeed, experiment, seed, attempt⟩ so reruns sleep
-// identically and sibling cells stay uncorrelated.
-func (c *Config) backoffDelay(ref CellRef, attempt int) time.Duration {
-	base := c.Backoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	const maxDelay = 30 * time.Second
-	d := base << (attempt - 1)
-	if d <= 0 || d > maxDelay {
-		d = maxDelay
-	}
-	rng := xrand.Derive(c.BackoffSeed, hash64(ref.Experiment), ref.Seed, uint64(attempt))
-	return time.Duration(float64(d) * (0.5 + rng.Float64()))
-}
-
-func (c *Config) sleepCtx(ctx context.Context, d time.Duration) {
-	if c.sleep != nil {
-		c.sleep(ctx, d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
-// hash64 is FNV-64a, for keying backoff streams by experiment ID.
-func hash64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 func msSince(t0 time.Time) float64 {
@@ -253,9 +184,6 @@ func (camp Campaign) resolve() ([]core.Experiment, []string, error) {
 // were (or could safely be) run; partial completion is not an error
 // here, it is Report.ExitCode() == 2.
 func Run(ctx context.Context, camp Campaign, cfg Config) (*Report, error) {
-	if cfg.Retries < 0 {
-		return nil, fmt.Errorf("harness: negative retries")
-	}
 	if cfg.Resume && cfg.RunDir == "" {
 		return nil, fmt.Errorf("harness: -resume requires a run directory")
 	}
@@ -283,8 +211,8 @@ func Run(ctx context.Context, camp Campaign, cfg Config) (*Report, error) {
 	start := time.Now()
 
 	// Lay the grid out seed-major, so each seed's world is built at most
-	// once and derived from the previous seed's (RunSeeds' stage-reuse
-	// path). Cell keys bind each checkpoint to the exact world content.
+	// once and derived from the previous seed's (Derive's stage reuse).
+	// Cell keys bind each checkpoint to the exact world content.
 	type seedBatch struct {
 		seed  uint64
 		cells []*cellState
@@ -339,24 +267,29 @@ func Run(ctx context.Context, camp Campaign, cfg Config) (*Report, error) {
 		if len(pending) == 0 {
 			continue
 		}
-		scfg := camp.Base
-		scfg.Seed = b.seed
-		w := &world{cfg: scfg, prev: prev, emit: cfg.emit}
+		s := buildWorld(ctx, camp.Base, b.seed, prev, pending, &cfg)
+		if s == nil {
+			continue
+		}
+		prev = s
+		// Cells start in campaign order on a fixed pool of workers, all
+		// on the one world.
+		work := make(chan *cellState)
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for _, c := range pending {
+		for range min(workers, len(pending)) {
 			wg.Add(1)
-			go func(c *cellState) {
+			go func() {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runCell(ctx, w, c, &cfg)
-			}(c)
+				for c := range work {
+					runCell(ctx, s, c, &cfg)
+				}
+			}()
 		}
+		for _, c := range pending {
+			work <- c
+		}
+		close(work)
 		wg.Wait()
-		if s := w.snapshot(); s != nil {
-			prev = s
-		}
 	}
 
 	var (
@@ -381,7 +314,7 @@ func Run(ctx context.Context, camp Campaign, cfg Config) (*Report, error) {
 		counts[o.Status]++
 	}
 	rep.Manifest = Manifest{
-		IDs: ids, Seeds: seeds, Workers: workers, Retries: cfg.Retries,
+		IDs: ids, Seeds: seeds, Workers: workers,
 		WallMs: msSince(start), Complete: rep.Complete(), ExitCode: rep.ExitCode(),
 		Counts: counts, Outcomes: outcomes,
 	}
@@ -405,141 +338,147 @@ func Run(ctx context.Context, camp Campaign, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runCell drives one cell to an Outcome: attempt, classify, maybe retry.
-func runCell(ctx context.Context, w *world, c *cellState, cfg *Config) {
-	t0 := time.Now()
-	fin := func(o Outcome) {
-		o.WallMs = msSince(t0)
-		c.out = o
+// buildWorld builds one seed's world before any of its cells start,
+// derived from the previous seed's world when there is one. A failed
+// build emits an EventWorld with Err set, files every pending cell under
+// it, and returns nil.
+func buildWorld(ctx context.Context, base core.Config, seed uint64, prev *core.Scenario, pending []*cellState, cfg *Config) *core.Scenario {
+	fileAll := func(o Outcome) {
+		for _, c := range pending {
+			o.CellRef = c.ref
+			c.out = o
+		}
 	}
-	maxAttempts := 1 + cfg.Retries
-	for attempt := 1; ; attempt++ {
-		if ctx.Err() != nil {
-			if attempt == 1 {
-				fin(Outcome{CellRef: c.ref, Status: StatusSkipped, Kind: KindCancelled, Attempts: 0})
-			} else {
-				fin(Outcome{CellRef: c.ref, Status: StatusCancelled, Kind: KindCancelled,
-					Err: ctx.Err().Error(), Attempts: attempt - 1})
-			}
-			return
-		}
-		s, err := w.get(ctx)
-		if err != nil {
-			ce := cellError(c.ref, err, true)
-			if ce.Kind == KindCancelled {
-				fin(Outcome{CellRef: c.ref, Status: StatusCancelled, Kind: KindCancelled,
-					Err: err.Error(), Attempts: attempt - 1})
-			} else {
-				fin(Outcome{CellRef: c.ref, Status: StatusFailed, Kind: ce.Kind,
-					Err: err.Error(), Attempts: attempt})
-			}
-			return
-		}
-		var slow *time.Timer
-		if cfg.Watchdog > 0 {
-			att, started := attempt, time.Now()
-			slow = time.AfterFunc(cfg.Watchdog, func() {
-				cfg.emit(Event{Kind: EventSlow, Cell: c.ref, Attempt: att, Wall: time.Since(started)})
-			})
-		}
-		runCtx, stopGrace := ctx, func() {}
-		if cfg.Grace > 0 {
-			runCtx, stopGrace = graceContext(ctx, cfg.Grace)
-		}
-		r, err := core.RunExperimentContext(runCtx, s, c.exp, cfg.Timeout)
-		stopGrace()
-		if slow != nil {
-			slow.Stop()
-		}
-		if err == nil {
-			if cfg.RunDir != "" {
-				if werr := writeCheckpoint(cfg.RunDir, c.ref, r); werr != nil {
-					c.cpErr = werr
-				} else {
-					cfg.emit(Event{Kind: EventCheckpoint, Cell: c.ref, Attempt: attempt})
-				}
-			}
-			c.res, c.done = r, true
-			fin(Outcome{CellRef: c.ref, Status: StatusOK, Attempts: attempt})
-			return
-		}
-		ce := cellError(c.ref, err, false)
-		if ce.Kind == KindTimeout || ce.Kind == KindCancelled {
-			// The abandoned goroutine may still be mutating this world
-			// instance's caches; nothing may run on it again.
-			w.taint(s)
-		}
-		if ce.Kind == KindCancelled {
-			fin(Outcome{CellRef: c.ref, Status: StatusCancelled, Kind: KindCancelled,
-				Err: err.Error(), Attempts: attempt})
-			return
-		}
-		if attempt < maxAttempts && cfg.isTransient(ce) {
-			delay := cfg.backoffDelay(c.ref, attempt)
-			cfg.emit(Event{Kind: EventRetry, Cell: c.ref, Attempt: attempt, Err: err.Error(), Wall: delay})
-			cfg.sleepCtx(ctx, delay)
-			continue
-		}
-		fin(Outcome{CellRef: c.ref, Status: StatusFailed, Kind: ce.Kind,
-			Err: err.Error(), Stack: ce.Stack, Attempts: attempt})
-		return
-	}
-}
-
-// world manages one seed's scenario: lazily built, shared by the seed's
-// cells, and replaced by a freshly-derived twin once tainted by a
-// timeout (the abandoned goroutine keeps the old instance to itself).
-type world struct {
-	mu      sync.Mutex
-	cfg     core.Config    // campaign base with this batch's seed applied
-	prev    *core.Scenario // previous seed's world, for stage reuse
-	scen    *core.Scenario
-	tainted bool
-	emit    func(Event)
-}
-
-func (w *world) get(ctx context.Context) (*core.Scenario, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.scen != nil && !w.tainted {
-		return w.scen, nil
+	if ctx.Err() != nil {
+		fileAll(Outcome{Status: StatusSkipped, Kind: KindCancelled})
+		return nil
 	}
 	t0 := time.Now()
 	var s *core.Scenario
 	var err error
-	switch {
-	case w.scen != nil:
-		// Tainted: derive a twin with fresh mutable state. Immutable
-		// artifacts are shared safely — their memos are guarded and
-		// value-deterministic (DESIGN §9 confinement rule).
-		s, err = w.scen.DeriveContext(ctx, nil)
-	case w.prev != nil:
-		seed := w.cfg.Seed
-		s, err = w.prev.DeriveContext(ctx, func(c *core.Config) { c.Seed = seed })
-	default:
-		s, err = core.NewScenarioContext(ctx, w.cfg)
+	if prev != nil {
+		s, err = prev.DeriveContext(ctx, func(c *core.Config) { c.Seed = seed })
+	} else {
+		wcfg := base
+		wcfg.Seed = seed
+		s, err = core.NewScenarioContext(ctx, wcfg)
+	}
+	ev := Event{Kind: EventWorld, Seed: seed, Wall: time.Since(t0)}
+	if err == nil {
+		ev.Detail = s.BuildReport().Render()
+		cfg.emit(ev)
+		return s
+	}
+	ev.Err = err.Error()
+	cfg.emit(ev)
+	kind := Classify(err)
+	if kind == KindError {
+		kind = KindBuildFailed
+	}
+	o := Outcome{Status: StatusFailed, Kind: kind, Err: err.Error(), Attempts: 1, WallMs: msSince(t0)}
+	if kind == KindCancelled {
+		o = Outcome{Status: StatusCancelled, Kind: kind, Err: err.Error()}
+	}
+	fileAll(o)
+	return nil
+}
+
+// runCell runs one cell's single attempt and files its Outcome.
+func runCell(ctx context.Context, s *core.Scenario, c *cellState, cfg *Config) {
+	t0 := time.Now()
+	fin := func(o Outcome) {
+		o.CellRef, o.WallMs = c.ref, msSince(t0)
+		c.out = o
+	}
+	if ctx.Err() != nil {
+		fin(Outcome{Status: StatusSkipped, Kind: KindCancelled})
+		return
+	}
+	var slow *time.Timer
+	if cfg.Watchdog > 0 {
+		slow = time.AfterFunc(cfg.Watchdog, func() {
+			cfg.emit(Event{Kind: EventSlow, Cell: c.ref, Wall: time.Since(t0)})
+		})
+	}
+	runCtx, stopGrace := ctx, func() {}
+	if cfg.Grace > 0 {
+		runCtx, stopGrace = graceContext(ctx, cfg.Grace)
+	}
+	r, err := runWithContext(runCtx, s, c.exp, cfg.Timeout)
+	stopGrace()
+	if slow != nil {
+		slow.Stop()
 	}
 	if err != nil {
-		return nil, err
+		ce := cellError(c.ref, err)
+		status := StatusFailed
+		if ce.Kind == KindCancelled {
+			status = StatusCancelled
+		}
+		fin(Outcome{Status: status, Kind: ce.Kind, Err: err.Error(), Stack: ce.Stack, Attempts: 1})
+		return
 	}
-	w.scen, w.tainted = s, false
-	w.emit(Event{Kind: EventWorld, Seed: w.cfg.Seed, Wall: time.Since(t0),
-		Detail: s.BuildReport().Render()})
-	return s, nil
+	if cfg.RunDir != "" {
+		if werr := writeCheckpoint(cfg.RunDir, c.ref, r); werr != nil {
+			c.cpErr = werr
+		} else {
+			cfg.emit(Event{Kind: EventCheckpoint, Cell: c.ref})
+		}
+	}
+	c.res, c.done = r, true
+	fin(Outcome{Status: StatusOK, Attempts: 1})
 }
 
-func (w *world) taint(s *core.Scenario) {
-	w.mu.Lock()
-	if w.scen == s {
-		w.tainted = true
+// runWithContext runs one experiment on the scenario under ctx, with an
+// optional per-attempt deadline. The experiment body runs in its own
+// goroutine: a panic inside it is captured with its goroutine stack and
+// returned as a *par.PanicError wrapped in the experiment's ID, and a
+// cancellation or deadline returns at once with the context's error. The
+// goroutine cannot be preempted, so it is abandoned and runs on beside
+// the scenario's other cells.
+func runWithContext(ctx context.Context, s *core.Scenario, e core.Experiment, timeout time.Duration) (core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return core.Result{}, fmt.Errorf("harness: experiment %s: %w", e.ID, err)
 	}
-	w.mu.Unlock()
-}
-
-func (w *world) snapshot() *core.Scenario {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.scen
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	type outcome struct {
+		r   core.Result
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		defer func() {
+			// Same capture shape as internal/par: the deferred recover runs
+			// on the panicking goroutine's stack before unwinding, so the
+			// trace includes the panic site.
+			if p := recover(); p != nil {
+				buf := make([]byte, 16<<10)
+				buf = buf[:runtime.Stack(buf, false)]
+				ch <- outcome{err: fmt.Errorf("harness: experiment %s: %w",
+					e.ID, &par.PanicError{Value: p, Stack: buf})}
+			}
+		}()
+		r, err := e.Run(ctx, s)
+		ch <- outcome{r: r, err: err}
+	}()
+	select {
+	case o := <-ch:
+		return o.r, o.err
+	case <-ctx.Done():
+		// The experiment may have delivered its outcome in the same instant
+		// the context died; prefer the real outcome so a simultaneous drain
+		// cannot mask an actual failure (or discard a finished result).
+		select {
+		case o := <-ch:
+			return o.r, o.err
+		default:
+		}
+		return core.Result{}, fmt.Errorf("harness: experiment %s: %w", e.ID, ctx.Err())
+	}
 }
 
 // graceContext returns a context that outlives parent's cancellation by

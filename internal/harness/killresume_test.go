@@ -11,12 +11,8 @@ import (
 
 func renderFinal(t *testing.T, rep *Report) string {
 	t.Helper()
-	rs, err := rep.FinalResults()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b strings.Builder
-	for _, r := range rs {
+	for _, r := range rep.FinalResults() {
 		b.WriteString(r.Render())
 	}
 	return b.String()

@@ -14,17 +14,19 @@ const (
 	// StatusResumed: the cell's result was loaded from a checkpoint; the
 	// experiment was not re-run (Attempts stays 0).
 	StatusResumed Status = "resumed"
-	// StatusFailed: every permitted attempt failed.
+	// StatusFailed: the cell's attempt failed, or its world could not be
+	// built.
 	StatusFailed Status = "failed"
-	// StatusCancelled: the cell was in flight (or between retries) when
-	// the campaign context died.
+	// StatusCancelled: the cell was in flight (or its world was being
+	// built) when the campaign context died.
 	StatusCancelled Status = "cancelled"
 	// StatusSkipped: the drain arrived before the cell ever started.
 	StatusSkipped Status = "skipped"
 )
 
 // Outcome is the machine-readable record of one cell: its identity, how
-// it ended, how many attempts it consumed, and — for failures — the
+// it ended, how many attempts it consumed (0 if restored or never
+// started, 1 if it ran), and — for failures — the
 // taxonomy kind, the error text, and (for panics) the captured stack.
 type Outcome struct {
 	CellRef
@@ -45,7 +47,6 @@ type Manifest struct {
 	IDs      []string       `json:"experiments"`
 	Seeds    []uint64       `json:"seeds"`
 	Workers  int            `json:"workers"`
-	Retries  int            `json:"retries"`
 	Timeout  string         `json:"timeout,omitempty"`
 	Watchdog string         `json:"watchdog,omitempty"`
 	WallMs   float64        `json:"wall_ms"`

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"beatbgp/internal/core"
+	"beatbgp/internal/stats"
 )
 
 // Report is a supervised campaign's in-memory outcome: per-cell records,
@@ -53,13 +54,12 @@ func (r *Report) Result(id string, seed uint64) (core.Result, bool) {
 }
 
 // FinalResults assembles the renderable results in experiment order: the
-// per-cell result when the campaign ran a single seed, or the RunSeeds
-// mean/min/max aggregate when it swept several. Experiments with any
-// incomplete cell are omitted — they are what Banner reports. Because
-// aggregation folds the per-seed results in seed order, a resumed
-// campaign's FinalResults render byte-identically to an uninterrupted
-// one's.
-func (r *Report) FinalResults() ([]core.Result, error) {
+// per-cell result when the campaign ran a single seed, or the mean/min/max
+// aggregate when it swept several. Experiments with any incomplete cell
+// are omitted — they are what Banner reports. Because aggregation folds
+// the per-seed results in seed order, a resumed campaign's FinalResults
+// render byte-identically to an uninterrupted one's.
+func (r *Report) FinalResults() []core.Result {
 	var out []core.Result
 	for _, id := range r.IDs {
 		perSeed := make([]core.Result, 0, len(r.Seeds))
@@ -70,20 +70,67 @@ func (r *Report) FinalResults() ([]core.Result, error) {
 			}
 			perSeed = append(perSeed, res)
 		}
-		if len(perSeed) != len(r.Seeds) {
-			continue // incomplete experiment
-		}
-		if len(r.Seeds) == 1 {
+		switch {
+		case len(perSeed) != len(r.Seeds):
+			// incomplete experiment
+		case len(r.Seeds) == 1:
 			out = append(out, perSeed[0])
-			continue
+		default:
+			out = append(out, aggregateSeeds(id, r.Seeds, perSeed))
 		}
-		agg, err := core.AggregateSeeds(id, r.Seeds, perSeed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, agg)
 	}
-	return out, nil
+	return out
+}
+
+// aggregateSeeds folds one experiment's per-seed Results into a summary
+// whose every table cell is the mean/min/max over the seeds, the
+// robustness check that separates a finding from a lucky draw. Series are
+// not aggregated. perSeed[i] must be the result for seeds[i], and there
+// must be at least one; cells are accumulated in seed order, so the
+// output is byte-identical whether the per-seed results were just
+// computed or replayed from a checkpoint.
+func aggregateSeeds(id string, seeds []uint64, perSeed []core.Result) core.Result {
+	type cellKey struct {
+		table, row, col string
+	}
+	vals := make(map[cellKey]*stats.Dist)
+	for _, r := range perSeed {
+		for _, tb := range r.Tables {
+			for _, row := range tb.Rows {
+				for ci, col := range tb.Columns {
+					k := cellKey{tb.Name, row.Label, col}
+					if vals[k] == nil {
+						vals[k] = &stats.Dist{}
+					}
+					vals[k].Add(row.Cells[ci], 1)
+				}
+			}
+		}
+	}
+	proto := perSeed[0]
+	out := core.Result{
+		ID:    id + "@seeds",
+		Title: fmt.Sprintf("%s across %d seeds", proto.Title, len(seeds)),
+		Notes: append([]string(nil), proto.Notes...),
+	}
+	out.Notes = append(out.Notes,
+		fmt.Sprintf("cells aggregated over seeds %v; rows absent in some seeds are averaged over the seeds that produced them", seeds))
+	for _, tb := range proto.Tables {
+		agg := stats.Table{Name: tb.Name + " (mean/min/max)"}
+		for _, col := range tb.Columns {
+			agg.Columns = append(agg.Columns, col+"_mean", col+"_min", col+"_max")
+		}
+		for _, row := range tb.Rows {
+			cells := make([]float64, 0, len(tb.Columns)*3)
+			for _, col := range tb.Columns {
+				d := vals[cellKey{tb.Name, row.Label, col}]
+				cells = append(cells, d.Mean(), d.Min(), d.Max())
+			}
+			agg.Rows = append(agg.Rows, stats.Row{Label: row.Label, Cells: cells})
+		}
+		out.Tables = append(out.Tables, agg)
+	}
+	return out
 }
 
 // FirstError reconstructs the typed error of the first failed cell (in
