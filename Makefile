@@ -43,8 +43,10 @@ race-session:
 
 # Race-focused pass over the batch route engine: the class-column cache is
 # shared across oracle workers (PrimeOrigins fans ToOrigin misses over the
-# pool), so the differential suite runs under the detector, plus the
-# oracle's annotation paths and the cross-engine determinism gate.
+# pool), and every Graph's pooled column state is handed between the
+# goroutines building columns on it, so the differential suite runs under
+# the detector, plus the oracle's annotation paths and the cross-engine
+# determinism gate.
 race-matbgp:
 	$(GO) test -race ./internal/matbgp/
 	$(GO) test -race -run 'TestPrimeOrigins' ./internal/bgp/
@@ -141,9 +143,9 @@ bench-check:
 
 # The full pre-merge gate: formatting, static checks, build, the whole
 # test suite, the benchmark module's own checks, the race-focused
-# passes, the delta-repair differential fuzz, and the race-enabled
-# overload soak, in fail-fast order.
-verify: fmt-check vet build test bench-check race-par race-session race-matbgp race-delta race-serve fuzz-delta stress-serve
+# passes, the route engine's oracle and delta-repair differential fuzz,
+# and the race-enabled overload soak, in fail-fast order.
+verify: fmt-check vet build test bench-check race-par race-session race-matbgp race-delta race-serve fuzz-matbgp fuzz-delta stress-serve
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

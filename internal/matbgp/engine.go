@@ -212,7 +212,7 @@ func (g *Graph) rowForStub(v int32, col []uint32) (uint32, error) {
 		return 0, nil
 	}
 	if b.ln > maxPathLen {
-		return 0, fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+		return 0, errPathLen()
 	}
 	return packWord(bSrc, b.ln, b.nh), nil
 }

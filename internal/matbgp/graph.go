@@ -24,6 +24,7 @@ package matbgp
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/topology"
@@ -51,12 +52,12 @@ type Graph struct {
 	n   int
 	asn []int32
 
-	adjOff   []int32   // n+1 offsets into the adjacency arrays
-	adjLink  []int32   // link ID
-	adjOther []int32   // neighbor AS
-	adjView  []uint8   // topology.RelView of the neighbor, from the owner
-	adjDist  []float64 // geographic tie-break at the owner for this link
-	adjRev   []int32   // index of the mirror adjacency in the neighbor's list
+	adjOff    []int32   // n+1 offsets into the adjacency arrays
+	adjLink   []int32   // link ID
+	adjOther  []int32   // neighbor AS
+	adjView   []uint8   // topology.RelView of the neighbor, from the owner
+	adjDist   []float64 // geographic tie-break at the owner for this link
+	adjDistIn []float64 // the same link's tie-break at the neighbor's end
 
 	// linkAdj maps link ID i to its two adjacency indices (2i at the
 	// link's A side, 2i+1 at the B side), so delta repair can reach a
@@ -69,6 +70,11 @@ type Graph struct {
 	// classes holds each class's members in ascending order.
 	classOf []int32
 	classes [][]int32
+
+	// cols pools column-build state (*colState), so a warm column
+	// allocates only the column it returns. Concurrent builds each take
+	// their own state.
+	cols sync.Pool
 }
 
 // FromTopo lowers a topology into a Graph, precomputing exactly the
@@ -125,7 +131,7 @@ func New(n int, asn []int, links []Link) (*Graph, error) {
 	g.adjOther = make([]int32, m)
 	g.adjView = make([]uint8, m)
 	g.adjDist = make([]float64, m)
-	g.adjRev = make([]int32, m)
+	g.adjDistIn = make([]float64, m)
 	g.nLinks = len(links)
 	g.linkAdj = make([]int32, 2*len(links))
 	fill := make([]int32, n)
@@ -139,10 +145,10 @@ func New(n int, asn []int, links []Link) (*Graph, error) {
 		if l.Rel == topology.C2P {
 			viewA, viewB = topology.ViewProvider, topology.ViewCustomer
 		}
-		g.adjLink[ia], g.adjOther[ia], g.adjView[ia], g.adjDist[ia], g.adjRev[ia] =
-			int32(i), int32(l.B), uint8(viewA), l.DistA, ib
-		g.adjLink[ib], g.adjOther[ib], g.adjView[ib], g.adjDist[ib], g.adjRev[ib] =
-			int32(i), int32(l.A), uint8(viewB), l.DistB, ia
+		g.adjLink[ia], g.adjOther[ia], g.adjView[ia], g.adjDist[ia], g.adjDistIn[ia] =
+			int32(i), int32(l.B), uint8(viewA), l.DistA, l.DistB
+		g.adjLink[ib], g.adjOther[ib], g.adjView[ib], g.adjDist[ib], g.adjDistIn[ib] =
+			int32(i), int32(l.A), uint8(viewB), l.DistB, l.DistA
 	}
 	g.compress()
 	return g, nil

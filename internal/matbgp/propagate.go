@@ -56,18 +56,22 @@ func candLess(a, b cand) bool {
 	return a.link < b.link
 }
 
-// colState is the per-column propagation scratch; one word per AS plus
-// the transient link/dist needed for wave selection.
+// colState is the per-column propagation scratch: the settled route
+// of every AS plus the wave-selection state. A Graph pools them
+// (Graph.cols), so a warm column build allocates only its result.
 type colState struct {
-	rel  []uint8
-	ln   []int32
-	nh   []int32
-	link []int32
+	rel []uint8
+	ln  []int32
+	nh  []int32
 
 	// wave-selection scratch
 	mark  []int32 // wave stamp of the pending candidate, -1 when none
 	best  []cand  // best pending candidate at the stamped wave
 	order []int32 // ASes with pending candidates, first-seen order
+
+	// front[l] holds the ASes settled at path length l whose offers
+	// are still pending; column's waves drain it in ascending l.
+	front [][]int32
 }
 
 func newColState(n int) *colState {
@@ -75,15 +79,54 @@ func newColState(n int) *colState {
 		rel:  make([]uint8, n),
 		ln:   make([]int32, n),
 		nh:   make([]int32, n),
-		link: make([]int32, n),
 		mark: make([]int32, n),
 		best: make([]cand, n),
 	}
+	s.reset()
+	return s
+}
+
+// reset returns the state to "nothing routed, nothing pending". The
+// frontier keeps its levels and their capacity for the next build.
+func (s *colState) reset() {
 	for i := range s.rel {
 		s.rel[i] = relNone
+	}
+	for i := range s.mark {
 		s.mark[i] = -1
 	}
-	return s
+	for l := range s.front {
+		s.front[l] = s.front[l][:0]
+	}
+}
+
+// enfront adds ASes settled at path length l to the frontier.
+func (s *colState) enfront(l int32, vs ...int32) {
+	for int(l) >= len(s.front) {
+		s.front = append(s.front, nil)
+	}
+	s.front[l] = append(s.front[l], vs...)
+}
+
+// suppressedLinks returns the links an origin withholds its
+// announcement from (selective announcement), nil for any AS that is
+// not an origin or announces everywhere.
+func suppressedLinks(anns []bgp.Announcement, s *colState, v int32) map[int]bool {
+	if s.rel[v] != relOrigin {
+		return nil
+	}
+	for i := range anns {
+		if int32(anns[i].Origin) == v {
+			return anns[i].SuppressLinks
+		}
+	}
+	return nil
+}
+
+// errPathLen is the build failure of a route that would outgrow the
+// length field; every path that builds a row reports it with one text.
+func errPathLen() error {
+	return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
 }
 
 // column runs the three valley-free phases for one announcement set and
@@ -93,16 +136,13 @@ func (g *Graph) column(anns []bgp.Announcement, down map[int]bool) ([]uint32, er
 	if len(anns) == 0 {
 		return nil, fmt.Errorf("bgp: no announcements")
 	}
-	s := newColState(g.n)
-	isDown := func(link int32) bool { return down != nil && down[int(link)] }
-	// Origin-side selective announcement, keyed by origin AS.
-	var suppress map[int32]map[int]bool
-	suppressed := func(as, link int32) bool {
-		if suppress == nil || s.rel[as] != relOrigin {
-			return false
-		}
-		return suppress[as][int(link)]
+	s, _ := g.cols.Get().(*colState)
+	if s == nil {
+		s = newColState(g.n)
+	} else {
+		s.reset()
 	}
+	defer g.cols.Put(s)
 
 	for _, a := range anns {
 		if a.Origin < 0 || a.Origin >= g.n {
@@ -117,146 +157,70 @@ func (g *Graph) column(anns []bgp.Announcement, down map[int]bool) ([]uint32, er
 			return nil, fmt.Errorf("matbgp: origin %d prepend %d exceeds the %d-hop path capacity",
 				a.Origin, a.Prepend, maxPathLen)
 		}
-		s.rel[o], s.ln[o], s.nh[o], s.link[o] = relOrigin, ln, o, -1
-		if len(a.SuppressLinks) > 0 {
-			if suppress == nil {
-				suppress = make(map[int32]map[int]bool)
-			}
-			suppress[o] = a.SuppressLinks
-		}
-	}
-
-	// Buckets of candidates indexed by path length; waves settle in
-	// ascending length so every adopter sees all of its shortest-length
-	// offers before deciding, reproducing the reference fixpoint.
-	var buckets [][]cand
-	enqueue := func(c cand) {
-		for int(c.ln) >= len(buckets) {
-			buckets = append(buckets, nil)
-		}
-		buckets[c.ln] = append(buckets[c.ln], c)
-	}
-	// push offers v's settled route over its adjacencies of the given
-	// view, honoring origin-side suppression and failed links.
-	push := func(v int32, view uint8) error {
-		nl := s.ln[v] + 1
-		if nl > maxPathLen {
-			return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
-		}
-		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-			if g.adjView[i] != view || isDown(g.adjLink[i]) || suppressed(v, g.adjLink[i]) {
-				continue
-			}
-			to := g.adjOther[i]
-			enqueue(cand{
-				to: to, nh: v, link: g.adjLink[i], asn: g.asn[v], ln: nl,
-				dist: g.adjDist[g.adjRev[i]],
-			})
-		}
-		return nil
-	}
-	// settleWaves drains the buckets in ascending length, settling each
-	// adopter on its best same-length candidate and pushing onward with
-	// the given view. Newly settled ASes adopt `rel`.
-	settleWaves := func(rel uint8, view uint8) error {
-		for wl := 0; wl < len(buckets); wl++ {
-			pend := buckets[wl]
-			if len(pend) == 0 {
-				continue
-			}
-			s.order = s.order[:0]
-			for _, c := range pend {
-				if s.rel[c.to] != relNone {
-					continue // settled at a shorter length or better class
-				}
-				if s.mark[c.to] != int32(wl) {
-					s.mark[c.to] = int32(wl)
-					s.best[c.to] = c
-					s.order = append(s.order, c.to)
-				} else if candLess(c, s.best[c.to]) {
-					s.best[c.to] = c
-				}
-			}
-			for _, to := range s.order {
-				c := s.best[to]
-				s.rel[to], s.ln[to], s.nh[to], s.link[to] = rel, c.ln, c.nh, c.link
-				if err := push(to, view); err != nil {
-					return err
-				}
-			}
-			buckets[wl] = pend[:0]
-		}
-		return nil
+		s.rel[o], s.ln[o], s.nh[o] = relOrigin, ln, o
 	}
 
 	// Phase 1 — customer routes flow upward, settling by path length.
 	for _, a := range anns {
-		if err := push(int32(a.Origin), uint8(topology.ViewProvider)); err != nil {
-			return nil, err
-		}
+		o := int32(a.Origin)
+		s.enfront(s.ln[o], o)
 	}
-	if err := settleWaves(relCustomer, uint8(topology.ViewProvider)); err != nil {
+	if err := g.settleFront(s, anns, down, relCustomer, uint8(topology.ViewProvider)); err != nil {
 		return nil, err
 	}
 
-	// Phase 2 — peer routes travel exactly one peer hop: collect every
-	// offer from the customer-routed (and origin) ASes, then let each
-	// unrouted AS pick its best by (length, distance, ASN, link).
-	var peerCands []cand
+	// Phase 2 — peer routes travel exactly one peer hop: every offer
+	// from the customer-routed (and origin) ASes is folded in as it is
+	// found, then each unrouted AS takes its best by (length, distance,
+	// ASN, link). Nothing settles until every offer is in.
+	s.order = s.order[:0]
 	for v := int32(0); v < int32(g.n); v++ {
 		if s.rel[v] > relCustomer {
 			continue
 		}
 		nl := s.ln[v] + 1
 		if nl > maxPathLen {
-			return nil, fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+			return nil, errPathLen()
 		}
+		sup := suppressedLinks(anns, s, v)
 		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
-			if g.adjView[i] != uint8(topology.ViewPeer) || isDown(g.adjLink[i]) || suppressed(v, g.adjLink[i]) {
+			if g.adjView[i] != uint8(topology.ViewPeer) {
 				continue
 			}
-			peerCands = append(peerCands, cand{
-				to: g.adjOther[i], nh: v, link: g.adjLink[i], asn: g.asn[v], ln: nl,
-				dist: g.adjDist[g.adjRev[i]],
-			})
-		}
-	}
-	s.order = s.order[:0]
-	for _, c := range peerCands {
-		if s.rel[c.to] != relNone {
-			continue // customer routes and origins always beat peer offers
-		}
-		if s.mark[c.to] != -2 {
-			s.mark[c.to] = -2
-			s.best[c.to] = c
-			s.order = append(s.order, c.to)
-			continue
-		}
-		b := s.best[c.to]
-		if c.ln != b.ln {
-			if c.ln < b.ln {
-				s.best[c.to] = c
+			to, link := g.adjOther[i], g.adjLink[i]
+			if s.rel[to] != relNone || down != nil && down[int(link)] || sup != nil && sup[int(link)] {
+				continue // customer routes and origins always beat peer offers
 			}
-		} else if candLess(c, b) {
-			s.best[c.to] = c
+			c := cand{to: to, nh: v, link: link, asn: g.asn[v], ln: nl, dist: g.adjDistIn[i]}
+			if s.mark[to] != -2 {
+				s.mark[to] = -2
+				s.best[to] = c
+				s.order = append(s.order, to)
+				continue
+			}
+			b := &s.best[to]
+			if c.ln != b.ln {
+				if c.ln < b.ln {
+					*b = c
+				}
+			} else if candLess(c, *b) {
+				*b = c
+			}
 		}
 	}
 	for _, to := range s.order {
-		c := s.best[to]
-		s.rel[to], s.ln[to], s.nh[to], s.link[to] = relPeer, c.ln, c.nh, c.link
+		c := &s.best[to]
+		s.rel[to], s.ln[to], s.nh[to] = relPeer, c.ln, c.nh
 	}
 
 	// Phase 3 — provider routes flow downward: every routed AS exports to
 	// its customers, and newly routed customers keep pushing down.
 	for v := int32(0); v < int32(g.n); v++ {
-		if s.rel[v] == relNone {
-			continue
-		}
-		if err := push(v, uint8(topology.ViewCustomer)); err != nil {
-			return nil, err
+		if s.rel[v] != relNone {
+			s.enfront(s.ln[v], v)
 		}
 	}
-	if err := settleWaves(relProvider, uint8(topology.ViewCustomer)); err != nil {
+	if err := g.settleFront(s, anns, down, relProvider, uint8(topology.ViewCustomer)); err != nil {
 		return nil, err
 	}
 
@@ -268,4 +232,56 @@ func (g *Graph) column(anns []bgp.Announcement, down map[int]bool) ([]uint32, er
 		col[v] = packWord(s.rel[v], s.ln[v], s.nh[v])
 	}
 	return col, nil
+}
+
+// settleFront drains the frontier in ascending path length. The ASes
+// settled at length l offer their routes over their live adjacencies
+// of the given view; each unrouted receiver folds its offers into its
+// best candidate as they are found (candLess is a total order over one
+// receiver's offers, since no two share a link, so the scan order never
+// changes the pick); then the wave's receivers settle at l+1 with class
+// rel and join the frontier. Every adopter thus sees all of its
+// shortest-length offers before deciding, reproducing the reference
+// fixpoint. A pusher at maxPathLen fails the build: its offers would
+// not fit the length field.
+func (g *Graph) settleFront(s *colState, anns []bgp.Announcement, down map[int]bool, rel, view uint8) error {
+	for l := 0; l < len(s.front); l++ {
+		pushers := s.front[l]
+		if len(pushers) == 0 {
+			continue
+		}
+		nl := int32(l) + 1
+		if nl > maxPathLen {
+			return errPathLen()
+		}
+		s.order = s.order[:0]
+		for _, v := range pushers {
+			sup := suppressedLinks(anns, s, v)
+			asn := g.asn[v]
+			for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
+				if g.adjView[i] != view {
+					continue
+				}
+				to, link := g.adjOther[i], g.adjLink[i]
+				if s.rel[to] != relNone || down != nil && down[int(link)] || sup != nil && sup[int(link)] {
+					continue // settled at a shorter length or better class
+				}
+				c := cand{to: to, nh: v, link: link, asn: asn, ln: nl, dist: g.adjDistIn[i]}
+				if s.mark[to] != nl {
+					s.mark[to] = nl
+					s.best[to] = c
+					s.order = append(s.order, to)
+				} else if candLess(c, s.best[to]) {
+					s.best[to] = c
+				}
+			}
+		}
+		s.front[l] = pushers[:0]
+		for _, to := range s.order {
+			c := &s.best[to]
+			s.rel[to], s.ln[to], s.nh[to] = rel, c.ln, c.nh
+		}
+		s.enfront(nl, s.order...)
+	}
+	return nil
 }

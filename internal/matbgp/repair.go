@@ -100,25 +100,13 @@ type RepairScratch struct {
 // NewRepairScratch allocates a workspace for Repairers over this Graph.
 func (g *Graph) NewRepairScratch() *RepairScratch {
 	n := g.n
-	st := &colState{
-		rel:  make([]uint8, n),
-		ln:   make([]int32, n),
-		nh:   make([]int32, n),
-		link: make([]int32, n),
-		mark: make([]int32, n),
-		best: make([]cand, n),
-	}
-	for i := range st.rel {
-		st.rel[i] = relNone
-		st.mark[i] = -1
-	}
 	return &RepairScratch{
 		isDirty:  make([]bool, n),
 		inq:      make([]bool, n),
 		boundRel: make([]uint8, n),
 		boundLn:  make([]int32, n),
 		bset:     make([]bool, n),
-		st:       st,
+		st:       newColState(n),
 	}
 }
 
@@ -563,7 +551,7 @@ func (r *Repairer) repairSettle() error {
 	push := func(v int32, view uint8) error {
 		nl := s.ln[v] + 1
 		if nl > maxPathLen {
-			return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+			return errPathLen()
 		}
 		for i := g.adjOff[v]; i < g.adjOff[v+1]; i++ {
 			if g.adjView[i] != view || isDown(g.adjLink[i]) || suppressedC(s.rel[v], v, g.adjLink[i]) {
@@ -575,7 +563,7 @@ func (r *Repairer) repairSettle() error {
 			}
 			enqueue(cand{
 				to: to, nh: v, link: g.adjLink[i], asn: g.asn[v], ln: nl,
-				dist: g.adjDist[g.adjRev[i]],
+				dist: g.adjDistIn[i],
 			})
 		}
 		return nil
@@ -601,7 +589,7 @@ func (r *Repairer) repairSettle() error {
 			}
 			for _, to := range s.order {
 				c := s.best[to]
-				s.rel[to], s.ln[to], s.nh[to], s.link[to] = rel, c.ln, c.nh, c.link
+				s.rel[to], s.ln[to], s.nh[to] = rel, c.ln, c.nh
 				if err := push(to, view); err != nil {
 					return err
 				}
@@ -633,7 +621,7 @@ func (r *Repairer) repairSettle() error {
 				continue
 			}
 			if ln+1 > maxPathLen {
-				return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+				return errPathLen()
 			}
 			enqueue(cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
 		}
@@ -660,7 +648,7 @@ func (r *Repairer) repairSettle() error {
 				continue
 			}
 			if ln+1 > maxPathLen {
-				return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+				return errPathLen()
 			}
 			peerCands = append(peerCands, cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
 		}
@@ -688,7 +676,7 @@ func (r *Repairer) repairSettle() error {
 	}
 	for _, to := range s.order {
 		c := s.best[to]
-		s.rel[to], s.ln[to], s.nh[to], s.link[to] = relPeer, c.ln, c.nh, c.link
+		s.rel[to], s.ln[to], s.nh[to] = relPeer, c.ln, c.nh
 	}
 
 	// Phase 3 — provider routes flow down: still-unrouted dirty ASes
@@ -709,7 +697,7 @@ func (r *Repairer) repairSettle() error {
 				continue
 			}
 			if ln+1 > maxPathLen {
-				return fmt.Errorf("matbgp: path length beyond %d hops", maxPathLen)
+				return errPathLen()
 			}
 			enqueue(cand{to: v, nh: u, link: g.adjLink[i], asn: g.asn[u], ln: ln + 1, dist: g.adjDist[i]})
 		}
