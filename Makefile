@@ -46,11 +46,12 @@ race-session:
 # pool), and every Graph's pooled column state is handed between the
 # goroutines building columns on it, so the differential suite runs under
 # the detector, plus the oracle's annotation paths and the cross-engine
-# determinism gate.
+# gate (the experiments rendered on the recursive reference engine must
+# match matbgp byte for byte).
 race-matbgp:
 	$(GO) test -race ./internal/matbgp/
 	$(GO) test -race -run 'TestPrimeOrigins' ./internal/bgp/
-	$(GO) test -race -run 'TestRenderDeterministicAcrossWorkers' .
+	$(GO) test -race -run 'TestReferenceEngineRendersIdentically' ./internal/core/
 
 # Race-focused pass over the incremental-repair stack: the delta
 # vocabulary, the matbgp repair differential suite (repaired columns vs

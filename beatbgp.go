@@ -178,9 +178,6 @@ func NewScenario(cfg Config) (*Scenario, error) { return core.NewScenario(cfg) }
 // Experiments returns the full registry in the paper's order.
 func Experiments() []Experiment { return core.Experiments() }
 
-// Engines lists the valid Config.Engine names.
-func Engines() []string { return core.Engines() }
-
 // Run executes one experiment by registry ID (e.g. "fig1", "t311",
 // "xgroom") against the scenario. To run many experiments, sweep seeds,
 // or bound a run with a deadline, use RunCampaign.

@@ -5,8 +5,7 @@
 //
 //	beatbgp [-seed N] [-exp id[,id...]] [-list] [-days N] [-eyeballs N]
 //	        [-seeds N] [-timeout D] [-watchdog D] [-workers N]
-//	        [-engine matbgp|oracle] [-run-dir DIR] [-resume DIR] [-hold SEC]
-//	        [-bfd]
+//	        [-run-dir DIR] [-resume DIR] [-hold SEC] [-bfd]
 //
 // With no -exp, every registered experiment runs in the paper's order.
 // Every run is a supervised campaign over (experiment, seed) cells:
@@ -21,8 +20,9 @@
 // Result data goes to stdout and is byte-identical at any worker count —
 // a resumed campaign renders exactly what an uninterrupted one would.
 // Status and timing lines go to stderr. Exit code 0 means every cell
-// completed, 2 means a partial run (see the manifest in the run
-// directory), and 1 means a hard failure.
+// completed (or -h printed the usage), 2 means a partial run (see the
+// manifest in the run directory), and 1 means a hard failure, bad flags
+// included.
 package main
 
 import (
@@ -47,39 +47,51 @@ import (
 const drainGrace = 3 * time.Second
 
 func main() {
-	err := run()
-	if err == nil {
-		return
+	err := run(os.Args[1:])
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "beatbgp: %v\n", err)
 	}
-	fmt.Fprintf(os.Stderr, "beatbgp: %v\n", err)
-	if errors.Is(err, beatbgp.ErrPartial) {
-		os.Exit(2)
-	}
-	os.Exit(1)
+	os.Exit(exitCode(err))
 }
 
-func run() error {
+// exitCode maps run's error to the process exit code: 0 for success and
+// for -h, 2 for a partial campaign, 1 for everything else. Bad flags
+// exit 1, so a stale flag can never read as a partial run.
+func exitCode(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, beatbgp.ErrPartial):
+		return 2
+	default:
+		return 1
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("beatbgp", flag.ContinueOnError)
 	var (
-		seed     = flag.Uint64("seed", 42, "scenario seed; all results are deterministic in it")
-		exp      = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		days     = flag.Int("days", 0, "override Edge-Fabric trace length in days (default 10)")
-		eyeballs = flag.Int("eyeballs", 0, "override eyeball ASes per region (default 20)")
-		asJSON   = flag.Bool("json", false, "emit each result as JSON instead of text")
-		outDir   = flag.String("out", "", "also write <id>.json and per-series/table CSVs into this directory")
-		plot     = flag.Bool("plot", false, "render each series as an ASCII chart")
-		seeds    = flag.Int("seeds", 0, "run each experiment across N seeds (fresh worlds) and report mean/min/max per table cell")
-		timeout  = flag.Duration("timeout", 0, "per-attempt experiment deadline (e.g. 2m); 0 means none")
-		watchdog = flag.Duration("watchdog", 0, "warn on stderr when an experiment outlives this; it keeps running")
-		runDir   = flag.String("run-dir", "", "checkpoint directory: completed cells and the run manifest are persisted here")
-		resume   = flag.String("resume", "", "resume an interrupted campaign from this run directory (implies -run-dir)")
-		workers  = flag.Int("workers", 0, "parallel worker budget for sweeps and the experiment runner; 0 means GOMAXPROCS")
-		engine   = flag.String("engine", "", "route engine: matbgp (compact batch engine, the default) or oracle (recursive reference); outputs are bit-identical")
-		hold     = flag.Float64("hold", 0, "BGP hold timer in seconds for the session layer (keepalive scales to hold/3); 0 means the 36s default")
-		bfd      = flag.Bool("bfd", false, "enable BFD fast failure detection on every session (300ms x3 by default)")
-		bstats   = flag.Bool("buildstats", false, "print the scenario build report (per-stage wall time, rebuilt vs reused)")
+		seed     = fs.Uint64("seed", 42, "scenario seed; all results are deterministic in it")
+		exp      = fs.String("exp", "", "comma-separated experiment IDs (default: all)")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		days     = fs.Int("days", 0, "override Edge-Fabric trace length in days (default 10)")
+		eyeballs = fs.Int("eyeballs", 0, "override eyeball ASes per region (default 20)")
+		asJSON   = fs.Bool("json", false, "emit each result as JSON instead of text")
+		outDir   = fs.String("out", "", "also write <id>.json and per-series/table CSVs into this directory")
+		plot     = fs.Bool("plot", false, "render each series as an ASCII chart")
+		seeds    = fs.Int("seeds", 0, "run each experiment across N seeds (fresh worlds) and report mean/min/max per table cell")
+		timeout  = fs.Duration("timeout", 0, "per-attempt experiment deadline (e.g. 2m); 0 means none")
+		watchdog = fs.Duration("watchdog", 0, "warn on stderr when an experiment outlives this; it keeps running")
+		runDir   = fs.String("run-dir", "", "checkpoint directory: completed cells and the run manifest are persisted here")
+		resume   = fs.String("resume", "", "resume an interrupted campaign from this run directory (implies -run-dir)")
+		workers  = fs.Int("workers", 0, "parallel worker budget for sweeps and the experiment runner; 0 means GOMAXPROCS")
+		hold     = fs.Float64("hold", 0, "BGP hold timer in seconds for the session layer (keepalive scales to hold/3); 0 means the 36s default")
+		bfd      = fs.Bool("bfd", false, "enable BFD fast failure detection on every session (300ms x3 by default)")
+		bstats   = fs.Bool("buildstats", false, "print the scenario build report (per-stage wall time, rebuilt vs reused)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range beatbgp.Experiments() {
@@ -90,8 +102,8 @@ func run() error {
 
 	// Validate everything before the expensive scenario build so a typo
 	// cannot produce minutes of partial output followed by a late error.
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q (flags only)", flag.Args())
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (flags only)", fs.Args())
 	}
 	if *days < 0 || *eyeballs < 0 || *seeds < 0 || *workers < 0 || *hold < 0 {
 		return fmt.Errorf("-days, -eyeballs, -seeds, -workers and -hold must be non-negative")
@@ -132,12 +144,7 @@ func run() error {
 		}
 	}
 
-	if *engine != "" && !validEngine(*engine) {
-		return fmt.Errorf("-engine %q is not a route engine (valid engines: %s)",
-			*engine, strings.Join(beatbgp.Engines(), ", "))
-	}
-
-	cfg := beatbgp.Config{Seed: *seed, Workers: *workers, Engine: *engine}
+	cfg := beatbgp.Config{Seed: *seed, Workers: *workers}
 	if *days > 0 {
 		cfg.Workload.Days = *days
 	}
@@ -300,14 +307,4 @@ func writeResult(dir string, r beatbgp.Result) error {
 		}
 	}
 	return nil
-}
-
-// validEngine reports whether name is a registered route engine.
-func validEngine(name string) bool {
-	for _, e := range beatbgp.Engines() {
-		if name == e {
-			return true
-		}
-	}
-	return false
 }

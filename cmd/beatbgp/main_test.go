@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -136,5 +137,30 @@ poll:
 	}
 	if resumed == 0 {
 		t.Error("no cell was resumed; the kill landed after completion and the checkpoints were ignored")
+	}
+}
+
+// TestExitCodes pins the exit contract: bad flags are a hard failure
+// (1), never the partial-run code (2) — a script still passing a removed
+// flag must not read as a partial campaign — and -h exits cleanly.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-no-such-flag"}, 1},
+		{[]string{"-engine", "oracle"}, 1},
+		{[]string{"-h"}, 0},
+	} {
+		err := run(tc.args)
+		if got := exitCode(err); got != tc.want {
+			t.Errorf("%v: exit code %d (err %v), want %d", tc.args, got, err, tc.want)
+		}
+		if tc.want == 1 && (err == nil || !strings.Contains(err.Error(), tc.args[0])) {
+			t.Errorf("%v: error %v does not name the flag", tc.args, err)
+		}
+	}
+	if got := exitCode(fmt.Errorf("%w: 1 of 2 cells incomplete", beatbgp.ErrPartial)); got != 2 {
+		t.Errorf("partial campaign: exit code %d, want 2", got)
 	}
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	beatbgpd [-addr HOST:PORT] [-seed N] [-days N] [-eyeballs N]
-//	         [-workers N] [-engine matbgp|oracle] [-hold SEC] [-bfd]
+//	         [-workers N] [-hold SEC] [-bfd]
 //	         [-max-inflight N] [-max-queue N] [-query-timeout DUR]
 //	         [-grace DUR] [-chaos-seed N] [-chaos-latency-p P]
 //	         [-chaos-latency-ms MS] [-chaos-err-p P] [-chaos-stall-p P]
@@ -21,14 +21,14 @@
 //	GET  /healthz · GET /readyz          liveness / readiness probes
 //
 // Every response is byte-identical to the library answer for the same
-// query against the same world key — engine choice, concurrency, and
-// restarts never change bytes. Under overload the daemon sheds with
-// typed 429s (bounded admission), cuts stalled work at the -query-timeout
-// deadline (504), and serves degraded answers ("degraded":true, a
-// last-good epoch) when a repair chain is failing behind its circuit
-// breaker. SIGINT/SIGTERM drains gracefully: /readyz flips to 503,
-// in-flight requests get the -grace period to finish, a second signal
-// force-quits. Status lines go to stderr.
+// query against the same world key — concurrency and restarts never
+// change bytes. Under overload the daemon sheds with typed 429s (bounded
+// admission), cuts stalled work at the -query-timeout deadline (504),
+// and serves degraded answers ("degraded":true, a last-good epoch) when
+// a repair chain is failing behind its circuit breaker. SIGINT/SIGTERM
+// drains gracefully: /readyz flips to 503, in-flight requests get the
+// -grace period to finish, a second signal force-quits. Status lines go
+// to stderr.
 package main
 
 import (
@@ -59,7 +59,6 @@ func run() error {
 		days     = flag.Int("days", 0, "override Edge-Fabric trace length in days (default 10)")
 		eyeballs = flag.Int("eyeballs", 0, "override eyeball ASes per region (default 20)")
 		workers  = flag.Int("workers", 0, "parallel worker budget for the world build; 0 means GOMAXPROCS")
-		engine   = flag.String("engine", "", "route engine: matbgp (default) or oracle; answers are bit-identical")
 		hold     = flag.Float64("hold", 0, "BGP hold timer in seconds for the session layer; 0 means the 36s default")
 		bfd      = flag.Bool("bfd", false, "enable BFD fast failure detection on every session")
 
@@ -98,7 +97,7 @@ func run() error {
 		return err
 	}
 
-	cfg := beatbgp.Config{Seed: *seed, Workers: *workers, Engine: *engine}
+	cfg := beatbgp.Config{Seed: *seed, Workers: *workers}
 	if *days > 0 {
 		cfg.Workload.Days = *days
 	}

@@ -47,11 +47,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	premRIB, err := bgp.Compute(s.Topo, []bgp.Announcement{s.Prov.PremiumAnnouncement()})
+	premRIB, err := s.Routes.Compute([]bgp.Announcement{s.Prov.PremiumAnnouncement()})
 	if err != nil {
 		return err
 	}
-	stdRIB, err := bgp.Compute(s.Topo, []bgp.Announcement{s.Prov.StandardAnnouncement()})
+	stdRIB, err := s.Routes.Compute([]bgp.Announcement{s.Prov.StandardAnnouncement()})
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"beatbgp"
-	"beatbgp/internal/bgp"
 	"beatbgp/internal/topology"
 )
 
@@ -90,13 +89,12 @@ func run() error {
 	fmt.Printf("cdn: %d sites: %v\n", len(s.CDN.Sites), siteNames)
 
 	if *routes {
-		oracle := bgp.NewOracle(t)
 		lens := map[int]int{}
 		for i, p := range t.Prefixes {
 			if i%7 != 0 {
 				continue
 			}
-			rib, err := oracle.ToPrefix(p)
+			rib, err := s.Oracle.ToPrefix(p)
 			if err != nil {
 				return err
 			}

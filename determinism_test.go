@@ -68,25 +68,6 @@ func TestRenderDeterministicAcrossWorkers(t *testing.T) {
 				t.Errorf("seed %d %s: second same-seed build diverges from the first", seed, id)
 			}
 		}
-		// Same seed, reference route engine: the batch engine (the
-		// default above) must be a pure speedup, never a result change.
-		oracleCfg := refCfg
-		oracleCfg.Engine = "oracle"
-		oracleCfg.Workers = 2
-		orc, err := beatbgp.NewScenario(oracleCfg)
-		if err != nil {
-			t.Fatalf("seed %d engine=oracle: %v", seed, err)
-		}
-		for _, id := range exps {
-			r, err := beatbgp.Run(orc, id)
-			if err != nil {
-				t.Fatalf("seed %d %s engine=oracle: %v", seed, id, err)
-			}
-			if got := r.Render(); got != want[id] {
-				t.Errorf("seed %d %s: engine=oracle output diverges from engine=matbgp\n--- matbgp ---\n%s\n--- oracle ---\n%s",
-					seed, id, want[id], got)
-			}
-		}
 	}
 }
 

@@ -22,11 +22,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	premRIB, err := bgp.Compute(s.Topo, []bgp.Announcement{s.Prov.PremiumAnnouncement()})
+	premRIB, err := s.Routes.Compute([]bgp.Announcement{s.Prov.PremiumAnnouncement()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stdRIB, err := bgp.Compute(s.Topo, []bgp.Announcement{s.Prov.StandardAnnouncement()})
+	stdRIB, err := s.Routes.Compute([]bgp.Announcement{s.Prov.StandardAnnouncement()})
 	if err != nil {
 		log.Fatal(err)
 	}

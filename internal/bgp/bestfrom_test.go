@@ -67,7 +67,7 @@ func TestBestFromMatchesBestOnGeneratedTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewOracle(topo)
+	oracle := NewOracle(NewReference(topo))
 	agree, total := 0, 0
 	for i, p := range topo.Prefixes {
 		if i%9 != 0 {

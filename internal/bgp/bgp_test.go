@@ -279,7 +279,7 @@ func TestGeneratedTopologyRoutesAreValleyFreeAndLoopFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewOracle(topo)
+	oracle := NewOracle(NewReference(topo))
 	checked := 0
 	for _, p := range topo.Prefixes {
 		if p.ID%7 != 0 { // sample for speed
@@ -332,7 +332,7 @@ func TestGeneratedTopologyFullReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewOracle(topo)
+	oracle := NewOracle(NewReference(topo))
 	// Every AS must reach every sampled prefix: the hierarchy guarantees
 	// global transit.
 	for i, p := range topo.Prefixes {
@@ -351,7 +351,7 @@ func TestGeneratedTopologyFullReachability(t *testing.T) {
 
 func TestOracleCaches(t *testing.T) {
 	topo, _ := tinyTopo(t)
-	o := NewOracle(topo)
+	o := NewOracle(NewReference(topo))
 	r1, err := o.ToOrigin(0)
 	if err != nil {
 		t.Fatal(err)

@@ -7,13 +7,14 @@ import (
 	"beatbgp/internal/topology"
 )
 
-// Computer computes converged routing state for announcement sets. The
-// canonical implementation is the recursive reference in this package
-// (Compute/ComputeWithout); internal/matbgp provides a batch engine over
-// flat arrays that must agree with the reference bit for bit — the
-// differential unit and fuzz tests there are the contract. Callers that
-// hold a Computer (the oracle, the CDN, the fault studies) are engine
-// agnostic: swapping implementations must never change any output.
+// Computer computes converged routing state for announcement sets.
+// Production code runs one implementation, the batch engine of
+// internal/matbgp. The recursive reference in this package (Reference,
+// Compute/ComputeWithout) is the test oracle it must agree with bit for
+// bit — the differential unit and fuzz tests in internal/matbgp and the
+// reference-engine render gate in internal/core are the contract. Callers
+// that hold a Computer (the oracle, the CDN, the fault studies) are
+// engine agnostic: swapping implementations must never change any output.
 type Computer interface {
 	// Compute returns the converged RIB for the announcement set.
 	Compute(anns []Announcement) (*RIB, error)
@@ -23,7 +24,7 @@ type Computer interface {
 
 // Reference is the Computer backed by the recursive per-prefix
 // propagation in this package. It is the differential-testing baseline
-// for every other engine.
+// for every other engine; only tests construct it.
 type Reference struct{ topo *topology.Topo }
 
 // NewReference returns the reference Computer over the topology.

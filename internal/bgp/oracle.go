@@ -21,28 +21,18 @@ import (
 // first so workers find warm, read-only entries instead of racing to
 // duplicate the propagation work.
 type Oracle struct {
-	topo *topology.Topo
 	comp Computer
 
 	mu    sync.RWMutex
 	plain map[int]*RIB
 }
 
-// NewOracle returns an oracle over the topology, backed by the reference
-// engine.
-func NewOracle(t *topology.Topo) *Oracle {
-	return NewOracleWith(t, NewReference(t))
-}
-
-// NewOracleWith returns an oracle whose RIBs come from the given engine.
+// NewOracle returns an oracle whose RIBs come from the given engine.
 // Engines are interchangeable by contract (bit-identical outputs), so
-// this only changes how fast the memo fills, never what it holds.
-func NewOracleWith(t *topology.Topo, comp Computer) *Oracle {
-	return &Oracle{topo: t, comp: comp, plain: make(map[int]*RIB)}
+// the engine only changes how fast the memo fills, never what it holds.
+func NewOracle(comp Computer) *Oracle {
+	return &Oracle{comp: comp, plain: make(map[int]*RIB)}
 }
-
-// Topo returns the underlying topology.
-func (o *Oracle) Topo() *topology.Topo { return o.topo }
 
 // ToOrigin returns the RIB for a plain (ungroomed, single-origin)
 // announcement by the AS, computing it on first use.

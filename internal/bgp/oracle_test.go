@@ -34,7 +34,7 @@ func TestPrimeOriginsAnnotatesUnfinishedOnCancel(t *testing.T) {
 		t.Fatalf("computer should not run under a pre-cancelled context")
 		return nil, nil
 	}}
-	o := NewOracleWith(nil, comp)
+	o := NewOracle(comp)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := o.PrimeOrigins(ctx, 2, []int{7, 8, 9})
@@ -67,7 +67,7 @@ func TestPrimeOriginsAnnotatesFirstFailure(t *testing.T) {
 		<-ctx.Done() // the innocent origin blocks until the drain
 		return nil, ctx.Err()
 	}}
-	o := NewOracleWith(nil, comp)
+	o := NewOracle(comp)
 	err := o.PrimeOrigins(ctx, 2, []int{0, 1})
 	if err == nil {
 		t.Fatal("want error")
@@ -90,7 +90,7 @@ func TestPrimeOriginsRealErrorUnwrapped(t *testing.T) {
 		}
 		return &RIB{}, nil
 	}}
-	o := NewOracleWith(nil, comp)
+	o := NewOracle(comp)
 	err := o.PrimeOrigins(context.Background(), 1, []int{2, 3, 4})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want the computation error, got %v", err)

@@ -144,16 +144,12 @@ type ribCache struct {
 	phys   map[int64]netpath.Route
 }
 
-// UseEngine selects the route computation engine behind the RIB caches.
-// Engines are interchangeable by contract (bit-identical RIBs; see
-// bgp.Computer), so this changes speed, never answers. Call it right
-// after Build, before any query warms a cache or any epoch view is
-// taken; the engine must have been lowered from this CDN's (final)
-// topology.
-func (c *CDN) UseEngine(comp bgp.Computer) { c.comp = comp }
-
-// Build places the CDN's site ASes into the topology (mutating it).
-func Build(t *topology.Topo, cfg Config) (*CDN, error) {
+// Build places the CDN's site ASes into the topology (mutating it), then
+// lowers the route engine behind the RIB caches from the finished
+// topology with lower. Engines are interchangeable by contract
+// (bit-identical RIBs; see bgp.Computer), so lower picks speed, never
+// answers.
+func Build(t *topology.Topo, cfg Config, lower func(*topology.Topo) (bgp.Computer, error)) (*CDN, error) {
 	cfg.setDefaults()
 	rng := xrand.New(cfg.Seed ^ 0xCD4)
 	c := &CDN{
@@ -161,7 +157,6 @@ func Build(t *topology.Topo, cfg Config) (*CDN, error) {
 		ServerMs: cfg.ServerMs,
 		siteByAS: make(map[int]int),
 		resolver: netpath.NewResolver(t),
-		comp:     bgp.NewReference(t),
 		cache:    &ribCache{phys: make(map[int64]netpath.Route)},
 	}
 	catalog := t.Catalog
@@ -277,9 +272,18 @@ func Build(t *topology.Topo, cfg Config) (*CDN, error) {
 	if len(c.Sites) == 0 {
 		return nil, fmt.Errorf("cdn: no sites configured")
 	}
+	comp, err := lower(t)
+	if err != nil {
+		return nil, fmt.Errorf("cdn: route engine: %w", err)
+	}
+	c.comp = comp
 	c.cache.unicast = make([]*bgp.RIB, len(c.Sites))
 	return c, nil
 }
+
+// Routes returns the route engine behind the RIB caches, lowered from
+// the CDN's finished topology.
+func (c *CDN) Routes() bgp.Computer { return c.comp }
 
 func isContracted(contracted []int, as int) bool {
 	for _, c := range contracted {

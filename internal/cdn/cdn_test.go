@@ -1,27 +1,96 @@
 package cdn
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"beatbgp/internal/bgp"
 	"beatbgp/internal/dnsmap"
 	"beatbgp/internal/geo"
+	"beatbgp/internal/matbgp"
 	"beatbgp/internal/netsim"
 	"beatbgp/internal/stats"
 	"beatbgp/internal/topology"
 )
 
+// lowerReference and lowerMatbgp are the two engines a test can hand
+// Build: the recursive reference, whose epoch chains take the
+// rebuild-fallback path, and the incremental batch engine.
+func lowerReference(t *topology.Topo) (bgp.Computer, error) { return bgp.NewReference(t), nil }
+func lowerMatbgp(t *topology.Topo) (bgp.Computer, error)    { return matbgp.NewEngine(t) }
+
+// build builds a CDN over a fresh topology on the reference engine.
 func build(t testing.TB, seed uint64) (*topology.Topo, *CDN) {
+	return buildWith(t, seed, lowerReference)
+}
+
+// buildWith is build with the route engine lowered by lower.
+func buildWith(t testing.TB, seed uint64, lower func(*topology.Topo) (bgp.Computer, error)) (*topology.Topo, *CDN) {
 	t.Helper()
 	topo, err := topology.Generate(topology.GenConfig{Seed: seed, EyeballsPerRegion: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Build(topo, Config{Seed: seed})
+	c, err := Build(topo, Config{Seed: seed}, lower)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return topo, c
+}
+
+// TestBuildLowersFinishedTopology: Build lowers the engine once, from
+// the topology with every site placed, and Routes returns that engine.
+func TestBuildLowersFinishedTopology(t *testing.T) {
+	topo, err := topology.Generate(topology.GenConfig{Seed: 1, EyeballsPerRegion: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		calls int
+		ases  int
+		ref   *bgp.Reference
+	)
+	c, err := Build(topo, Config{Seed: 1}, func(lt *topology.Topo) (bgp.Computer, error) {
+		if lt != topo {
+			t.Error("lower got a different topology")
+		}
+		calls++
+		ases = lt.NumASes()
+		ref = bgp.NewReference(lt)
+		return ref, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("lower called %d times, want 1", calls)
+	}
+	if ases != topo.NumASes() {
+		t.Fatalf("lower saw %d ASes, the finished topology has %d", ases, topo.NumASes())
+	}
+	if got := c.Routes(); got != ref {
+		t.Fatalf("Routes() = %v, want the engine lower returned", got)
+	}
+}
+
+// TestBuildLowerError: a failing lower aborts Build with its error,
+// wrapped.
+func TestBuildLowerError(t *testing.T) {
+	topo, err := topology.Generate(topology.GenConfig{Seed: 1, EyeballsPerRegion: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("engine lowering failed")
+	c, err := Build(topo, Config{Seed: 1}, func(*topology.Topo) (bgp.Computer, error) {
+		return nil, boom
+	})
+	if c != nil || !errors.Is(err, boom) {
+		t.Fatalf("Build = (%v, %v), want (nil, an error wrapping %v)", c, err, boom)
+	}
+	if err.Error() == boom.Error() {
+		t.Fatalf("error %q is not wrapped", err)
+	}
 }
 
 func TestBuildShape(t *testing.T) {

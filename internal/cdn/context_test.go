@@ -4,21 +4,14 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"beatbgp/internal/matbgp"
 )
 
 // TestEpochContextCancelled: an expired context aborts the view's
 // anycast chain with the context's error, and the chain recovers on the
 // next live-context query with answers bit-identical to a rebuild.
 func TestEpochContextCancelled(t *testing.T) {
-	topo, c := build(t, 5)
+	topo, c := buildWith(t, 5, lowerMatbgp)
 	seq := epochSequence(t, topo, c)
-	eng, err := matbgp.NewEngine(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.UseEngine(eng)
 	v := c.WithEpochs(seq)
 
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -33,7 +26,7 @@ func TestEpochContextCancelled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d after cancellation: %v", e, err)
 		}
-		want, err := eng.ComputeWithout(c.Announcements(nil), seq.Epoch(e).DownSet())
+		want, err := c.Routes().ComputeWithout(c.Announcements(nil), seq.Epoch(e).DownSet())
 		if err != nil {
 			t.Fatal(err)
 		}

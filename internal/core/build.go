@@ -330,25 +330,16 @@ func build(ctx context.Context, norm, user Config, prev *Scenario) (*Scenario, e
 
 	if err := stage(StageCDN, s.keys.cdn, prevKeys.cdn,
 		// Reusing the CDN stage shares the donor's engine too: the topology
-		// is the same, engines are bit-identical by contract, and lowering
-		// the batch engine again would redo the compression work for the
-		// same answers. Like Workers, a Config.Engine change alone does not
-		// invalidate any stage.
+		// is the same, and lowering the batch engine again would redo the
+		// compression work for the same answers.
 		func() { s.Topo, s.CDN, s.Routes = prev.Topo, prev.CDN, prev.Routes },
 		func() error {
 			t := s.provTopo.Clone()
-			c, err := cdn.Build(t, norm.CDN)
+			c, err := cdn.Build(t, norm.CDN, lowerRoutes)
 			if err != nil {
 				return fmt.Errorf("core: cdn: %w", err)
 			}
-			// The topology is final after the CDN build, so this is the
-			// earliest point the route engine can be lowered from it.
-			r, err := newComputer(norm.Engine, t)
-			if err != nil {
-				return fmt.Errorf("core: route engine: %w", err)
-			}
-			c.UseEngine(r)
-			s.Topo, s.CDN, s.Routes = t, c, r
+			s.Topo, s.CDN, s.Routes = t, c, c.Routes()
 			return nil
 		}); err != nil {
 		return nil, err
@@ -372,7 +363,7 @@ func build(ctx context.Context, norm, user Config, prev *Scenario) (*Scenario, e
 		func() error {
 			// The oracle keys on the CDN stage, so s.Routes is always the
 			// engine lowered from (or donated with) this exact topology.
-			s.Oracle = bgp.NewOracleWith(s.Topo, s.Routes)
+			s.Oracle = bgp.NewOracle(s.Routes)
 			return nil
 		}); err != nil {
 		return nil, err
@@ -407,14 +398,9 @@ func build(ctx context.Context, norm, user Config, prev *Scenario) (*Scenario, e
 	return s, nil
 }
 
-// newComputer lowers the route engine named by Config.Engine from the
-// finished topology. "matbgp" is the compact batch engine; "oracle" keeps
-// the recursive reference implementation as the differential baseline.
-func newComputer(engine string, t *topology.Topo) (bgp.Computer, error) {
-	switch engine {
-	case "oracle":
-		return bgp.NewReference(t), nil
-	default: // "matbgp", the setDefaults default
-		return matbgp.NewEngine(t)
-	}
+// lowerRoutes lowers the route engine from a CDN stage's finished
+// topology: the batch engine of internal/matbgp. Tests swap in the
+// recursive reference to check that the two render identically.
+var lowerRoutes = func(t *topology.Topo) (bgp.Computer, error) {
+	return matbgp.NewEngine(t)
 }

@@ -53,15 +53,6 @@ type Config struct {
 	// negative means GOMAXPROCS. Results are bit-identical at any worker
 	// count — see internal/par and DESIGN.md "Parallel runtime".
 	Workers int
-
-	// Engine selects the route-computation engine behind Scenario.Routes
-	// and the BGP oracle: "matbgp" (the default; the compact batch engine
-	// of internal/matbgp) or "oracle" (the recursive reference engine of
-	// internal/bgp, kept as the differential baseline). The engines are
-	// bit-identical by contract — FuzzMatbgpVsOracle and the determinism
-	// tests enforce it — so, like Workers, Engine never changes what is
-	// computed and is deliberately excluded from WorldKey.
-	Engine string
 }
 
 func (c *Config) setDefaults() {
@@ -92,9 +83,6 @@ func (c *Config) setDefaults() {
 	// equal world keys regardless of which zero fields the caller left.
 	c.Convergence = c.Convergence.ApplyDefaults()
 	c.Session = c.Session.ApplyDefaults()
-	if c.Engine == "" {
-		c.Engine = "matbgp"
-	}
 }
 
 // Validate checks every sub-configuration, rejecting nonsensical
@@ -127,26 +115,7 @@ func (c *Config) Validate() error {
 	if err := c.Session.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if c.Engine != "" && !validEngine(c.Engine) {
-		return fmt.Errorf("core: unknown route engine %q (valid engines: %s)",
-			c.Engine, strings.Join(Engines(), ", "))
-	}
 	return nil
-}
-
-// Engines lists the valid Config.Engine names: "matbgp" (the compact
-// batch engine, the default) and "oracle" (the recursive reference kept
-// as the differential baseline). The slice is fresh per call; callers
-// may reorder it.
-func Engines() []string { return []string{"matbgp", "oracle"} }
-
-func validEngine(name string) bool {
-	for _, e := range Engines() {
-		if name == e {
-			return true
-		}
-	}
-	return false
 }
 
 // Scenario is a fully built simulation world shared by the experiments.
@@ -164,8 +133,8 @@ type Scenario struct {
 	Res    *netpath.Resolver
 	Gen    *workload.Generator
 
-	// Routes is the route-computation engine selected by Config.Engine,
-	// lowered from the finished topology. The Oracle memoizes through it,
+	// Routes is the route-computation engine (matbgp), lowered from the
+	// finished topology by the CDN stage. The Oracle memoizes through it,
 	// and experiments that need ad-hoc RIBs (groomed announcements, failed
 	// links) call it directly instead of the package-level bgp helpers.
 	Routes bgp.Computer

@@ -21,7 +21,7 @@ func setup(t testing.TB) (*topology.Topo, *Platform, Target) {
 	// Target: the first prefix's origin city, reached via each VP's best
 	// BGP route.
 	p := topo.Prefixes[0]
-	oracle := bgp.NewOracle(topo)
+	oracle := bgp.NewOracle(bgp.NewReference(topo))
 	res := netpath.NewResolver(topo)
 	tgt := Target{
 		Name: "prefix0",

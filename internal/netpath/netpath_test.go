@@ -177,7 +177,7 @@ func TestGeneratedTopologyPathsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := bgp.NewOracle(topo)
+	oracle := bgp.NewOracle(bgp.NewReference(topo))
 	res := NewResolver(topo)
 	resolved := 0
 	for i, p := range topo.Prefixes {
@@ -232,7 +232,7 @@ func BenchmarkResolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oracle := bgp.NewOracle(topo)
+	oracle := bgp.NewOracle(bgp.NewReference(topo))
 	res := NewResolver(topo)
 	p := topo.Prefixes[0]
 	rib, err := oracle.ToPrefix(p)

@@ -25,7 +25,7 @@ func setup(t testing.TB) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := bgp.NewOracle(topo)
+	oracle := bgp.NewOracle(bgp.NewReference(topo))
 	res := netpath.NewResolver(topo)
 	for _, p := range topo.Prefixes {
 		rib, err := oracle.ToPrefix(p)

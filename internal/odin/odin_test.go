@@ -3,8 +3,10 @@ package odin
 import (
 	"testing"
 
+	"beatbgp/internal/bgp"
 	"beatbgp/internal/cdn"
 	"beatbgp/internal/dnsmap"
+	"beatbgp/internal/matbgp"
 	"beatbgp/internal/netsim"
 	"beatbgp/internal/topology"
 )
@@ -22,7 +24,9 @@ func setup(t testing.TB) world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cdn.Build(topo, cdn.Config{Seed: 12})
+	c, err := cdn.Build(topo, cdn.Config{Seed: 12}, func(t *topology.Topo) (bgp.Computer, error) {
+		return matbgp.NewEngine(t)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

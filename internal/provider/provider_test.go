@@ -119,7 +119,7 @@ func TestServingPoPIsNearest(t *testing.T) {
 
 func TestEgressOptionsPolicyOrder(t *testing.T) {
 	topo, p := build(t, 9)
-	oracle := bgp.NewOracle(topo)
+	oracle := bgp.NewOracle(bgp.NewReference(topo))
 	checked := 0
 	for _, px := range topo.Prefixes {
 		if px.ID%13 != 0 {
@@ -165,7 +165,7 @@ func TestMostPrefixesHaveSeveralRoutes(t *testing.T) {
 	// §2.3.1: "For most clients, the PoP serving the client has at least
 	// three routes to the client's prefix."
 	topo, p := build(t, 11)
-	oracle := bgp.NewOracle(topo)
+	oracle := bgp.NewOracle(bgp.NewReference(topo))
 	withThree, total := 0, 0
 	for _, px := range topo.Prefixes {
 		if px.ID%5 != 0 {
@@ -245,7 +245,7 @@ func TestEntryAndWANErrors(t *testing.T) {
 	res := netpath.NewResolver(topo)
 	// A route that does not terminate at the provider must be rejected.
 	other := topo.Prefixes[0]
-	rib, err := bgp.NewOracle(topo).ToPrefix(other)
+	rib, err := bgp.NewOracle(bgp.NewReference(topo)).ToPrefix(other)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -439,7 +439,7 @@ func TestServeHealthReadyDrain(t *testing.T) {
 
 // TestServeValidationErrorText: the satellite gate — validation errors
 // enumerate the valid kinds and ranges with exact, asserted text
-// (mirroring the cmd/beatbgp -engine error convention).
+// (mirroring the cmd/beatbgp flag-validation error convention).
 func TestServeValidationErrorText(t *testing.T) {
 	w := smallWorld(t, 42)
 	srv := New(w)

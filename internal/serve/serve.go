@@ -646,7 +646,6 @@ func (s *Server) epochResp(e int) EpochResp {
 type WorldResp struct {
 	Query    string `json:"query"`
 	World    string `json:"world"`
-	Engine   string `json:"engine"`
 	ASes     int    `json:"ases"`
 	Links    int    `json:"links"`
 	Sites    int    `json:"sites"`
@@ -659,7 +658,6 @@ func (s *Server) AnswerWorld() WorldResp {
 	return WorldResp{
 		Query:    "world",
 		World:    s.w.Key,
-		Engine:   s.w.Cfg.Engine,
 		ASes:     s.w.Topo.NumASes(),
 		Links:    len(s.w.Topo.Links),
 		Sites:    len(s.w.CDN.Sites),

@@ -32,7 +32,7 @@ func setup(t testing.TB) fixture {
 	sim := netsim.New(topo, netsim.Config{Seed: 8}, nil, nil)
 	res := netpath.NewResolver(topo)
 	gen := NewGenerator(sim, res, Config{Seed: 8, Days: 2})
-	return fixture{topo, prov, sim, res, gen, bgp.NewOracle(topo)}
+	return fixture{topo, prov, sim, res, gen, bgp.NewOracle(bgp.NewReference(topo))}
 }
 
 func (f fixture) traceFor(t testing.TB, p topology.Prefix) (Trace, bool) {
