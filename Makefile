@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-check race race-par race-session race-matbgp race-delta race-serve fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta stress-par stress-session stress-harness stress-serve verify bench bench-json clean
+.PHONY: all build vet fmt-check test bench-check race race-par race-session race-matbgp race-delta race-serve fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta stress-par stress-session stress-harness stress-serve stress-golden verify bench bench-json clean
 
 all: vet fmt-check build test
 
@@ -125,6 +125,12 @@ stress-session:
 stress-harness:
 	STRESS_HARNESS=1 $(GO) test -run 'TestStressKillResume' -v -timeout 10m ./cmd/beatbgp/
 
+# Campaign goldens beyond tier-1: the full default campaign at seed 7,
+# and at seed 42 on one worker, must print exactly the bytes in
+# testdata/golden (tier-1 checks seed 42 at the default worker count).
+stress-golden:
+	STRESS_GOLDEN=1 $(GO) test -run 'TestStressCampaignGolden' -v -timeout 10m .
+
 # Overload soak: a flash-crowd loadgen fleet (1M synthetic clients, 5x
 # burst) drives a live listener far past its admission capacity while
 # chaos stalls and errors hit the repair chains, with the race detector
@@ -145,8 +151,9 @@ bench-check:
 # The full pre-merge gate: formatting, static checks, build, the whole
 # test suite, the benchmark module's own checks, the race-focused
 # passes, the route engine's oracle and delta-repair differential fuzz,
-# and the race-enabled overload soak, in fail-fast order.
-verify: fmt-check vet build test bench-check race-par race-session race-matbgp race-delta race-serve fuzz-matbgp fuzz-delta stress-serve
+# the race-enabled overload soak and the extra campaign goldens, in
+# fail-fast order.
+verify: fmt-check vet build test bench-check race-par race-session race-matbgp race-delta race-serve fuzz-matbgp fuzz-delta stress-serve stress-golden
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -15,10 +15,13 @@
 //
 //	GET  /world                          world shape + content key
 //	GET  /catchment?prefix=N[&epoch=E]   client prefix → front-end site
-//	GET  /latency?prefix=N[&t=MIN]       BGP-preferred vs best alternate
+//	GET  /latency?prefix=N[&t=MIN]       BGP-preferred vs best top-TopK alternate
 //	POST /whatif                         deltas + nested query on a scratch chain
 //	GET  /epoch · POST /epoch            read / advance the live fault timeline
 //	GET  /healthz · GET /readyz          liveness / readiness probes
+//
+// /latency answers Fig 1's question: BGP's preferred egress against the
+// best of the top-TopK (default 3) resolvable routes at the serving PoP.
 //
 // Every response is byte-identical to the library answer for the same
 // query against the same world key — concurrency and restarts never
@@ -28,11 +31,13 @@
 // a repair chain is failing behind its circuit breaker. SIGINT/SIGTERM
 // drains gracefully: /readyz flips to 503, in-flight requests get the
 // -grace period to finish, a second signal force-quits. Status lines go
-// to stderr.
+// to stderr. Exit code 0 means a clean drain or -h, 1 a hard failure
+// (bad flags included).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,38 +51,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "beatbgpd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("beatbgpd", flag.ContinueOnError)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8379", "listen address for the query surface")
-		seed     = flag.Uint64("seed", 42, "world seed; the frozen world is deterministic in it")
-		days     = flag.Int("days", 0, "override Edge-Fabric trace length in days (default 10)")
-		eyeballs = flag.Int("eyeballs", 0, "override eyeball ASes per region (default 20)")
-		workers  = flag.Int("workers", 0, "parallel worker budget for the world build; 0 means GOMAXPROCS")
-		hold     = flag.Float64("hold", 0, "BGP hold timer in seconds for the session layer; 0 means the 36s default")
-		bfd      = flag.Bool("bfd", false, "enable BFD fast failure detection on every session")
+		addr     = fs.String("addr", "127.0.0.1:8379", "listen address for the query surface")
+		seed     = fs.Uint64("seed", 42, "world seed; the frozen world is deterministic in it")
+		days     = fs.Int("days", 0, "override Edge-Fabric trace length in days (default 10)")
+		eyeballs = fs.Int("eyeballs", 0, "override eyeball ASes per region (default 20)")
+		workers  = fs.Int("workers", 0, "parallel worker budget for the world build; 0 means GOMAXPROCS")
+		hold     = fs.Float64("hold", 0, "BGP hold timer in seconds for the session layer; 0 means the 36s default")
+		bfd      = fs.Bool("bfd", false, "enable BFD fast failure detection on every session")
 
-		maxInflight = flag.Int("max-inflight", 0, "admission limit on concurrently executing queries; 0 means unlimited")
-		maxQueue    = flag.Int("max-queue", 0, "admission waiting-room depth beyond -max-inflight; excess sheds with 429")
-		queryTO     = flag.Duration("query-timeout", 0, "per-query deadline (e.g. 250ms); 0 means none")
-		grace       = flag.Duration("grace", 3*time.Second, "drain grace period for in-flight requests on SIGINT/SIGTERM")
+		maxInflight = fs.Int("max-inflight", 0, "admission limit on concurrently executing queries; 0 means unlimited")
+		maxQueue    = fs.Int("max-queue", 0, "admission waiting-room depth beyond -max-inflight; excess sheds with 429")
+		queryTO     = fs.Duration("query-timeout", 0, "per-query deadline (e.g. 250ms); 0 means none")
+		grace       = fs.Duration("grace", 3*time.Second, "drain grace period for in-flight requests on SIGINT/SIGTERM")
 
-		chaosSeed    = flag.Uint64("chaos-seed", 0, "chaos injector seed (used when any chaos probability is set)")
-		chaosLatP    = flag.Float64("chaos-latency-p", 0, "chaos: per-query probability of injected transport latency")
-		chaosLatMs   = flag.Float64("chaos-latency-ms", 0, "chaos: mean injected transport latency in ms")
-		chaosErrP    = flag.Float64("chaos-err-p", 0, "chaos: per-attempt probability of an injected repair-chain error")
-		chaosStallP  = flag.Float64("chaos-stall-p", 0, "chaos: per-attempt probability of a repair-chain stall")
-		chaosStallMs = flag.Float64("chaos-stall-ms", 0, "chaos: repair-chain stall duration in ms")
+		chaosSeed    = fs.Uint64("chaos-seed", 0, "chaos injector seed (used when any chaos probability is set)")
+		chaosLatP    = fs.Float64("chaos-latency-p", 0, "chaos: per-query probability of injected transport latency")
+		chaosLatMs   = fs.Float64("chaos-latency-ms", 0, "chaos: mean injected transport latency in ms")
+		chaosErrP    = fs.Float64("chaos-err-p", 0, "chaos: per-attempt probability of an injected repair-chain error")
+		chaosStallP  = fs.Float64("chaos-stall-p", 0, "chaos: per-attempt probability of a repair-chain stall")
+		chaosStallMs = fs.Float64("chaos-stall-ms", 0, "chaos: repair-chain stall duration in ms")
 	)
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q (flags only)", flag.Args())
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (flags only)", fs.Args())
 	}
 	if *days < 0 || *eyeballs < 0 || *workers < 0 || *hold < 0 {
 		return fmt.Errorf("-days, -eyeballs, -workers and -hold must be non-negative")

@@ -103,9 +103,7 @@ func (s *Scenario) pairStatsAll() ([]pairStats, error) {
 			pref := w.MedianMinRTTMs[0]
 			alt := math.Inf(1)
 			for _, v := range w.MedianMinRTTMs[1:] {
-				if v < alt {
-					alt = v
-				}
+				alt = min(alt, v)
 			}
 			ps.diffs.Add(pref-alt, 1)
 			ps.volume += w.VolumeBytes
@@ -155,7 +153,6 @@ func Figure2(s *Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	classOf := func(ro workload.RouteObs) provider.RouteClass { return ro.Option.Class }
 	var peerVsTransit, privVsPub stats.Dist
 	for _, tr := range traces {
 		var volume float64
@@ -169,25 +166,13 @@ func Figure2(s *Scenario) (Result, error) {
 			bestPriv, bestPub := math.Inf(1), math.Inf(1)
 			for i, ro := range tr.Routes {
 				v := w.MedianMinRTTMs[i]
-				switch classOf(ro) {
+				switch ro.Option.Class {
 				case provider.ClassPNI:
-					if v < bestPeer {
-						bestPeer = v
-					}
-					if v < bestPriv {
-						bestPriv = v
-					}
+					bestPeer, bestPriv = min(bestPeer, v), min(bestPriv, v)
 				case provider.ClassPublicPeer:
-					if v < bestPeer {
-						bestPeer = v
-					}
-					if v < bestPub {
-						bestPub = v
-					}
+					bestPeer, bestPub = min(bestPeer, v), min(bestPub, v)
 				case provider.ClassTransit:
-					if v < bestTransit {
-						bestTransit = v
-					}
+					bestTransit = min(bestTransit, v)
 				}
 			}
 			if !math.IsInf(bestPeer, 1) && !math.IsInf(bestTransit, 1) {
@@ -302,9 +287,7 @@ func TableS311(s *Scenario) (Result, error) {
 			pref := w.MedianMinRTTMs[0]
 			alt := math.Inf(1)
 			for _, v := range w.MedianMinRTTMs[1:] {
-				if v < alt {
-					alt = v
-				}
+				alt = min(alt, v)
 			}
 			if pref > base+significantMs {
 				degraded++
@@ -331,9 +314,7 @@ func TableS311(s *Scenario) (Result, error) {
 			pref := w.MedianMinRTTMs[0]
 			alt := math.Inf(1)
 			for _, v := range w.MedianMinRTTMs[1:] {
-				if v < alt {
-					alt = v
-				}
+				alt = min(alt, v)
 			}
 			diffs.Add(pref-alt, 1)
 		}

@@ -170,10 +170,7 @@ func FaultStudy(s *Scenario) (Result, error) {
 		isDown := func(l int) bool { return downE[l] }
 		demands := make([]provider.Demand, len(traces))
 		for i, tr := range traces {
-			opts := make([]provider.EgressOption, len(tr.Routes))
-			for r, ro := range tr.Routes {
-				opts[r] = ro.Option
-			}
+			opts := tr.Options()
 			surviving := provider.SurvivingOptions(opts, isDown)
 			links := make([]int, len(surviving))
 			for r, o := range surviving {

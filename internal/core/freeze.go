@@ -67,9 +67,12 @@ func (s *Scenario) Freeze() (*World, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The generator's effective workload config: serve caps at its TopK.
+	cfg := s.Cfg
+	cfg.Workload = s.Gen.Config()
 	return &World{
 		Key:    key,
-		Cfg:    s.Cfg,
+		Cfg:    cfg,
 		Topo:   s.Topo,
 		Prov:   s.Prov,
 		CDN:    s.CDN.WithEpochs(fe.seq),

@@ -81,10 +81,7 @@ func sessionEventMetrics(cfg session.Config, tl *faults.Timeline, hist *session.
 		}
 		isDown := func(l int) bool { return downE[l] }
 		for i, tr := range traces {
-			opts := make([]provider.EgressOption, len(tr.Routes))
-			for r, ro := range tr.Routes {
-				opts[r] = ro.Option
-			}
+			opts := tr.Options()
 			surviving := provider.SurvivingOptions(opts, isDown)
 			if len(surviving) > 0 && surviving[0].Link == opts[0].Link {
 				continue // preferred route survived this event

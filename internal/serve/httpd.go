@@ -57,7 +57,7 @@ const validEndpoints = "GET /world, GET /catchment, GET /latency, POST /whatif, 
 //
 //	GET  /world                          world shape + content key
 //	GET  /catchment?prefix=N[&epoch=E]   anycast catchment (default: live cursor)
-//	GET  /latency?prefix=N[&t=MIN]       BGP-preferred vs best alternate (default t: cursor epoch start)
+//	GET  /latency?prefix=N[&t=MIN]       BGP-preferred vs best top-TopK alternate (default t: cursor epoch start)
 //	POST /whatif                         WhatIfReq body: deltas + nested query
 //	GET  /epoch                          read the live epoch cursor
 //	POST /epoch                          {"advance":N} or {"set":E} moves it

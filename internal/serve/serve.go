@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,6 +40,7 @@ import (
 	"beatbgp/internal/delta"
 	"beatbgp/internal/serve/chaos"
 	"beatbgp/internal/topology"
+	"beatbgp/internal/workload"
 )
 
 // ErrBadQuery marks query validation failures (unknown prefix, epoch
@@ -214,6 +216,15 @@ func (s *Server) prefix(id int) (topology.Prefix, error) {
 		return topology.Prefix{}, badQuery("prefix %d out of range [0,%d)", id, len(s.w.Topo.Prefixes))
 	}
 	return s.w.Topo.Prefixes[id], nil
+}
+
+// checkTime rejects a non-finite query instant: it selects no epoch
+// and has no JSON encoding.
+func checkTime(name string, t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return badQuery("%s=%v is not a finite minute", name, t)
+	}
+	return nil
 }
 
 // checkEpoch validates an epoch index against the world's sequence.
@@ -432,6 +443,9 @@ func (s *Server) AnswerLatencyContext(ctx context.Context, prefixID int, t float
 	if err != nil {
 		return LatencyResp{}, err
 	}
+	if err := checkTime("t", t); err != nil {
+		return LatencyResp{}, err
+	}
 	epoch := s.w.Epochs.At(t)
 	rib, at, degraded, err := s.chainRIB(ctx, p.Origin, epoch)
 	if err != nil {
@@ -445,48 +459,38 @@ func (s *Server) AnswerLatencyContext(ctx context.Context, prefixID int, t float
 	return resp, nil
 }
 
-// latencyVia measures the options offered by the given toward-prefix
-// RIB. Shared by the timeline and what-if paths; resolution mirrors
-// workload.Generator.Observe (egress pinned at the serving PoP,
-// unresolvable options skipped).
+// latencyVia measures the egress routes the serving PoP observes under
+// the toward-prefix RIB (workload.Egress at the world's TopK, the route
+// set Fig 1 compares). Shared by the timeline and what-if paths.
 func (s *Server) latencyVia(rib *bgp.RIB, p topology.Prefix, t float64, epoch int) (LatencyResp, error) {
 	pop := s.w.Prov.ServingPoP(p.City)
-	opts := s.w.Prov.EgressOptions(rib, pop)
-	var obs []EgressObs
-	for _, opt := range opts {
-		phys, err := s.w.Res.ResolvePinned(opt.Route, pop, p.City, pop)
-		if err != nil {
-			continue
-		}
-		obs = append(obs, EgressObs{
-			Link:     opt.Link,
-			Neighbor: opt.Neighbor,
-			Class:    opt.Class.String(),
-			PathLen:  opt.Route.PathLen(),
-			RTTMs:    s.w.Sim.RouteRTTMs(phys, p, t),
-		})
-	}
-	if len(obs) == 0 {
+	routes := workload.Egress(s.w.Res, pop, p, s.w.Prov.EgressOptions(rib, pop), s.w.Cfg.Workload.TopK)
+	if len(routes) == 0 {
 		return LatencyResp{}, badQuery("prefix %d: no resolvable egress route at PoP city %d", p.ID, pop)
 	}
 	resp := LatencyResp{
-		Query:     "latency",
-		World:     s.w.Key,
-		Prefix:    p.ID,
-		TMin:      t,
-		Epoch:     epoch,
-		PoPCity:   pop,
-		Options:   len(obs),
-		Preferred: obs[0],
+		Query:   "latency",
+		World:   s.w.Key,
+		Prefix:  p.ID,
+		TMin:    t,
+		Epoch:   epoch,
+		PoPCity: pop,
+		Options: len(routes),
 	}
-	for i := 1; i < len(obs); i++ {
-		if resp.BestAlt == nil || obs[i].RTTMs < resp.BestAlt.RTTMs {
-			alt := obs[i]
-			resp.BestAlt = &alt
+	for i, ro := range routes {
+		o := EgressObs{
+			Link:     ro.Option.Link,
+			Neighbor: ro.Option.Neighbor,
+			Class:    ro.Option.Class.String(),
+			PathLen:  ro.Option.Route.PathLen(),
+			RTTMs:    s.w.Sim.RouteRTTMs(ro.Phys, p, t),
 		}
-	}
-	if resp.BestAlt != nil {
-		resp.DeltaMs = resp.Preferred.RTTMs - resp.BestAlt.RTTMs
+		switch {
+		case i == 0:
+			resp.Preferred = o
+		case resp.BestAlt == nil || o.RTTMs < resp.BestAlt.RTTMs:
+			resp.BestAlt, resp.DeltaMs = &o, resp.Preferred.RTTMs-o.RTTMs
+		}
 	}
 	return resp, nil
 }
@@ -537,6 +541,9 @@ func (s *Server) AnswerWhatIfContext(ctx context.Context, req WhatIfReq) (WhatIf
 	defer release()
 	p, err := s.prefix(req.Prefix)
 	if err != nil {
+		return WhatIfResp{}, err
+	}
+	if err := checkTime("t_min", req.TMin); err != nil {
 		return WhatIfResp{}, err
 	}
 	nLinks := len(s.w.Topo.Links)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -15,21 +17,33 @@ import (
 	"beatbgp/internal/core"
 )
 
-// smallWorld builds and freezes a laptop-scale world, mirroring the
-// core test suite's small config.
-func smallWorld(t testing.TB, seed uint64) *core.World {
-	t.Helper()
+// smallConfig is a laptop-scale world config, mirroring the core test
+// suite's small config.
+func smallConfig(seed uint64) core.Config {
 	cfg := core.Config{Seed: seed}
 	cfg.Topology.EyeballsPerRegion = 8
 	cfg.Workload.Days = 2
+	return cfg
+}
+
+// freeze builds the config's scenario and freezes it.
+func freeze(t testing.TB, cfg core.Config) (*core.Scenario, *core.World) {
+	t.Helper()
 	s, err := core.NewScenario(cfg)
 	if err != nil {
-		t.Fatalf("seed %d: build: %v", seed, err)
+		t.Fatalf("seed %d: build: %v", cfg.Seed, err)
 	}
 	w, err := s.Freeze()
 	if err != nil {
-		t.Fatalf("seed %d: freeze: %v", seed, err)
+		t.Fatalf("seed %d: freeze: %v", cfg.Seed, err)
 	}
+	return s, w
+}
+
+// smallWorld builds and freezes a laptop-scale world.
+func smallWorld(t testing.TB, seed uint64) *core.World {
+	t.Helper()
+	_, w := freeze(t, smallConfig(seed))
 	return w
 }
 
@@ -331,6 +345,9 @@ func TestServeQueryValidation(t *testing.T) {
 		{http.MethodPost, "/whatif", `{"kind":"nope","prefix":0}`},                             // unknown kind
 		{http.MethodPost, "/whatif", `{"deltas":[{"Down":[-1]}],"kind":"latency","prefix":0}`}, // bad link
 		{http.MethodPost, "/epoch", `{"set":-1}`},                                              // cursor out of range
+		{http.MethodGet, "/latency?prefix=0&t=NaN", ""},                                        // non-finite instant
+		{http.MethodGet, "/latency?prefix=0&t=Inf", ""},
+		{http.MethodGet, "/latency?prefix=0&t=-Inf", ""},
 	}
 	for _, q := range bad {
 		var resp *http.Response
@@ -350,6 +367,73 @@ func TestServeQueryValidation(t *testing.T) {
 		}
 		if !bytes.Contains(b, []byte(`"error"`)) {
 			t.Fatalf("%s %s: body %q is not a JSON error", q.method, q.path, b)
+		}
+	}
+	// A non-finite instant is a bad query in the library too, naming the
+	// parameter, for latency and what-if alike.
+	for _, tm := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := srv.AnswerLatency(0, tm); !errors.Is(err, ErrBadQuery) || !strings.Contains(err.Error(), "t=") {
+			t.Errorf("AnswerLatency(t=%v): err %v, want ErrBadQuery naming t", tm, err)
+		}
+		_, err := srv.AnswerWhatIf(WhatIfReq{Kind: "latency", Prefix: 0, TMin: tm})
+		if !errors.Is(err, ErrBadQuery) || !strings.Contains(err.Error(), "t_min=") {
+			t.Errorf("AnswerWhatIf(t_min=%v): err %v, want ErrBadQuery naming t_min", tm, err)
+		}
+	}
+}
+
+// TestServeLatencyFollowsFig1Routes: the latency answers compare the
+// route set Fig 1 measures. For every prefix, /latency at t=0 and a
+// no-delta what-if latency count exactly the routes the campaign
+// generator's Observe keeps for that ⟨PoP, prefix⟩, prefer its first,
+// and pick the best alternate among the rest — at the default TopK and
+// at a configured one, so the cap is the world's, not a literal.
+func TestServeLatencyFollowsFig1Routes(t *testing.T) {
+	for _, topK := range []int{0, 2} {
+		cfg := smallConfig(42)
+		cfg.Workload.TopK = topK
+		s, w := freeze(t, cfg)
+		if down := w.Epochs.Epoch(w.Epochs.At(0)).Down; len(down) != 0 {
+			t.Fatalf("TopK=%d: links %v down at t=0; the check needs the all-up baseline", topK, down)
+		}
+		srv := New(w)
+		for _, p := range w.Topo.Prefixes {
+			rib, err := s.Oracle.ToPrefix(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop := w.Prov.ServingPoP(p.City)
+			tr, err := s.Gen.Observe(pop, p, w.Prov.EgressOptions(rib, pop))
+			lat, lerr := srv.AnswerLatency(p.ID, 0)
+			wi, werr := srv.AnswerWhatIf(WhatIfReq{Kind: "latency", Prefix: p.ID})
+			if err != nil {
+				if lerr == nil || werr == nil {
+					t.Fatalf("TopK=%d prefix %d: Observe fails (%v) but latency answered", topK, p.ID, err)
+				}
+				continue
+			}
+			if lerr != nil || werr != nil {
+				t.Fatalf("TopK=%d prefix %d: latency %v, what-if %v", topK, p.ID, lerr, werr)
+			}
+			want := LatencyResp{Options: len(tr.Routes), Preferred: EgressObs{Link: tr.Routes[0].Option.Link}}
+			for _, ro := range tr.Routes[1:] {
+				rtt := w.Sim.RouteRTTMs(ro.Phys, p, 0)
+				if want.BestAlt == nil || rtt < want.BestAlt.RTTMs {
+					want.BestAlt = &EgressObs{Link: ro.Option.Link, RTTMs: rtt}
+				}
+			}
+			for name, got := range map[string]LatencyResp{"latency": lat, "what-if": *wi.Latency} {
+				if got.Options != want.Options || got.Preferred.Link != want.Preferred.Link ||
+					(got.BestAlt == nil) != (want.BestAlt == nil) ||
+					got.BestAlt != nil && (got.BestAlt.Link != want.BestAlt.Link || got.BestAlt.RTTMs != want.BestAlt.RTTMs) {
+					t.Fatalf("TopK=%d prefix %d %s: options=%d preferred=%d best=%+v, want options=%d preferred=%d best=%+v",
+						topK, p.ID, name, got.Options, got.Preferred.Link, got.BestAlt,
+						want.Options, want.Preferred.Link, want.BestAlt)
+				}
+			}
+			if topK > 0 && lat.Options > topK {
+				t.Fatalf("TopK=%d prefix %d: %d options", topK, p.ID, lat.Options)
+			}
 		}
 	}
 }

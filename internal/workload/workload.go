@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/netsim"
@@ -84,6 +85,15 @@ type Trace struct {
 	Windows []WindowObs
 }
 
+// Options returns the trace's egress options in policy order.
+func (tr Trace) Options() []provider.EgressOption {
+	opts := make([]provider.EgressOption, len(tr.Routes))
+	for i, ro := range tr.Routes {
+		opts[i] = ro.Option
+	}
+	return opts
+}
+
 // Generator produces traces.
 type Generator struct {
 	cfg Config
@@ -111,25 +121,31 @@ func (g *Generator) WithSim(sim *netsim.Sim) *Generator {
 	return &v
 }
 
-// Observe sprays sessions across the prefix's top-K egress options at the
-// PoP and returns the per-window medians. Options that cannot be resolved
-// to a physical path are skipped; at least one resolvable route is
-// required.
-func (g *Generator) Observe(popCity int, p topology.Prefix, options []provider.EgressOption) (Trace, error) {
-	tr := Trace{PoPCity: popCity, Prefix: p}
-	k := g.cfg.TopK
+// Egress returns the routes a PoP observes toward the prefix, the one
+// rule behind Fig 1's traces and the daemon's latency answers: options
+// in policy order, resolved with egress pinned at the PoP (Edge Fabric
+// shifts traffic between routes there, it does not re-home the flow),
+// unresolvable ones skipped, the first k kept.
+func Egress(res *netpath.Resolver, popCity int, p topology.Prefix, options []provider.EgressOption, k int) []RouteObs {
+	var out []RouteObs
 	for _, opt := range options {
-		if len(tr.Routes) >= k {
+		if len(out) >= k {
 			break
 		}
-		// Egress is pinned at the serving PoP: Edge Fabric shifts traffic
-		// between routes at the PoP, it does not re-home the flow.
-		phys, err := g.res.ResolvePinned(opt.Route, popCity, p.City, popCity)
+		phys, err := res.ResolvePinned(opt.Route, popCity, p.City, popCity)
 		if err != nil {
 			continue
 		}
-		tr.Routes = append(tr.Routes, RouteObs{Option: opt, Phys: phys})
+		out = append(out, RouteObs{Option: opt, Phys: phys})
 	}
+	return out
+}
+
+// Observe sprays sessions across the prefix's top-K egress routes at the
+// PoP (see Egress) and returns the per-window medians. At least one
+// resolvable route is required.
+func (g *Generator) Observe(popCity int, p topology.Prefix, options []provider.EgressOption) (Trace, error) {
+	tr := Trace{PoPCity: popCity, Prefix: p, Routes: Egress(g.res, popCity, p, options, g.cfg.TopK)}
 	if len(tr.Routes) == 0 {
 		return Trace{}, fmt.Errorf("workload: no resolvable egress route for prefix %d at city %d", p.ID, popCity)
 	}
@@ -147,16 +163,7 @@ func (g *Generator) Observe(popCity int, p topology.Prefix, options []provider.E
 			for i := range jit {
 				jit[i] = rng.Exp(0.25)
 			}
-			// Median via partial selection (tiny slice).
-			for i := 0; i <= len(jit)/2; i++ {
-				min := i
-				for j := i + 1; j < len(jit); j++ {
-					if jit[j] < jit[min] {
-						min = j
-					}
-				}
-				jit[i], jit[min] = jit[min], jit[i]
-			}
+			slices.Sort(jit)
 			obs.MedianMinRTTMs = append(obs.MedianMinRTTMs, floor+jit[len(jit)/2])
 		}
 		// Volume: the prefix's weight modulated by its local diurnal
