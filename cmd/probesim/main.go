@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,24 +18,27 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "probesim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("probesim", flag.ContinueOnError)
 	var (
-		seed  = flag.Uint64("seed", 42, "scenario seed")
-		n     = flag.Int("n", 12, "vantage points to probe")
-		day   = flag.Int("day", 0, "rotation day")
-		trace = flag.Bool("trace", false, "print a full city-level traceroute for the first vantage point")
+		seed  = fs.Uint64("seed", 42, "scenario seed")
+		n     = fs.Int("n", 12, "vantage points to probe")
+		day   = fs.Int("day", 0, "rotation day")
+		trace = fs.Bool("trace", false, "print a full city-level traceroute for the first vantage point")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Reject bad flags before the expensive scenario build.
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q (flags only)", flag.Args())
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (flags only)", fs.Args())
 	}
 	if *n <= 0 {
 		return fmt.Errorf("-n must be positive")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,23 +17,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
 	var (
-		seed     = flag.Uint64("seed", 42, "generation seed")
-		eyeballs = flag.Int("eyeballs", 0, "eyeball ASes per region (default 20)")
-		routes   = flag.Bool("routes", false, "also compute a sample of BGP routes and print path-length stats")
+		seed     = fs.Uint64("seed", 42, "generation seed")
+		eyeballs = fs.Int("eyeballs", 0, "eyeball ASes per region (default 20)")
+		routes   = fs.Bool("routes", false, "also compute a sample of BGP routes and print path-length stats")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Reject bad flags before the expensive scenario build.
-	if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q (flags only)", flag.Args())
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (flags only)", fs.Args())
 	}
 	if *eyeballs < 0 {
 		return fmt.Errorf("-eyeballs must be non-negative")

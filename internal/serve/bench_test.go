@@ -9,10 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"beatbgp/internal/core"
-	"beatbgp/internal/loadgen"
 )
 
 // The serve benchmarks run against the seed world (Config{Seed: 42}
@@ -120,65 +118,6 @@ func BenchmarkServeLatencyQuery(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkServeOverload measures serving under deliberate overload:
-// the loadgen fleet offers arrivals as fast as it can generate them
-// (no tick pacing) through the library target, so worker concurrency
-// lands on the admission gate directly — no loopback-HTTP noise — and
-// the gate stays saturated, shedding part of the offered load with
-// typed 429s. One op is one offered session. Beyond ns/op, the
-// benchmark reports the overload profile as custom metrics —
-// sessions/s of dispatched work, the admitted-query (code 200)
-// latency tail, and the shed rate — which benchjson lands in the
-// record's extra map for BENCH_7.
-func BenchmarkServeOverload(b *testing.B) {
-	w := benchWorld(b)
-	// Gate capacity (8 in flight + 8 queued) sits well below the fleet's
-	// 32 workers, so the open loop keeps the gate saturated and part of
-	// the offered load sheds — the regime this benchmark profiles.
-	srv := New(w, WithAdmission(8, 8), WithQueryTimeout(250*time.Millisecond))
-
-	// Warm a spread of chains so the timed region reads steady-state
-	// overload behavior, not first-repair cost.
-	nP := len(w.Topo.Prefixes)
-	for p := 0; p < nP; p += 7 {
-		srv.AnswerCatchment(p, -1)
-		srv.AnswerLatency(p, 0)
-	}
-
-	third := nP / 3
-	cfg := loadgen.Config{
-		Seed:        42,
-		Clients:     1_000_000,
-		SessionRate: 1e-4,
-		Ticks:       1 << 30, // MaxOffered terminates the run
-		TickSimMin:  30,      // spread queries across epochs: admitted work repairs cold chains
-		Regions: []loadgen.Region{
-			{Name: "na", Weight: 2, PrefixLo: 0, PrefixHi: third, Phase: 0},
-			{Name: "eu", Weight: 1, PrefixLo: third, PrefixHi: 2 * third, Phase: 0.33},
-			{Name: "apac", Weight: 1, PrefixLo: 2 * third, PrefixHi: nP, Phase: 0.66},
-		},
-		CatchmentFrac: 0.3,
-		Workers:       32,
-		Buffer:        1024,
-		Deadline:      time.Second,
-		MaxOffered:    b.N,
-	}
-	b.ResetTimer()
-	rep, err := loadgen.Run(context.Background(), cfg, srv.LoadTarget())
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.OK() == 0 && b.N > 100 {
-		b.Fatalf("overload run served nothing: %s", rep.String())
-	}
-	b.ReportMetric(rep.SessionsPerSec, "sessions/s")
-	b.ReportMetric(rep.OKP50Ms, "p50_ms")
-	b.ReportMetric(rep.OKP99Ms, "p99_ms")
-	b.ReportMetric(rep.OKP999Ms, "p999_ms")
-	b.ReportMetric(rep.ShedPct(), "shed_pct")
 }
 
 // BenchmarkServeWhatIf measures the scratch-chain path: every op POSTs

@@ -1,8 +1,8 @@
 // Package chaos is the deterministic fault-injection seam of the
 // serving path: the serve layer asks an Injector, at two well-defined
 // middleware points, whether this query gets extra transport latency
-// (QueryDelay, once per query in front of the handler or load target)
-// and whether this repair attempt fails or stalls (RepairFault). The
+// (QueryDelay, once per HTTP query in front of the handler) and
+// whether this repair attempt fails or stalls (RepairFault). The
 // repair point sits between a repair chain's circuit breaker and the
 // chain itself, the same for the anycast chain (-1) and every origin's
 // egress chain: each request the breaker lets through draws one attempt

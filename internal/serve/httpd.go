@@ -172,9 +172,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // withChaos injects the configured transport latency in front of the
-// mux — the HTTP half of the chaos seam (the library half lives in
-// LoadTarget). Probes are exempt: operators watching a chaotic soak
-// still need crisp health answers.
+// mux; library Answer* calls have no transport to delay. Probes are
+// exempt: operators watching a chaotic soak still need crisp health
+// answers.
 func (s *Server) withChaos(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if inj := s.chaosInj.Load(); inj != nil && r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {

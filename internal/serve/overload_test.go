@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"beatbgp/internal/core"
-	"beatbgp/internal/loadgen"
 	"beatbgp/internal/serve/chaos"
 )
 
@@ -589,53 +588,6 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines leaked: before %d, after %d\n%s", before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestServeLoadTargetForms: the library target and the HTTP target
-// answer the same deterministic fleet with the same status codes.
-func TestServeLoadTargetForms(t *testing.T) {
-	w := smallWorld(t, 42)
-	cfg := loadgen.Config{
-		Seed:        11,
-		Clients:     50_000,
-		SessionRate: 2e-3,
-		Ticks:       5,
-		Regions: []loadgen.Region{
-			{Name: "all", Weight: 1, PrefixLo: 0, PrefixHi: len(w.Topo.Prefixes)},
-		},
-		CatchmentFrac: 0.5,
-		Workers:       4,
-		Buffer:        1 << 16, // no client-side drops: compare full streams
-	}
-
-	libSrv := New(w)
-	libRep, err := loadgen.Run(context.Background(), cfg, libSrv.LoadTarget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpSrv := New(w)
-	addr, err := httpSrv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer httpSrv.Shutdown(context.Background())
-	httpRep, err := loadgen.Run(context.Background(), cfg, &loadgen.HTTPTarget{Base: "http://" + addr.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if libRep.Offered != httpRep.Offered {
-		t.Fatalf("offered streams differ: %d vs %d (generator not deterministic)", libRep.Offered, httpRep.Offered)
-	}
-	if libRep.Dropped != 0 || httpRep.Dropped != 0 {
-		t.Fatalf("unexpected client-side drops: lib %d http %d", libRep.Dropped, httpRep.Dropped)
-	}
-	if libRep.Codes[200] != libRep.Sent {
-		t.Fatalf("library form: %v, want all 200s", libRep.Codes)
-	}
-	if httpRep.Codes[200] != httpRep.Sent {
-		t.Fatalf("HTTP form: %v, want all 200s", httpRep.Codes)
 	}
 }
 

@@ -191,16 +191,10 @@ func New(w *core.World, opts ...Option) *Server {
 	}
 }
 
-// World returns the served world handle.
-func (s *Server) World() *core.World { return s.w }
-
 // SetChaos installs (or, with nil, removes) the deterministic fault
 // injector on the serving path. Safe to call while serving — it is the
 // middleware seam the overload tests flip mid-run.
 func (s *Server) SetChaos(inj *chaos.Injector) { s.chaosInj.Store(inj) }
-
-// Chaos returns the installed fault injector, or nil.
-func (s *Server) Chaos() *chaos.Injector { return s.chaosInj.Load() }
 
 // queryCtx applies the per-query deadline, if one is configured.
 func (s *Server) queryCtx(ctx context.Context) (context.Context, context.CancelFunc) {
