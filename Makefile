@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-check race race-par race-session race-matbgp race-delta race-serve fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta stress-par stress-session stress-harness stress-serve stress-golden verify clean
+.PHONY: all build vet fmt-check test bench-check race fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta stress-par stress-session stress-harness stress-serve stress-golden verify clean
 
 all: vet fmt-check build test
 
@@ -18,65 +18,12 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-race: race-par race-session
-	$(GO) test -race ./...
-
-# Race-focused pass over the parallel runtime and everything it fans out
-# into: the pool itself, the goroutine-confined caches it hammers, the
-# parallel fig1 path end to end (efTraces under the determinism sweep),
-# two derived scenarios sharing a world's immutable artifacts, the
-# campaign runner (concurrent cells and abandoned timed-out attempts on
-# one scenario), and the whole registry as one campaign.
-race-par:
-	$(GO) vet ./internal/par/ ./internal/core/
-	$(GO) test -race ./internal/par/ ./internal/cable/ ./internal/netsim/ ./internal/bgp/ ./internal/workload/
-	$(GO) test -race -run 'TestConcurrentDerivedScenarios|TestDeriveArtifactReuse' ./internal/core/
-	$(GO) test -race ./internal/harness/
-	$(GO) test -race -run 'TestRenderDeterministicAcrossWorkers|TestCampaignMatchesRunAlone' .
-
-# Race-focused pass over the event-driven session layer and the core
-# experiments that replay it inside parallel sweeps (xdetect fans one
-# session replay per timer setting across par workers).
-race-session:
-	$(GO) test -race ./internal/session/
-	$(GO) test -race -run 'TestDetectionStudyShape|TestFlapStormShape|TestSessionDifferentialMatchesClosedForm|TestSessionStudyDeterminism' ./internal/core/
-
-# Race-focused pass over the batch route engine: the class-column cache is
-# shared across oracle workers (PrimeOrigins fans ToOrigin misses over the
-# pool), and every Graph's pooled column state is handed between the
-# goroutines building columns on it, so the differential suite runs under
-# the detector, plus the oracle's annotation paths and the cross-engine
-# gate (the experiments rendered on the recursive reference engine must
-# match matbgp byte for byte).
-race-matbgp:
-	$(GO) test -race ./internal/matbgp/
-	$(GO) test -race -run 'TestPrimeOrigins' ./internal/bgp/
-	$(GO) test -race -run 'TestReferenceEngineRendersIdentically' ./internal/core/
-
-# Race-focused pass over the incremental-repair stack: the delta
-# vocabulary, the matbgp repair differential suite (repaired columns vs
-# full rebuild), the one epoch repair chain (bgp.EpochChain: walks vs
-# rebuilds, cancel-poison-rebuild, concurrent callers) and the cdn views
-# that bind it, and the core epoch acceptance gate (xfaults/xflap
-# sequences bit-identical to rebuilds at workers 1/2/8).
-race-delta:
-	$(GO) test -race ./internal/delta/
-	$(GO) test -race -run 'TestRepair|TestRibRepairer|TestStartRepair' ./internal/matbgp/
-	$(GO) test -race -run 'TestEpochChain' ./internal/bgp/
-	$(GO) test -race -run 'TestEpoch' ./internal/cdn/
-	$(GO) test -race -run 'TestEpochRepairBitIdenticalAcrossWorkers|TestRepairWalkerMatchesRebuild|TestFaultEpochsMemoized' ./internal/core/
-
-# Race-focused pass over the serving layer and the concurrency seams it
-# leans on: parallel mixed queries against a live beatbgpd listener must
-# stay byte-identical to single-threaded library answers, restart on the
-# same world key must be transparent, drain must complete in-flight
-# requests — all under the detector, plus the epoch-chain and matbgp
-# singleflight paths the daemon's queries fan into.
-race-serve:
-	$(GO) test -race -run 'TestServe' ./internal/serve/
-	$(GO) test -race -run 'TestEpochChainConcurrent' ./internal/bgp/
-	$(GO) test -race -run 'TestEpochConcurrentQueries' ./internal/cdn/
-	$(GO) test -race -run 'TestEngineClassColumnSingleflight|TestRepairInterleavedChains' ./internal/matbgp/
+# The whole suite under the race detector. It includes a race-built
+# default campaign (TestCampaignGolden runs RunCampaign in-process), the
+# parallel runtime, session replays, the matbgp differential and repair
+# suites, the epoch chains and the serving layer.
+race:
+	$(GO) test -race -timeout 20m ./...
 
 # Short fuzz pass over Config validation; raise FUZZTIME for a longer run.
 FUZZTIME ?= 10s
@@ -150,11 +97,11 @@ bench-check:
 	$(GO) test -C bench ./...
 
 # The full pre-merge gate: formatting, static checks, build, the whole
-# test suite, the benchmark module's own checks, the race-focused
-# passes, the route engine's oracle and delta-repair differential fuzz,
-# the race-enabled overload soak and the extra campaign goldens, in
-# fail-fast order.
-verify: fmt-check vet build test bench-check race-par race-session race-matbgp race-delta race-serve fuzz-matbgp fuzz-delta stress-serve stress-golden
+# test suite, the benchmark module's own checks, the whole suite under
+# the race detector, the route engine's oracle and delta-repair
+# differential fuzz, the race-enabled overload soak and the extra
+# campaign goldens, in fail-fast order.
+verify: fmt-check vet build test bench-check race fuzz-matbgp fuzz-delta stress-serve stress-golden
 
 clean:
 	$(GO) clean ./...

@@ -21,8 +21,8 @@
 // a resumed campaign renders exactly what an uninterrupted one would.
 // Status and timing lines go to stderr. Exit code 0 means every cell
 // completed (or -h printed the usage), 2 means a partial run (see the
-// manifest in the run directory), and 1 means a hard failure, bad flags
-// included.
+// manifest in the run directory), and 1 means a hard failure: bad flags,
+// or a campaign none of whose worlds could be built.
 package main
 
 import (
@@ -202,6 +202,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if rep.ExitCode() == 1 {
+		return campaignErr(rep) // nothing to render
+	}
 
 	for _, r := range rep.FinalResults() {
 		fmt.Printf("\n# %s\n", r.ID)
@@ -232,10 +235,23 @@ func run(args []string) error {
 		done, len(rep.Outcomes), time.Since(t0).Round(time.Millisecond))
 	if !rep.Complete() {
 		fmt.Fprint(os.Stderr, rep.Banner())
-		return fmt.Errorf("%w: %d of %d cells incomplete", beatbgp.ErrPartial,
-			len(rep.IncompleteCells()), len(rep.Outcomes))
 	}
-	return nil
+	return campaignErr(rep)
+}
+
+// campaignErr maps a finished campaign onto run's error: nil when every
+// cell completed; the first build error when no world could be built, a
+// hard failure (exit 1) that resuming cannot finish; ErrPartial (exit 2)
+// for anything else left incomplete.
+func campaignErr(rep *beatbgp.CampaignReport) error {
+	switch rep.ExitCode() {
+	case 0:
+		return nil
+	case 1:
+		return rep.FirstError()
+	}
+	return fmt.Errorf("%w: %d of %d cells incomplete", beatbgp.ErrPartial,
+		len(rep.IncompleteCells()), len(rep.Outcomes))
 }
 
 func printEvent(ev beatbgp.SupervisorEvent, bstats bool) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -162,5 +163,52 @@ func TestExitCodes(t *testing.T) {
 	}
 	if got := exitCode(fmt.Errorf("%w: 1 of 2 cells incomplete", beatbgp.ErrPartial)); got != 2 {
 		t.Errorf("partial campaign: exit code %d, want 2", got)
+	}
+}
+
+// TestUnbuildableWorldExitsOne: a campaign none of whose worlds can be
+// built (here the address pool is too small for the requested size) is a
+// hard failure — exit 1 with the build error as the cause — not a
+// partial run, while a campaign with a completed cell beside a
+// build-failed one stays partial (exit 2).
+func TestUnbuildableWorldExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	err := run([]string{"-eyeballs", "200", "-exp", "t31", "-run-dir", dir})
+	if got := exitCode(err); got != 1 {
+		t.Fatalf("unbuildable world: exit code %d (err %v), want 1", got, err)
+	}
+	if !strings.Contains(err.Error(), "exhausted") || !errors.Is(err, beatbgp.ErrBuildFailed) {
+		t.Fatalf("unbuildable world: error %q does not carry the build failure", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, beatbgp.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m beatbgp.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Complete || m.ExitCode != 1 {
+		t.Fatalf("manifest: complete=%v exit=%d, want false/1", m.Complete, m.ExitCode)
+	}
+
+	failed := beatbgp.Outcome{CellRef: beatbgp.CellRef{Experiment: "t31", Seed: 43},
+		Status: "failed", Kind: "build-failed", Err: "inet: 10.0.0.0/8 exhausted", Attempts: 1}
+	ok := beatbgp.Outcome{CellRef: beatbgp.CellRef{Experiment: "t31", Seed: 42}, Status: "ok", Attempts: 1}
+	for _, tc := range []struct {
+		name     string
+		outcomes []beatbgp.Outcome
+		want     int
+	}{
+		{"every world unbuildable", []beatbgp.Outcome{failed, failed}, 1},
+		{"one cell completed", []beatbgp.Outcome{ok, failed}, 2},
+	} {
+		err := campaignErr(&beatbgp.CampaignReport{Outcomes: tc.outcomes})
+		if got := exitCode(err); got != tc.want {
+			t.Errorf("%s: exit code %d (err %v), want %d", tc.name, got, err, tc.want)
+		}
+		if err == nil || (tc.want == 1) != strings.Contains(err.Error(), "exhausted") {
+			t.Errorf("%s: error %v", tc.name, err)
+		}
 	}
 }

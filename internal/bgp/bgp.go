@@ -80,10 +80,23 @@ type Announcement struct {
 	SuppressLinks map[int]bool
 }
 
-// RIB holds the best route of every AS toward one prefix.
+// Hop is one AS's best route toward a prefix, packed into 12 bytes: the
+// neighbor and link it was learned from, its AS-path length and its
+// Source. Every route extends its next hop's by one hop —
+// Path(v) = [v] ++ Path(NextHop) and Links(v) = [Link] ++ Links(NextHop)
+// — so a table of Hops determines every path, and a RIB rebuilds paths
+// only when asked. Len 0 marks an unreachable AS; an origin has NextHop
+// and Link -1 and Len 1 plus its prepend count.
+type Hop struct {
+	NextHop, Link int32
+	Len           uint16
+	Src           uint8
+}
+
+// RIB holds the best route of every AS toward one prefix, as a hop table.
 type RIB struct {
 	topo *topology.Topo
-	best []Route
+	hops []Hop
 	// down records the failed links this RIB was computed without, so
 	// per-ingress re-selection (OffersTo, BestFrom) honors them too.
 	down map[int]bool
@@ -100,8 +113,72 @@ type RIB struct {
 	distMemo map[int64]float64
 }
 
+// NewRIB assembles a RIB from a hop table, one entry per AS of the
+// topology. Every reachable non-origin entry's next hop must be reachable
+// with Len one less (the suffix invariant both engines guarantee); down
+// and suppressed carry the same semantics as the fields ComputeWithout
+// populates.
+func NewRIB(t *topology.Topo, hops []Hop, down map[int]bool, suppressed map[int]map[int]bool) *RIB {
+	return &RIB{topo: t, hops: hops, down: down, suppressed: suppressed}
+}
+
 // Best returns the AS's best route (Valid=false when unreachable).
-func (r *RIB) Best(asID int) Route { return r.best[asID] }
+func (r *RIB) Best(asID int) Route {
+	h := r.hops[asID]
+	switch {
+	case h.Len == 0:
+		return Route{}
+	case h.Src == uint8(SrcOrigin):
+		path := make([]int, h.Len)
+		for i := range path {
+			path[i] = asID
+		}
+		return Route{Valid: true, Src: SrcOrigin, Link: -1, NextHop: -1, Path: path}
+	}
+	return r.extend(asID, Source(h.Src), int(h.Link), int(h.NextHop))
+}
+
+// extend builds the route asID holds when it learns nh's best route over
+// link with the given source: [asID] ++ Path(nh), [link] ++ Links(nh).
+// nh must be reachable.
+func (r *RIB) extend(asID int, src Source, link, nh int) Route {
+	// Links(nh) has one entry per non-origin AS on nh's chain; the chain
+	// is at most Len(nh) long, since each hop shortens the path by one.
+	h := r.hops[nh]
+	nLinks, u := 0, nh
+	for i := 0; i < int(h.Len) && r.hops[u].Src != uint8(SrcOrigin); i++ {
+		nLinks++
+		u = int(r.hops[u].NextHop)
+	}
+	path := make([]int, int(h.Len)+1)
+	links := make([]int, nLinks+1)
+	path[0], links[0] = asID, link
+	u = nh
+	for i := 1; i < len(path); i++ {
+		path[i] = u
+		if i <= nLinks {
+			links[i] = int(r.hops[u].Link)
+			u = int(r.hops[u].NextHop)
+		}
+	}
+	return Route{Valid: true, Src: src, Link: link, NextHop: nh, Path: path, Links: links}
+}
+
+// onPath reports whether asID is on v's best path, walking next hops
+// without building the path.
+func (r *RIB) onPath(v, asID int) bool {
+	for i, n := 0, int(r.hops[v].Len); i < n; i++ {
+		if v == asID {
+			return true
+		}
+		h := r.hops[v]
+		if h.Src == uint8(SrcOrigin) {
+			return false
+		}
+		v = int(h.NextHop)
+	}
+	return false
+}
 
 // localPref maps a relationship view to a route source.
 func srcFor(view topology.RelView) Source {
@@ -206,45 +283,65 @@ func Compute(t *topology.Topo, anns []Announcement) (*RIB, error) {
 // ComputeWithout is Compute with a set of failed links excluded from
 // propagation — the post-convergence routing state after those links go
 // down. Pair it with ConvergenceMinutes to model the transient.
+//
+// Propagation converges over materialized Routes, independently of the
+// hop table it returns: packing checks that every route extends its next
+// hop's, so a route the hop table could not reproduce is an error, never
+// silently rebuilt into a different one.
 func ComputeWithout(t *topology.Topo, anns []Announcement, downLinks map[int]bool) (*RIB, error) {
+	best, suppressed, err := converge(t, anns, downLinks)
+	if err != nil {
+		return nil, err
+	}
+	hops, err := pack(best)
+	if err != nil {
+		return nil, err
+	}
+	return NewRIB(t, hops, downLinks, suppressed), nil
+}
+
+// converge runs route propagation and returns every AS's best route plus
+// the origins' selective-announcement suppressions.
+func converge(t *topology.Topo, anns []Announcement, downLinks map[int]bool) ([]Route, map[int]map[int]bool, error) {
 	n := t.NumASes()
-	rib := &RIB{topo: t, best: make([]Route, n), down: downLinks}
+	best := make([]Route, n)
+	var supp map[int]map[int]bool
 	if len(anns) == 0 {
-		return nil, fmt.Errorf("bgp: no announcements")
+		return nil, nil, fmt.Errorf("bgp: no announcements")
 	}
 	down := func(link int) bool { return downLinks != nil && downLinks[link] }
 
 	origins := make(map[int]Announcement, len(anns))
 	for _, ann := range anns {
 		if ann.Origin < 0 || ann.Origin >= n {
-			return nil, fmt.Errorf("bgp: origin %d out of range", ann.Origin)
+			return nil, nil, fmt.Errorf("bgp: origin %d out of range", ann.Origin)
 		}
 		if _, dup := origins[ann.Origin]; dup {
-			return nil, fmt.Errorf("bgp: duplicate origin %d", ann.Origin)
+			return nil, nil, fmt.Errorf("bgp: duplicate origin %d", ann.Origin)
 		}
 		origins[ann.Origin] = ann
 		if len(ann.SuppressLinks) > 0 {
-			if rib.suppressed == nil {
-				rib.suppressed = make(map[int]map[int]bool)
+			if supp == nil {
+				supp = make(map[int]map[int]bool)
 			}
-			rib.suppressed[ann.Origin] = ann.SuppressLinks
+			supp[ann.Origin] = ann.SuppressLinks
 		}
 		path := make([]int, 0, ann.Prepend+1)
 		for i := 0; i <= ann.Prepend; i++ {
 			path = append(path, ann.Origin)
 		}
 		r := Route{Valid: true, Src: SrcOrigin, Link: -1, NextHop: -1, Path: path}
-		if better(t, ann.Origin, r, rib.best[ann.Origin]) {
-			rib.best[ann.Origin] = r
+		if better(t, ann.Origin, r, best[ann.Origin]) {
+			best[ann.Origin] = r
 		}
 	}
 
 	// adopt offers route `cand` (already from the neighbor's perspective
 	// rewritten for `to`) and reports whether it improved.
 	adopt := func(to int, cand Route) bool {
-		cur := rib.best[to]
+		cur := best[to]
 		if better(t, to, cand, cur) {
-			rib.best[to] = cand
+			best[to] = cand
 			return true
 		}
 		// Implicit withdraw: a neighbor re-advertising over the same link
@@ -258,7 +355,7 @@ func ComputeWithout(t *topology.Topo, anns []Announcement, downLinks map[int]boo
 			cand.Link == cur.Link && cand.NextHop == cur.NextHop &&
 			len(cand.Path) == len(cur.Path) &&
 			(!equalInts(cand.Path, cur.Path) || !equalInts(cand.Links, cur.Links)) {
-			rib.best[to] = cand
+			best[to] = cand
 			return true
 		}
 		return false
@@ -286,7 +383,7 @@ func ComputeWithout(t *topology.Topo, anns []Announcement, downLinks map[int]boo
 	for changed := true; changed; {
 		changed = false
 		for as := 0; as < n; as++ {
-			r := rib.best[as]
+			r := best[as]
 			if !r.Valid || r.Src > SrcCustomer {
 				continue
 			}
@@ -310,7 +407,7 @@ func ComputeWithout(t *topology.Topo, anns []Announcement, downLinks map[int]boo
 	}
 	var peerCands []peerCand
 	for as := 0; as < n; as++ {
-		r := rib.best[as]
+		r := best[as]
 		if !r.Valid || r.Src > SrcCustomer {
 			continue
 		}
@@ -330,7 +427,7 @@ func ComputeWithout(t *topology.Topo, anns []Announcement, downLinks map[int]boo
 	for changed := true; changed; {
 		changed = false
 		for as := 0; as < n; as++ {
-			r := rib.best[as]
+			r := best[as]
 			if !r.Valid {
 				continue
 			}
@@ -345,7 +442,48 @@ func ComputeWithout(t *topology.Topo, anns []Announcement, downLinks map[int]boo
 			}
 		}
 	}
-	return rib, nil
+	return best, supp, nil
+}
+
+// pack converts converged routes into a hop table, checking that every
+// route is its next hop's route extended by one hop (and every origin
+// route its own AS repeated), which is what lets a RIB rebuild paths
+// from next hops.
+func pack(best []Route) ([]Hop, error) {
+	hops := make([]Hop, len(best))
+	for v, r := range best {
+		if !r.Valid {
+			continue
+		}
+		if len(r.Path) > math.MaxUint16 {
+			return nil, fmt.Errorf("bgp: AS %d path of %d hops exceeds the hop table's length field", v, len(r.Path))
+		}
+		if r.Src == SrcOrigin {
+			if r.Link != -1 || r.NextHop != -1 || r.Links != nil || len(r.Path) == 0 || countOf(r.Path, v) != len(r.Path) {
+				return nil, fmt.Errorf("bgp: AS %d origin route %+v is not its own AS repeated", v, r)
+			}
+			hops[v] = Hop{NextHop: -1, Link: -1, Len: uint16(len(r.Path)), Src: uint8(SrcOrigin)}
+			continue
+		}
+		nh := r.NextHop
+		if nh < 0 || nh >= len(best) || !best[nh].Valid || len(r.Path) == 0 || r.Path[0] != v ||
+			!equalInts(r.Path[1:], best[nh].Path) ||
+			len(r.Links) == 0 || r.Links[0] != r.Link || !equalInts(r.Links[1:], best[nh].Links) {
+			return nil, fmt.Errorf("bgp: AS %d route %+v does not extend its next hop's route", v, r)
+		}
+		hops[v] = Hop{NextHop: int32(nh), Link: int32(r.Link), Len: uint16(len(r.Path)), Src: uint8(r.Src)}
+	}
+	return hops, nil
+}
+
+func countOf(s []int, x int) int {
+	n := 0
+	for _, v := range s {
+		if v == x {
+			n++
+		}
+	}
+	return n
 }
 
 // Offer is a route a neighbor would advertise to a given AS — the AS's
@@ -364,51 +502,40 @@ type Offer struct {
 // are honored by Compute; per-neighbor suppressions at transit ASes are
 // not modeled.
 func (r *RIB) OffersTo(asID int) []Offer {
-	t := r.topo
 	var out []Offer
-	for _, nb := range t.Neighbors(asID) {
-		if r.down != nil && r.down[nb.Link] {
+	for _, nb := range r.topo.Neighbors(asID) {
+		if !r.exports(asID, nb) {
 			continue
 		}
-		if sup := r.suppressed[nb.Other]; sup != nil && sup[nb.Link] {
-			// The neighbor originates this prefix but withholds it on
-			// this link (selective announcement).
-			continue
-		}
-		nr := r.best[nb.Other]
-		if !nr.Valid {
-			continue
-		}
-		// Do not offer a route that already goes through me.
-		if loop(nr.Path, asID) {
-			continue
-		}
-		exports := false
-		switch nb.View {
-		case topology.ViewProvider:
-			// Neighbor is my provider: providers export everything to customers.
-			exports = true
-		case topology.ViewPeer, topology.ViewCustomer:
-			// Peers and customers export only their customer-cone routes.
-			exports = nr.Src <= SrcCustomer
-		}
-		if !exports {
-			continue
-		}
-		path := make([]int, 0, len(nr.Path)+1)
-		path = append(path, asID)
-		path = append(path, nr.Path...)
-		links := make([]int, 0, len(nr.Links)+1)
-		links = append(links, nb.Link)
-		links = append(links, nr.Links...)
 		out = append(out, Offer{
 			Neighbor: nb.Other,
 			Link:     nb.Link,
 			View:     nb.View,
-			Route:    Route{Valid: true, Src: srcFor(nb.View), Link: nb.Link, NextHop: nb.Other, Path: path, Links: links},
+			Route:    r.extend(asID, srcFor(nb.View), nb.Link, nb.Other),
 		})
 	}
 	return out
+}
+
+// exports reports whether neighbor nb offers asID its best route: the
+// link is up, the neighbor does not withhold the prefix on it, it has a
+// route that does not already pass through asID, and export policy lets
+// the route out — providers export everything to customers, peers and
+// customers only their customer-cone (origin or customer) routes.
+func (r *RIB) exports(asID int, nb topology.Neighbor) bool {
+	if r.down != nil && r.down[nb.Link] {
+		return false
+	}
+	if sup := r.suppressed[nb.Other]; sup != nil && sup[nb.Link] {
+		// The neighbor originates this prefix but withholds it on
+		// this link (selective announcement).
+		return false
+	}
+	h := r.hops[nb.Other]
+	if h.Len == 0 || r.onPath(nb.Other, asID) {
+		return false
+	}
+	return nb.View == topology.ViewProvider || Source(h.Src) <= SrcCustomer
 }
 
 // BestFrom returns the route the AS would use for traffic entering at
@@ -417,12 +544,12 @@ func (r *RIB) OffersTo(asID int) []Offer {
 // city. This models per-ingress hot potato inside multi-city ASes — the
 // mechanism that makes anycast work inside an eyeball network peering
 // with a CDN at several locations. Falls back to Best when the AS hears
-// no offers (e.g. it is the origin).
+// no offers (e.g. it is the origin). Offers are ranked on the hop table;
+// only the winner's path is built.
 func (r *RIB) BestFrom(asID, srcCity int) Route {
 	t := r.topo
-	best := r.best[asID]
-	if best.Valid && best.Src == SrcOrigin {
-		return best
+	if h := r.hops[asID]; h.Len > 0 && h.Src == uint8(SrcOrigin) {
+		return r.Best(asID)
 	}
 	srcLoc := t.Catalog.City(srcCity).Loc
 	linkDist := func(link int) float64 {
@@ -447,19 +574,22 @@ func (r *RIB) BestFrom(asID, srcCity int) Route {
 		r.distMu.Unlock()
 		return d
 	}
-	var chosen Route
-	chosenDist := math.Inf(1)
-	for _, off := range r.OffersTo(asID) {
-		cand := off.Route
-		cd := linkDist(cand.Link)
+	var chosen topology.Neighbor
+	chosenSrc, chosenLen, chosenDist := srcNone, 0, math.Inf(1)
+	for _, nb := range t.Neighbors(asID) {
+		if !r.exports(asID, nb) {
+			continue
+		}
+		src, ln := srcFor(nb.View), int(r.hops[nb.Other].Len)+1
+		cd := linkDist(nb.Link)
 		switch {
-		case !chosen.Valid:
-		case cand.Src != chosen.Src:
-			if cand.Src > chosen.Src {
+		case chosenSrc == srcNone:
+		case src != chosenSrc:
+			if src > chosenSrc {
 				continue
 			}
-		case len(cand.Path) != len(chosen.Path):
-			if len(cand.Path) > len(chosen.Path) {
+		case ln != chosenLen:
+			if ln > chosenLen {
 				continue
 			}
 		case cd != chosenDist:
@@ -467,16 +597,16 @@ func (r *RIB) BestFrom(asID, srcCity int) Route {
 				continue
 			}
 		default:
-			if t.ASes[cand.NextHop].ASN >= t.ASes[chosen.NextHop].ASN {
+			if t.ASes[nb.Other].ASN >= t.ASes[chosen.Other].ASN {
 				continue
 			}
 		}
-		chosen, chosenDist = cand, cd
+		chosen, chosenSrc, chosenLen, chosenDist = nb, src, ln, cd
 	}
-	if !chosen.Valid {
-		return best
+	if chosenSrc == srcNone {
+		return r.Best(asID)
 	}
-	return chosen
+	return r.extend(asID, chosenSrc, chosen.Link, chosen.Other)
 }
 
 func equalInts(a, b []int) bool {
@@ -503,8 +633,8 @@ func loop(path []int, asID int) bool {
 // ReachableCount returns how many ASes have a valid route in the RIB.
 func (r *RIB) ReachableCount() int {
 	n := 0
-	for _, b := range r.best {
-		if b.Valid {
+	for _, h := range r.hops {
+		if h.Len > 0 {
 			n++
 		}
 	}

@@ -148,12 +148,3 @@ func (r *rebuildRepairer) RIB() (*RIB, error) {
 	r.rib = rib
 	return rib, nil
 }
-
-// NewRIB assembles a RIB from externally computed per-AS best routes; it
-// exists for alternate Computer implementations (internal/matbgp), which
-// materialize best-route arrays outside this package. best must hold one
-// entry per AS of the topology, down and suppressed carry the same
-// semantics as the fields ComputeWithout populates.
-func NewRIB(t *topology.Topo, best []Route, down map[int]bool, suppressed map[int]map[int]bool) *RIB {
-	return &RIB{topo: t, best: best, down: down, suppressed: suppressed}
-}

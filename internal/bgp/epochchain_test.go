@@ -202,7 +202,7 @@ func TestEpochChainCancelPoisons(t *testing.T) {
 
 // TestEpochChainConcurrent: many goroutines request mixed epochs of one
 // chain at once; every answer matches the rebuild and each epoch is
-// materialized once. Run under -race (race-delta, race-serve).
+// materialized once. Run under -race (make race).
 func TestEpochChainConcurrent(t *testing.T) {
 	f := newChainFixture(t)
 	eng, err := matbgp.NewEngine(f.topo)

@@ -122,7 +122,7 @@ func TestEpochInitialDownSet(t *testing.T) {
 // epochs from many goroutines. Every answer must match the sequential
 // rebuild at its own view's down set — views share the built CDN's
 // caches but never each other's epoch state — and concurrent readers at
-// different epochs must not deadlock. Run under -race (race-serve).
+// different epochs must not deadlock. Run under -race (make race).
 func TestEpochConcurrentQueries(t *testing.T) {
 	topo, c := build(t, 5)
 	seqA := epochSequence(t, topo, c)

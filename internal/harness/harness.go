@@ -182,7 +182,7 @@ func (camp Campaign) resolve() ([]core.Experiment, []string, error) {
 // The error is non-nil only for hard failures — invalid campaign or
 // supervisor configuration, an unusable run directory — where no cells
 // were (or could safely be) run; partial completion is not an error
-// here, it is Report.ExitCode() == 2.
+// here, it is Report.ExitCode() == 2 (1 when no world could be built).
 func Run(ctx context.Context, camp Campaign, cfg Config) (*Report, error) {
 	if cfg.Resume && cfg.RunDir == "" {
 		return nil, fmt.Errorf("harness: -resume requires a run directory")

@@ -38,13 +38,28 @@ func (r *Report) Complete() bool {
 }
 
 // ExitCode maps the report onto the process exit contract: 0 for a
-// complete campaign, 2 for a partial one. (1 is reserved for hard
-// errors, where no report exists at all.)
+// complete campaign, 2 for a partial one, and 1 — the hard-failure code
+// — when no cell completed because no world could be built: a
+// configuration a re-run or resume cannot finish either.
 func (r *Report) ExitCode() int {
-	if r.Complete() {
+	switch {
+	case r.Complete():
 		return 0
+	case r.unbuildable():
+		return 1
 	}
 	return 2
+}
+
+// unbuildable reports whether every cell failed because its world could
+// not be built.
+func (r *Report) unbuildable() bool {
+	for _, o := range r.Outcomes {
+		if o.Status != StatusFailed || o.Kind != KindBuildFailed {
+			return false
+		}
+	}
+	return len(r.Outcomes) > 0
 }
 
 // Result returns the completed result for one cell.

@@ -67,20 +67,27 @@ func (e *Engine) ComputeWithout(anns []bgp.Announcement, down map[int]bool) (*bg
 	if err != nil {
 		return nil, err
 	}
-	best, err := e.g.materialize(col, anns, down)
+	suppressed := suppressions(anns)
+	hops, err := e.g.materialize(col, suppressed, down)
 	if err != nil {
 		return nil, err
 	}
-	var suppressed map[int]map[int]bool
+	return bgp.NewRIB(e.topo, hops, down, suppressed), nil
+}
+
+// suppressions maps each origin that withholds its announcement from
+// some links (selective announcement) to those links; nil when none do.
+func suppressions(anns []bgp.Announcement) map[int]map[int]bool {
+	var out map[int]map[int]bool
 	for _, a := range anns {
 		if len(a.SuppressLinks) > 0 {
-			if suppressed == nil {
-				suppressed = make(map[int]map[int]bool)
+			if out == nil {
+				out = make(map[int]map[int]bool)
 			}
-			suppressed[a.Origin] = a.SuppressLinks
+			out[a.Origin] = a.SuppressLinks
 		}
 	}
-	return bgp.NewRIB(e.topo, best, down, suppressed), nil
+	return out
 }
 
 // columnFor routes plain stub-origin queries through the class cache and
@@ -217,82 +224,38 @@ func (g *Graph) rowForStub(v int32, col []uint32) (uint32, error) {
 	return packWord(bSrc, b.ln, b.nh), nil
 }
 
-// materialize decompresses a packed column into per-AS Routes with path
-// and link slices identical to the reference engine's. The learned link
-// is not stored in the word; it is provably the (distance, link ID)
-// minimum among the AS's live adjacencies toward its next hop under the
-// settled relation view, which is exactly what propagation chose.
-func (g *Graph) materialize(col []uint32, anns []bgp.Announcement, down map[int]bool) ([]bgp.Route, error) {
-	var suppress map[int32]map[int]bool
-	for _, a := range anns {
-		if len(a.SuppressLinks) > 0 {
-			if suppress == nil {
-				suppress = make(map[int32]map[int]bool)
-			}
-			suppress[int32(a.Origin)] = a.SuppressLinks
-		}
-	}
-	best := make([]bgp.Route, g.n)
-	// Build in ascending path-length order so every AS extends its next
-	// hop's already-built path by one hop.
-	maxLn := int32(0)
-	for _, w := range col {
-		if _, ln, _ := unpackWord(w); w != 0 && ln > maxLn {
-			maxLn = ln
-		}
-	}
-	buckets := make([][]int32, maxLn+1)
+// materialize decompresses a packed column into the RIB's hop table in
+// one pass: each AS's class, length and next hop come straight from its
+// word, so a RIB's paths and links equal the reference engine's. The
+// learned link is not stored in the word; it is provably the (distance,
+// link ID) minimum among the AS's live adjacencies toward its next hop
+// under the settled relation view, which is exactly what propagation
+// chose.
+func (g *Graph) materialize(col []uint32, suppress map[int]map[int]bool, down map[int]bool) ([]bgp.Hop, error) {
+	hops := make([]bgp.Hop, g.n)
 	for v, w := range col {
 		if w == 0 {
 			continue
 		}
-		_, ln, _ := unpackWord(w)
-		buckets[ln] = append(buckets[ln], int32(v))
-	}
-	for ln := int32(1); ln <= maxLn; ln++ {
-		for _, v := range buckets[ln] {
-			rel, _, nh := unpackWord(col[v])
-			if rel == relOrigin {
-				path := make([]int, ln)
-				for i := range path {
-					path[i] = int(v)
-				}
-				best[v] = bgp.Route{Valid: true, Src: bgp.SrcOrigin, Link: -1, NextHop: -1, Path: path}
-				continue
-			}
-			link, err := g.learnedLink(v, nh, rel, col, down, suppress)
+		rel, ln, nh := unpackWord(w)
+		h := bgp.Hop{NextHop: -1, Link: -1, Len: uint16(ln), Src: rel}
+		if rel != relOrigin {
+			link, err := g.learnedLink(int32(v), nh, rel, col, down, suppress)
 			if err != nil {
 				return nil, err
 			}
-			parent := best[nh]
-			path := make([]int, ln)
-			path[0] = int(v)
-			copy(path[1:], parent.Path)
-			links := make([]int, len(parent.Links)+1)
-			links[0] = int(link)
-			copy(links[1:], parent.Links)
-			best[v] = bgp.Route{
-				Valid: true, Src: bgp.Source(rel), Link: int(link), NextHop: int(nh),
-				Path: path, Links: links,
-			}
+			h.NextHop, h.Link = nh, link
 		}
+		hops[v] = h
 	}
-	return best, nil
+	return hops, nil
 }
 
 // learnedLink picks the link an AS learned its settled route over: among
 // its live, unsuppressed adjacencies toward the next hop under the
 // settled view, the nearest-interconnect one, lowest link ID on ties.
-func (g *Graph) learnedLink(v, nh int32, rel uint8, col []uint32, down map[int]bool, suppress map[int32]map[int]bool) (int32, error) {
-	var view uint8
-	switch rel {
-	case relCustomer:
-		view = uint8(topology.ViewCustomer)
-	case relPeer:
-		view = uint8(topology.ViewPeer)
-	default:
-		view = uint8(topology.ViewProvider)
-	}
+func (g *Graph) learnedLink(v, nh int32, rel uint8, col []uint32, down map[int]bool, suppress map[int]map[int]bool) (int32, error) {
+	view := viewOfRel(rel)
 	nhRel, _, _ := unpackWord(col[nh])
 	nhOrigin := col[nh] != 0 && nhRel == relOrigin
 	bestLink := int32(-1)
@@ -305,7 +268,7 @@ func (g *Graph) learnedLink(v, nh int32, rel uint8, col []uint32, down map[int]b
 		if down != nil && down[int(l)] {
 			continue
 		}
-		if nhOrigin && suppress != nil && suppress[nh][int(l)] {
+		if nhOrigin && suppress != nil && suppress[int(nh)][int(l)] {
 			continue
 		}
 		d := g.adjDist[i]

@@ -75,6 +75,9 @@ type Graph struct {
 	// allocates only the column it returns. Concurrent builds each take
 	// their own state.
 	cols sync.Pool
+	// scratch pools repair workspaces (*RepairScratch) for Repairers
+	// without a shared one: each Apply borrows one and returns it clean.
+	scratch sync.Pool
 }
 
 // FromTopo lowers a topology into a Graph, precomputing exactly the

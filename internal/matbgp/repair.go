@@ -58,15 +58,17 @@ import (
 // ASes' adjacency lists), never to the graph: frozen state is read
 // straight from the packed column, and the per-AS scratch lives in a
 // RepairScratch that many Repairers over one Graph can share. A
+// Repairer given no scratch (WithScratch) borrows one from its Graph's
+// pool for each Apply, so an idle Repairer holds only its column. A
 // Repairer is not safe for concurrent use, and Repairers sharing a
 // scratch must not Apply concurrently.
 type Repairer struct {
 	g        *Graph
 	anns     []bgp.Announcement
-	suppress map[int32]map[int]bool
+	suppress map[int]map[int]bool
 	col      []uint32
 	down     map[int]bool
-	sc       *RepairScratch
+	sc       *RepairScratch // the WithScratch workspace, or the one borrowed during an Apply
 }
 
 // RepairScratch is the reusable per-AS workspace of delta repair. Every
@@ -112,22 +114,15 @@ func (g *Graph) NewRepairScratch() *RepairScratch {
 
 // NewRepairer builds the initial column for the announcement set under
 // the given down set (copied) and returns a Repairer positioned there.
-// The workspace is allocated lazily on the first dirty repair; use
-// WithScratch to share one across many columns.
+// Each Apply borrows a workspace from the Graph's pool; use WithScratch
+// to pin one shared workspace across many columns instead.
 func (g *Graph) NewRepairer(anns []bgp.Announcement, down map[int]bool) (*Repairer, error) {
 	col, err := g.column(anns, down)
 	if err != nil {
 		return nil, err
 	}
 	r := &Repairer{g: g, anns: append([]bgp.Announcement(nil), anns...), col: col}
-	for _, a := range r.anns {
-		if len(a.SuppressLinks) > 0 {
-			if r.suppress == nil {
-				r.suppress = make(map[int32]map[int]bool)
-			}
-			r.suppress[int32(a.Origin)] = a.SuppressLinks
-		}
-	}
+	r.suppress = suppressions(r.anns)
 	for l, v := range down {
 		if v {
 			if r.down == nil {
@@ -164,7 +159,7 @@ func (r *Repairer) Down() map[int]bool {
 
 // Apply transitions the column across one topology delta. On error the
 // Repairer (and its scratch) is poisoned mid-delta and must be
-// discarded.
+// discarded; a borrowed scratch is then dropped instead of pooled.
 //
 // Aliasing guard: a scratch belongs to at most one in-flight Apply.
 // Interleaving Applies on different Repairers sharing a scratch is
@@ -180,11 +175,23 @@ func (r *Repairer) Apply(d delta.Delta) error {
 // abandoned mid-step, so a cancelled Apply leaves the same poisoned-
 // but-consistent scratch state as any other failed Apply and the
 // Repairer must be discarded per the Apply contract).
-func (r *Repairer) ApplyContext(ctx context.Context, d delta.Delta) error {
+func (r *Repairer) ApplyContext(ctx context.Context, d delta.Delta) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	r.ensureScratch()
+	if r.sc == nil {
+		sc, _ := r.g.scratch.Get().(*RepairScratch)
+		if sc == nil {
+			sc = r.g.NewRepairScratch()
+		}
+		r.sc = sc
+		defer func() {
+			r.sc = nil
+			if err == nil {
+				r.g.scratch.Put(sc)
+			}
+		}()
+	}
 	if !r.sc.busy.CompareAndSwap(false, true) {
 		return fmt.Errorf("matbgp: RepairScratch aliased by a concurrent Apply (one scratch per in-flight repair)")
 	}
@@ -196,12 +203,6 @@ func (r *Repairer) ApplyContext(ctx context.Context, d delta.Delta) error {
 		return err
 	}
 	return r.applyUp(d.Up)
-}
-
-func (r *Repairer) ensureScratch() {
-	if r.sc == nil {
-		r.sc = r.g.NewRepairScratch()
-	}
 }
 
 // curWord returns the in-repair state of an AS: the settle scratch for
@@ -219,7 +220,7 @@ func (r *Repairer) curWord(v int32) (rel uint8, ln int32) {
 }
 
 // viewOfRel maps a settled relation class to the adjacency view the
-// route was learned over, mirroring learnedLink.
+// route was learned over.
 func viewOfRel(rel uint8) uint8 {
 	switch rel {
 	case relCustomer:
@@ -262,7 +263,6 @@ func (r *Repairer) applyDown(links []int) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	r.ensureScratch()
 	sc := r.sc
 	seed := func(v, far int32, adj int32) {
 		w := r.col[v]
@@ -404,7 +404,6 @@ func (r *Repairer) applyUp(links []int) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	r.ensureScratch()
 	sc := r.sc
 	// bound returns v's current optimistic (class, length), initializing
 	// from the settled word on first touch.
@@ -453,7 +452,7 @@ func (r *Repairer) applyUp(links []int) error {
 			if r.down[int(l)] {
 				continue
 			}
-			if rel == relOrigin && r.suppress != nil && r.suppress[v][int(l)] {
+			if rel == relOrigin && r.suppress != nil && r.suppress[int(v)][int(l)] {
 				continue
 			}
 			var src uint8
@@ -535,7 +534,7 @@ func (r *Repairer) repairSettle() error {
 		if rel != relOrigin || r.suppress == nil {
 			return false
 		}
-		return r.suppress[as][int(link)]
+		return r.suppress[int(as)][int(link)]
 	}
 
 	buckets := sc.buckets
@@ -719,20 +718,19 @@ func (r *Repairer) repairSettle() error {
 }
 
 // ribRepairer is the Engine's bgp.RouteRepairer: it carries a Repairer
-// for the packed column and materializes the current epoch's RIB on
-// demand — paths, links, and RIB query behavior are bit-identical to
+// for the packed column and materializes the current epoch's hop table
+// on demand — paths, links, and RIB query behavior are bit-identical to
 // Engine.ComputeWithout at the same down set, because materialization is
 // shared and the column is exact by the Repairer's contract.
 type ribRepairer struct {
-	e          *Engine
-	r          *Repairer
-	suppressed map[int]map[int]bool
-	rib        *bgp.RIB
+	e   *Engine
+	r   *Repairer
+	rib *bgp.RIB
 }
 
 // StartRepair implements bgp.IncrementalComputer. It is safe to call
 // concurrently against one Engine: every returned repairer owns a
-// private Repairer whose scratch is allocated lazily for it alone, so
+// private Repairer that borrows a pooled scratch for each Apply, so
 // repair chains started in parallel never alias workspace state. (The
 // returned RouteRepairer itself is still single-goroutine, per the
 // interface contract.)
@@ -741,16 +739,7 @@ func (e *Engine) StartRepair(anns []bgp.Announcement) (bgp.RouteRepairer, error)
 	if err != nil {
 		return nil, err
 	}
-	var suppressed map[int]map[int]bool
-	for _, a := range anns {
-		if len(a.SuppressLinks) > 0 {
-			if suppressed == nil {
-				suppressed = make(map[int]map[int]bool)
-			}
-			suppressed[a.Origin] = a.SuppressLinks
-		}
-	}
-	return &ribRepairer{e: e, r: r, suppressed: suppressed}, nil
+	return &ribRepairer{e: e, r: r}, nil
 }
 
 // Apply implements bgp.RouteRepairer.
@@ -777,10 +766,10 @@ func (s *ribRepairer) RIB() (*bgp.RIB, error) {
 		return s.rib, nil
 	}
 	down := s.r.Down()
-	best, err := s.e.g.materialize(s.r.col, s.r.anns, down)
+	hops, err := s.e.g.materialize(s.r.col, s.r.suppress, down)
 	if err != nil {
 		return nil, err
 	}
-	s.rib = bgp.NewRIB(s.e.topo, best, down, s.suppressed)
+	s.rib = bgp.NewRIB(s.e.topo, hops, down, s.r.suppress)
 	return s.rib, nil
 }

@@ -1,6 +1,7 @@
 package matbgp
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -333,4 +334,68 @@ func FuzzDeltaRepair(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRibRepairerParallelLinks: flapping parallel links under a fixed
+// next hop changes an AS's learned link without changing any column
+// word, so the hop table must re-decide it — every epoch of every
+// origin's repair chain equals the reference rebuild.
+func TestRibRepairerParallelLinks(t *testing.T) {
+	topo, addAS, connect := handTopo(t)
+	t1 := addAS(100, []string{"London", "Paris", "NewYork"})
+	tr1 := addAS(200, []string{"London", "Paris", "Amsterdam"})
+	tr2 := addAS(201, []string{"Frankfurt", "London", "Vienna"})
+	s1 := addAS(300, []string{"London", "Amsterdam", "Vienna"})
+	s2 := addAS(301, []string{"Paris", "Vienna"})
+	connect(tr1, t1, topology.C2P) // link 0
+	connect(tr1, t1, topology.C2P) // link 1, parallel to 0
+	connect(tr2, t1, topology.C2P) // link 2
+	connect(s1, tr1, topology.C2P) // link 3
+	connect(s1, tr1, topology.C2P) // link 4, parallel to 3
+	connect(s1, tr2, topology.C2P) // link 5
+	connect(s2, tr2, topology.C2P) // link 6
+	connect(s2, tr1, topology.P2P) // link 7
+	eng, err := NewEngine(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := bgp.NewReference(topo)
+	walk := []delta.Delta{
+		{Down: []int{0}},
+		{Down: []int{3}, Up: []int{0}},
+		{Down: []int{1, 4}, Up: []int{3}},
+		{Up: []int{1}},
+		{Down: []int{0, 5}, Up: []int{4}},
+		{Up: []int{0, 5}},
+	}
+	for origin := 0; origin < topo.NumASes(); origin++ {
+		anns := []bgp.Announcement{{Origin: origin}}
+		rep, err := eng.StartRepair(anns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := map[int]bool{}
+		for step, d := range walk {
+			if err := rep.Apply(d); err != nil {
+				t.Fatalf("origin %d step %d: %v", origin, step, err)
+			}
+			down = delta.Apply(down, d)
+			var cmp map[int]bool
+			if len(down) > 0 {
+				cmp = map[int]bool{}
+				for l := range down {
+					cmp[l] = true
+				}
+			}
+			want, err := ref.ComputeWithout(anns, cmp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rep.RIB()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRIB(t, topo, want, got, fmt.Sprintf("origin %d step %d", origin, step))
+		}
+	}
 }

@@ -163,7 +163,7 @@ func httpAnswer(t testing.TB, base string, q query) []byte {
 // gate: N goroutines fire the mixed catchment/latency/whatif/epoch
 // query set at a live daemon, and every response must be byte-identical
 // to the single-threaded library answer for the same query — for two
-// seeds and under -race (make race-serve).
+// seeds and under -race (make race).
 func TestServeConcurrentQueriesDeterministic(t *testing.T) {
 	for _, seed := range []uint64{42, 7} {
 		w := smallWorld(t, seed)
