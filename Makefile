@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-check race fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta stress-par stress-session stress-harness stress-serve stress-golden verify clean
+.PHONY: all build vet fmt-check test bench-check race fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta fuzz-faults stress-par stress-session stress-harness stress-serve stress-golden verify clean
 
 all: vet fmt-check build test
 
@@ -54,6 +54,14 @@ fuzz-matbgp:
 fuzz-delta:
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaRepair -fuzztime=$(FUZZTIME) ./internal/matbgp/
 
+# Differential fuzz of the epoch compiler: fuzzer-chosen LinkDown
+# schedules on a small topology, with BFD on or off, are replayed through
+# the session layer and compiled by History.Deltas; the sequence must
+# answer "is link l down at t" exactly as a scan of the physical and
+# control-plane windows does, at every boundary and midpoint.
+fuzz-faults:
+	$(GO) test -run=^$$ -fuzz=FuzzReplayDeltas -fuzztime=$(FUZZTIME) ./internal/session/
+
 # Deterministic stress: repeated randomized worker-count sweeps checked
 # against the serial oracle, with the race detector watching.
 STRESSCOUNT ?= 5
@@ -99,9 +107,10 @@ bench-check:
 # The full pre-merge gate: formatting, static checks, build, the whole
 # test suite, the benchmark module's own checks, the whole suite under
 # the race detector, the route engine's oracle and delta-repair
-# differential fuzz, the race-enabled overload soak and the extra
-# campaign goldens, in fail-fast order.
-verify: fmt-check vet build test bench-check race fuzz-matbgp fuzz-delta stress-serve stress-golden
+# differential fuzz, the epoch compiler's differential fuzz, the
+# race-enabled overload soak and the extra campaign goldens, in
+# fail-fast order.
+verify: fmt-check vet build test bench-check race fuzz-matbgp fuzz-delta fuzz-faults stress-serve stress-golden
 
 clean:
 	$(GO) clean ./...

@@ -45,7 +45,7 @@ import (
 	"syscall"
 	"time"
 
-	"beatbgp"
+	"beatbgp/internal/core"
 	"beatbgp/internal/serve"
 	"beatbgp/internal/serve/chaos"
 )
@@ -104,7 +104,7 @@ func run(args []string) error {
 		return err
 	}
 
-	cfg := beatbgp.Config{Seed: *seed, Workers: *workers}
+	cfg := core.Config{Seed: *seed, Workers: *workers}
 	if *days > 0 {
 		cfg.Workload.Days = *days
 	}
@@ -117,7 +117,7 @@ func run(args []string) error {
 	cfg.Session.BFD = *bfd
 
 	t0 := time.Now()
-	s, err := beatbgp.NewScenario(cfg)
+	s, err := core.NewScenario(cfg)
 	if err != nil {
 		return err
 	}

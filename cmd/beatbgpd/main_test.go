@@ -166,3 +166,25 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Fatalf("no drained line on stderr:\n%s", rest.String())
 	}
 }
+
+// TestDaemonDeps pins what the daemon links: it builds its world through
+// internal/core, so neither the root facade nor the campaign supervisor
+// may appear in its dependency list.
+func TestDaemonDeps(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	deps := map[string]bool{}
+	for _, p := range strings.Fields(string(out)) {
+		deps[p] = true
+	}
+	if !deps["beatbgp/internal/core"] {
+		t.Fatalf("dependency list lacks beatbgp/internal/core:\n%s", out)
+	}
+	for _, banned := range []string{"beatbgp", "beatbgp/internal/harness"} {
+		if deps[banned] {
+			t.Errorf("beatbgpd links %s", banned)
+		}
+	}
+}

@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
+	sim := netsim.New(s.Topo, s.Cfg.Net, nil, nil, nil)
 	cat := s.Topo.Catalog
 
 	p95, worst, worstPrefix, err := tailStats(s, sim, nil)

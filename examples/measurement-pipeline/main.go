@@ -20,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
+	sim := netsim.New(s.Topo, s.Cfg.Net, nil, nil, nil)
 	rounds := []float64{3 * 60, 10 * 60, 15 * 60, 21 * 60}
 
 	for _, rate := range []float64{0.002, 0.02} {

@@ -143,7 +143,7 @@ func TestCatchmentsMostlyRegional(t *testing.T) {
 
 func TestAnycastVsBestUnicast(t *testing.T) {
 	topo, c := build(t, 5)
-	sim := netsim.New(topo, netsim.Config{Seed: 5}, nil, nil)
+	sim := netsim.New(topo, netsim.Config{Seed: 5}, nil, nil, nil)
 	var diffs stats.Dist
 	const when = 600
 	for i, p := range topo.Prefixes {
@@ -242,7 +242,7 @@ func TestNearestSitesOrdered(t *testing.T) {
 
 func TestRedirectorTrainsAndServes(t *testing.T) {
 	topo, c := build(t, 13)
-	sim := netsim.New(topo, netsim.Config{Seed: 13}, nil, nil)
+	sim := netsim.New(topo, netsim.Config{Seed: 13}, nil, nil, nil)
 	m := dnsmap.Build(topo, dnsmap.Config{Seed: 13})
 	var sample []topology.Prefix
 	for i, p := range topo.Prefixes {
@@ -281,7 +281,7 @@ func TestRedirectorTrainsAndServes(t *testing.T) {
 
 func TestTrainRedirectorValidation(t *testing.T) {
 	topo, c := build(t, 15)
-	sim := netsim.New(topo, netsim.Config{Seed: 15}, nil, nil)
+	sim := netsim.New(topo, netsim.Config{Seed: 15}, nil, nil, nil)
 	m := dnsmap.Build(topo, dnsmap.Config{Seed: 15})
 	if _, err := TrainRedirector(c, sim, m, topo.Prefixes[:5], nil, TrainOpts{}); err == nil {
 		t.Fatal("no training times accepted")
@@ -290,7 +290,7 @@ func TestTrainRedirectorValidation(t *testing.T) {
 
 func BenchmarkAnycastRTT(b *testing.B) {
 	topo, c := build(b, 1)
-	sim := netsim.New(topo, netsim.Config{Seed: 1}, nil, nil)
+	sim := netsim.New(topo, netsim.Config{Seed: 1}, nil, nil, nil)
 	p := topo.Prefixes[0]
 	if _, _, err := c.AnycastRTT(sim, p, nil, 0); err != nil {
 		b.Skip("prefix cannot reach anycast")

@@ -9,6 +9,8 @@ import (
 
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/delta"
+	"beatbgp/internal/faults"
+	"beatbgp/internal/netsim"
 )
 
 // ribDigest hashes every AS's best route so two RIBs can be compared for
@@ -232,4 +234,83 @@ func TestFaultEpochsMemoized(t *testing.T) {
 	if a.seq.Len() < 2 {
 		t.Fatalf("fault sequence has %d epochs, want several", a.seq.Len())
 	}
+}
+
+// TestWorldSimReadsEpochs pins that a frozen world's Sim answers link
+// state from the same compiled sequence the route chains walk, and
+// congestion from the same fault schedule: at every epoch start, every
+// xfaults event midpoint and one minute past the horizon, for every
+// link, the Sim is down exactly when the clean stochastic process or the
+// sequence says so (the sequence's last epoch holds past its End), and
+// its link latency is the clean value plus the schedule's storms. Inside
+// the horizon the sequence must also match an independent scan of the
+// session replay's physical and control-plane windows.
+func TestWorldSimReadsEpochs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two frozen worlds")
+	}
+	for _, seed := range []uint64{42, 7} {
+		s := scenario(t, seed)
+		w, err := s.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe, err := s.faultEpochs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := netsim.New(w.Topo, w.Cfg.Net, nil, nil, nil)
+		var instants []float64
+		for e := 0; e < w.Epochs.Len(); e++ {
+			instants = append(instants, w.Epochs.Epoch(e).Start)
+		}
+		for _, e := range fe.tl.Events() {
+			instants = append(instants, e.Start+e.Duration/2)
+		}
+		instants = append(instants, w.Epochs.End()+1)
+		last := map[int]bool{}
+		for _, l := range w.Epochs.Epoch(w.Epochs.Len() - 1).Down {
+			last[l] = true
+		}
+		downs, stormed := 0, 0
+		for _, at := range instants {
+			for l := range w.Topo.Links {
+				seqDown := w.Epochs.LinkDownAt(l, at)
+				if got, want := w.Sim.LinkFailed(l, at), clean.LinkFailed(l, at) || seqDown; got != want {
+					t.Fatalf("seed %d link %d at %v: Sim down=%v, clean||sequence=%v", seed, l, at, got, want)
+				}
+				if at < w.Epochs.End() {
+					if scan := windowScanDown(fe.tl.DownWindows(l), at) || windowScanDown(fe.hist.CtlDown(l), at); seqDown != scan {
+						t.Fatalf("seed %d link %d at %v: sequence down=%v, window scan %v", seed, l, at, seqDown, scan)
+					}
+				} else if seqDown != last[l] {
+					t.Fatalf("seed %d link %d past the horizon: sequence down=%v, last epoch %v", seed, l, seqDown, last[l])
+				}
+				extra := fe.tl.ExtraLinkMs(l, at)
+				if got, want := w.Sim.LinkMs(l, at), clean.LinkMs(l, at)+extra; got != want {
+					t.Fatalf("seed %d link %d at %v: Sim LinkMs %v, clean+storms %v", seed, l, at, got, want)
+				}
+				if seqDown {
+					downs++
+				}
+				if extra > 0 {
+					stormed++
+				}
+			}
+		}
+		if downs == 0 || stormed == 0 {
+			t.Fatalf("seed %d: %d injected downs and %d stormed links probed; the check cannot bite", seed, downs, stormed)
+		}
+	}
+}
+
+// windowScanDown reports whether t lies in one of the [Start, End)
+// windows, by linear scan.
+func windowScanDown(ws []faults.Window, t float64) bool {
+	for _, w := range ws {
+		if w.Start <= t && t < w.End {
+			return true
+		}
+	}
+	return false
 }

@@ -286,8 +286,8 @@ func RouteDiversityStudy(s *Scenario) (Result, error) {
 	for _, l := range s.Prov.PeerLinks(provider.ClassPNI) {
 		fragile[l] = 5
 	}
-	simA := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
-	simB := netsim.New(s.Topo, s.Cfg.Net, nil, fragile)
+	simA := netsim.New(s.Topo, s.Cfg.Net, nil, nil, nil)
+	simB := netsim.New(s.Topo, s.Cfg.Net, nil, nil, fragile)
 	horizonDays := 10
 	evalSim := func(sim *netsim.Sim) (prefAvail, anyAvail float64) {
 		var pref, any stats.Dist

@@ -35,10 +35,10 @@ func FaultStudy(s *Scenario) (Result, error) {
 		return Result{}, err
 	}
 	// The fault pipeline — schedule, session replay, compiled epoch
-	// sequence — is built once per scenario (see faultEpochs). The replay
-	// gives the faulty twin the EMERGENT overlay — a link is unusable
-	// while physically down or while its route is withdrawn/suppressed —
-	// rather than instantaneous fault edges.
+	// sequence — is built once per scenario (see faultEpochs). The faulty
+	// twin reads link state from the compiled sequence, so its links are
+	// EMERGENTLY unusable — while physically down or while the route is
+	// withdrawn/suppressed — rather than at instantaneous fault edges.
 	fe, err := s.faultEpochs()
 	if err != nil {
 		return Result{}, err
@@ -46,8 +46,8 @@ func FaultStudy(s *Scenario) (Result, error) {
 	tl, hist := fe.tl, fe.hist
 	// Twin simulators over identical stochastic draws; only one carries the
 	// injected faults, so their difference isolates the injection.
-	clean := netsim.New(s.Topo, s.Cfg.Net, nil, nil)
-	faulty := netsim.New(s.Topo, s.Cfg.Net, hist, nil)
+	clean := netsim.New(s.Topo, s.Cfg.Net, nil, nil, nil)
+	faulty := netsim.New(s.Topo, s.Cfg.Net, fe.seq, tl, nil)
 
 	traceVol := make([]float64, len(traces))
 	for i, tr := range traces {

@@ -8,16 +8,15 @@ import (
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/netsim"
 	"beatbgp/internal/provider"
-	"beatbgp/internal/session"
 	"beatbgp/internal/topology"
 )
 
 // World is a frozen, concurrently-queryable view of a built Scenario:
 // the immutable artifacts of the build graph (topology, provider, DNS
 // map, oracle, resolver, route engine) shared by pointer, plus the
-// fault-dynamics pipeline — the session replay bound into a private Sim
-// as its fault overlay, and the compiled epoch sequence bound into a
-// private CDN view's anycast repair chain. Key is the build graph's
+// fault-dynamics pipeline — the session replay compiled into one epoch
+// sequence, bound into a private Sim as its injected link state and into
+// a private CDN view's anycast repair chain. Key is the build graph's
 // content key, so two worlds with equal keys answer every query
 // byte-identically (the harness checkpoints on the same invariant).
 //
@@ -41,14 +40,15 @@ type World struct {
 	Res    *netpath.Resolver
 	Routes bgp.Computer
 
-	// Sim is a private simulator over the scenario's config with the
-	// session replay bound as its fault overlay; no experiment shares it.
+	// Sim is a private simulator over the scenario's config that reads
+	// injected link state from Epochs and congestion storms from the
+	// fault schedule; no experiment shares it.
 	Sim *netsim.Sim
 
-	// Hist is the session replay of the scenario's fault schedule; its
-	// compiled delta sequence is Epochs, the timeline every epoch-keyed
-	// query (and the serving layer's epoch cursor) walks.
-	Hist   *session.History
+	// Epochs is the session replay of the scenario's fault schedule,
+	// compiled: the timeline every epoch-keyed query (and the serving
+	// layer's epoch cursor) walks, and the one answer to "is link l down
+	// at minute t".
 	Epochs *delta.Sequence
 }
 
@@ -80,8 +80,7 @@ func (s *Scenario) Freeze() (*World, error) {
 		Oracle: s.Oracle,
 		Res:    s.Res,
 		Routes: s.Routes,
-		Sim:    netsim.New(s.Topo, s.Cfg.Net, fe.hist, nil),
-		Hist:   fe.hist,
+		Sim:    netsim.New(s.Topo, s.Cfg.Net, fe.seq, fe.tl, nil),
 		Epochs: fe.seq,
 	}, nil
 }

@@ -4,14 +4,14 @@
 // Sequence is a compiled, time-ordered epoch chain carrying the
 // cumulative down set at every instant.
 //
-// The package is deliberately dependency-free plain data: the fault
-// timeline (internal/faults) and the session layer (internal/session)
-// compile their windows into Sequences, the batch route engine
-// (internal/matbgp) repairs packed columns across Deltas instead of
-// rebuilding all-pairs, and netsim/cdn key per-epoch caches on Sequence
-// indices. The repair-vs-rebuild differential contract lives with the
-// engines; this package only guarantees that a Sequence is a faithful,
-// normalized encoding of its input windows.
+// The package is deliberately dependency-free plain data: the session
+// layer (internal/session) compiles its replayed windows into the one
+// Sequence a world has, the batch route engine (internal/matbgp)
+// repairs packed columns across Deltas instead of rebuilding all-pairs,
+// netsim reads injected link state from it, and cdn keys per-epoch
+// caches on Sequence indices. The repair-vs-rebuild differential
+// contract lives with the engines; this package only guarantees that a
+// Sequence is a faithful, normalized encoding of its input events.
 package delta
 
 import (
@@ -286,55 +286,6 @@ func Compile(events []Event, t0, t1 float64) (*Sequence, error) {
 		push(at)
 	}
 	return seq, nil
-}
-
-// CompileWindows builds a Sequence over [t0, t1) from per-link [start,
-// end) down windows. Windows may overlap on one link; overlapping spans
-// merge into one continuous down state (link-level reference counting),
-// which matches how concurrent faults present to a BGP speaker.
-// Zero-length and reversed windows contribute nothing.
-func CompileWindows(windows map[int][]Window, t0, t1 float64) (*Sequence, error) {
-	var evs []Event
-	for link, ws := range windows {
-		for _, w := range merged(ws) {
-			if w.End <= w.Start {
-				continue
-			}
-			evs = append(evs, Event{At: w.Start, Link: link, Down: true})
-			evs = append(evs, Event{At: w.End, Link: link, Down: false})
-		}
-	}
-	return Compile(evs, t0, t1)
-}
-
-// Window is one [Start, End) down span. It mirrors faults.Window without
-// importing it, keeping this package dependency-free.
-type Window struct{ Start, End float64 }
-
-// merged sorts and coalesces overlapping/touching windows.
-func merged(ws []Window) []Window {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := append([]Window(nil), ws...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].End < out[j].End
-	})
-	m := out[:1]
-	for _, w := range out[1:] {
-		last := &m[len(m)-1]
-		if w.Start <= last.End {
-			if w.End > last.End {
-				last.End = w.End
-			}
-			continue
-		}
-		m = append(m, w)
-	}
-	return m
 }
 
 func sortedKeys(m map[int]bool) []int {

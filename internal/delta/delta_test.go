@@ -128,25 +128,6 @@ func TestCompileRejectsBadSpan(t *testing.T) {
 	}
 }
 
-func TestCompileWindowsOverlapMerge(t *testing.T) {
-	seq, err := CompileWindows(map[int][]Window{
-		1: {{Start: 5, End: 15}, {Start: 10, End: 20}}, // overlap merges
-		2: {{Start: 8, End: 8}},                        // zero-length drops
-	}, 0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Len() != 3 {
-		t.Fatalf("len = %d want 3 (quiet, down, up)", seq.Len())
-	}
-	if !seq.LinkDownAt(1, 12) || !seq.LinkDownAt(1, 17) || seq.LinkDownAt(1, 20) {
-		t.Fatal("merged window should span [5,20)")
-	}
-	if seq.LinkDownAt(2, 8) {
-		t.Fatal("zero-length window should contribute nothing")
-	}
-}
-
 func TestSequenceDeltasChainToDownSets(t *testing.T) {
 	// Folding each epoch's Delta must reproduce each epoch's Down set.
 	rng := rand.New(rand.NewSource(42))

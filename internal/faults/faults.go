@@ -9,9 +9,11 @@
 // A Timeline is built either from an explicit event list (New) or drawn
 // seed-deterministically from a topology (Generate). It resolves every
 // event into per-interdomain-link outage and congestion intervals at
-// construction time, so queries are cheap, and it implements
-// netsim.FaultOverlay so the stochastic and injected processes compose:
-// a link is down when either process says so, and congestion adds up.
+// construction time. Outages leave as merged DownWindows, which the
+// session layer (internal/session) replays and compiles into the epoch
+// sequence (internal/delta) that answers "is link l down at minute t";
+// congestion storms are read directly through ExtraLinkMs, which
+// netsim adds to the drawn congestion.
 //
 // Cable cuts map to routing through facilities: a cut darkens the
 // landing-station facilities at its two endpoint cities, and interdomain
@@ -28,7 +30,6 @@ import (
 	"math"
 	"sort"
 
-	"beatbgp/internal/delta"
 	"beatbgp/internal/topology"
 )
 
@@ -103,8 +104,7 @@ type interval struct {
 }
 
 // Timeline is a validated, queryable fault schedule over one topology.
-// It is immutable after construction and safe for concurrent reads, and
-// implements netsim.FaultOverlay.
+// It is immutable after construction and safe for concurrent reads.
 type Timeline struct {
 	topo   *topology.Topo
 	events []Event // sorted by Start, then Kind, then Target
@@ -256,20 +256,6 @@ func (tl *Timeline) Events() []Event {
 	return append([]Event(nil), tl.events...)
 }
 
-// ActiveAt returns the events in progress at minute t, in schedule order.
-func (tl *Timeline) ActiveAt(t float64) []Event {
-	var out []Event
-	for _, e := range tl.events {
-		if e.Start > t {
-			break
-		}
-		if t < e.End() {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func within(ivs []interval, t float64) bool {
 	for _, iv := range ivs {
 		if iv.start <= t && t < iv.end {
@@ -277,13 +263,6 @@ func within(ivs []interval, t float64) bool {
 		}
 	}
 	return false
-}
-
-// LinkDownAt reports whether the interdomain link is taken down by an
-// injected fault at minute t. (Named to avoid clashing with the LinkDown
-// event kind; this is the netsim.FaultOverlay hook.)
-func (tl *Timeline) LinkDownAt(linkID int, t float64) bool {
-	return within(tl.linkDown[linkID], t)
 }
 
 // ExtraLinkMs returns the injected congestion (storms) on the link at
@@ -296,22 +275,6 @@ func (tl *Timeline) ExtraLinkMs(linkID int, t float64) float64 {
 		}
 	}
 	return total
-}
-
-// DownLinks returns the set of interdomain links down at minute t — the
-// shape bgp.ComputeWithout consumes to replay convergence. The map is
-// freshly allocated; nil when nothing is down.
-func (tl *Timeline) DownLinks(t float64) map[int]bool {
-	var out map[int]bool
-	for l, ivs := range tl.linkDown {
-		if within(ivs, t) {
-			if out == nil {
-				out = make(map[int]bool)
-			}
-			out[l] = true
-		}
-	}
-	return out
 }
 
 // DNSStale reports whether a redirection-map staleness window covers t.
@@ -334,6 +297,15 @@ func (tl *Timeline) DownWindows(linkID int) []Window {
 	ws := make([]Window, len(ivs))
 	for i, iv := range ivs {
 		ws[i] = Window{Start: iv.start, End: iv.end}
+	}
+	return MergeWindows(ws)
+}
+
+// MergeWindows sorts ws by start and coalesces overlapping and touching
+// windows, in place; the result shares ws's storage. Nil for no windows.
+func MergeWindows(ws []Window) []Window {
+	if len(ws) == 0 {
+		return nil
 	}
 	sort.Slice(ws, func(i, j int) bool {
 		if ws[i].Start != ws[j].Start {
@@ -365,43 +337,5 @@ func (tl *Timeline) FaultedLinks() []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-// Deltas compiles the injected outage schedule over [t0, t1) into an
-// epoch sequence: one epoch per instant at which the injected down set
-// actually changes, each carrying the link up/down delta from its
-// predecessor and the cumulative down set in effect. The sequence and
-// the instant queries agree everywhere: for any t in the span,
-// DownLinks(t) holds exactly the links in the sequence's DownAt(t), so
-// experiments can walk epochs (feeding deltas to a bgp.RouteRepairer)
-// instead of recomputing the down set at every sample instant.
-func (tl *Timeline) Deltas(t0, t1 float64) (*delta.Sequence, error) {
-	ws := make(map[int][]delta.Window, len(tl.linkDown))
-	for l := range tl.linkDown {
-		for _, w := range tl.DownWindows(l) {
-			ws[l] = append(ws[l], delta.Window{Start: w.Start, End: w.End})
-		}
-	}
-	return delta.CompileWindows(ws, t0, t1)
-}
-
-// Boundaries returns the sorted, de-duplicated event start/end minutes
-// falling in [t0, t1) — the instants at which the injected world changes,
-// which is where experiments should sample.
-func (tl *Timeline) Boundaries(t0, t1 float64) []float64 {
-	seen := make(map[float64]bool)
-	var out []float64
-	add := func(t float64) {
-		if t >= t0 && t < t1 && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	for _, e := range tl.events {
-		add(e.Start)
-		add(e.End())
-	}
-	sort.Float64s(out)
 	return out
 }

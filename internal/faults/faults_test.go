@@ -96,28 +96,18 @@ func TestLinkDownAndBoundaries(t *testing.T) {
 	if ev[0].Start != 10 || ev[1].Start != 100 {
 		t.Fatalf("events not sorted: %v", ev)
 	}
-	if !tl.LinkDownAt(0, 10) || !tl.LinkDownAt(0, 29.9) || tl.LinkDownAt(0, 30) || tl.LinkDownAt(0, 9.9) {
-		t.Fatal("link 0 outage window wrong")
+	// Each link's outage is one [Start, End) window, ordered by start.
+	if ws := tl.DownWindows(0); !reflect.DeepEqual(ws, []Window{{Start: 10, End: 30}}) {
+		t.Fatalf("link 0 windows = %v", ws)
 	}
-	if tl.LinkDownAt(1, 10) || !tl.LinkDownAt(1, 120) {
-		t.Fatal("link 1 outage window wrong")
+	if ws := tl.DownWindows(1); !reflect.DeepEqual(ws, []Window{{Start: 100, End: 150}}) {
+		t.Fatalf("link 1 windows = %v", ws)
 	}
-	down := tl.DownLinks(120)
-	if !reflect.DeepEqual(down, map[int]bool{1: true}) {
-		t.Fatalf("DownLinks(120) = %v", down)
+	if ws := tl.DownWindows(2); ws != nil {
+		t.Fatalf("unfaulted link 2 has windows %v", ws)
 	}
-	if tl.DownLinks(500) != nil {
-		t.Fatal("DownLinks outside any event should be nil")
-	}
-	want := []float64{10, 30, 100, 150}
-	if got := tl.Boundaries(0, 1e9); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Boundaries = %v, want %v", got, want)
-	}
-	if got := tl.Boundaries(20, 120); !reflect.DeepEqual(got, []float64{30, 100}) {
-		t.Fatalf("windowed Boundaries = %v", got)
-	}
-	if n := len(tl.ActiveAt(120)); n != 1 {
-		t.Fatalf("ActiveAt(120) = %d events", n)
+	if ls := tl.FaultedLinks(); !reflect.DeepEqual(ls, []int{0, 1}) {
+		t.Fatalf("FaultedLinks = %v, want [0 1]", ls)
 	}
 }
 
@@ -131,10 +121,13 @@ func TestFacilityRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tl.LinkDownAt(2, 30) {
-		t.Fatal("single-homed stub uplink should drop with its facility")
+	if got := tl.AffectedLinks(tl.Events()[0]); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("facility outage affects %v; only the single-homed stub uplink (2) may drop", got)
 	}
-	if tl.LinkDownAt(0, 30) || tl.LinkDownAt(1, 30) {
+	if ws := tl.DownWindows(2); !reflect.DeepEqual(ws, []Window{{Start: 0, End: 60}}) {
+		t.Fatalf("stub uplink windows = %v", ws)
+	}
+	if tl.DownWindows(0) != nil || tl.DownWindows(1) != nil {
 		t.Fatal("multi-facility links must survive a single-facility outage")
 	}
 
@@ -145,11 +138,8 @@ func TestFacilityRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tl2.LinkDownAt(0, 1) || !tl2.LinkDownAt(1, 1) {
-		t.Fatal("AS outage must down all adjacent links")
-	}
-	if tl2.LinkDownAt(2, 1) {
-		t.Fatal("AS outage downed an unrelated link")
+	if got := tl2.FaultedLinks(); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Fatalf("AS outage downed %v, want every adjacent link [0 1] and nothing else", got)
 	}
 }
 
@@ -168,10 +158,10 @@ func TestCableCutFacilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tl.LinkDownAt(2, 100) {
-		t.Fatal("cable cut at the landing city must drop the single-homed uplink")
+	if ws := tl.DownWindows(2); !reflect.DeepEqual(ws, []Window{{Start: 0, End: 600}}) {
+		t.Fatalf("cable cut at the landing city must drop the single-homed uplink, windows %v", ws)
 	}
-	if tl.LinkDownAt(0, 100) {
+	if tl.DownWindows(0) != nil {
 		t.Fatal("multi-facility transit peering must ride out the cut")
 	}
 }
@@ -201,8 +191,8 @@ func TestStormAndStale(t *testing.T) {
 		t.Fatal("staleness window wrong")
 	}
 	// Storms never take links down.
-	if tl.DownLinks(75) != nil {
-		t.Fatal("storms must not down links")
+	if ls := tl.FaultedLinks(); len(ls) != 0 {
+		t.Fatalf("storms must not down links, faulted %v", ls)
 	}
 }
 
@@ -286,72 +276,90 @@ func TestDownWindowsMergeAndFaultedLinks(t *testing.T) {
 	if ws := tl.DownWindows(link + 99); ws != nil {
 		t.Fatalf("unfaulted link has windows %v", ws)
 	}
-	// The merged windows must agree with the point queries they summarize.
+	// The merged windows keep the [Start, End) contract of the events
+	// they summarize.
 	for _, probe := range []struct {
 		t    float64
 		down bool
 	}{{9.9, false}, {10, true}, {35, true}, {59.9, true}, {60, false}, {102, true}} {
-		if got := tl.LinkDownAt(link, probe.t); got != probe.down {
-			t.Fatalf("LinkDownAt(%v) = %v, want %v", probe.t, got, probe.down)
+		if down := inWindows(got, probe.t); down != probe.down {
+			t.Fatalf("down at %v = %v, want %v", probe.t, down, probe.down)
 		}
 	}
 }
 
-// TestActiveAtBoundaryInstants pins the [Start, End) sampling contract of
-// ActiveAt at the awkward instants: an event ending exactly at the sample
-// instant is over, one starting there is in progress, and overlapping
-// events on one link each report individually (merging is a DownWindows
-// concern, not a schedule concern).
-func TestActiveAtBoundaryInstants(t *testing.T) {
+// inWindows is the test's independent point query: a linear scan of
+// [Start, End) windows.
+func inWindows(ws []Window, t float64) bool {
+	for _, w := range ws {
+		if w.Start <= t && t < w.End {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMergeWindows: overlapping and touching windows coalesce, disjoint
+// ones stay apart, input order does not matter, and no windows is nil.
+func TestMergeWindows(t *testing.T) {
+	got := MergeWindows([]Window{{Start: 30, End: 40}, {Start: 10, End: 20}, {Start: 15, End: 25}, {Start: 25, End: 27}, {Start: 12, End: 14}})
+	if want := []Window{{Start: 10, End: 27}, {Start: 30, End: 40}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("MergeWindows = %v, want %v", got, want)
+	}
+	if MergeWindows(nil) != nil {
+		t.Fatal("no windows must merge to nil")
+	}
+}
+
+// TestDownWindowsBoundaryInstants pins the [Start, End) contract at the
+// awkward instants: an event ending exactly at the probe instant is
+// over, one starting there is in progress, overlapping events on one
+// link merge into one window, and an AS outage downs exactly the AS's
+// links over its own span.
+func TestDownWindowsBoundaryInstants(t *testing.T) {
 	topo, ids, _ := testTopo(t)
 	link := topo.Neighbors(ids["EYE"])[0].Link
-	events := []Event{
+	stub := topo.Neighbors(ids["STUB"])[0].Link
+	tl, err := New(topo, []Event{
 		{Kind: LinkDown, Start: 10, Duration: 10, Target: link}, // [10,20)
 		{Kind: LinkDown, Start: 15, Duration: 10, Target: link}, // [15,25) overlaps
 		{Kind: ASOutage, Start: 20, Duration: 5, Target: ids["STUB"]},
-	}
-	tl, err := New(topo, events)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(at float64) map[Kind]int {
-		out := map[Kind]int{}
-		for _, e := range tl.ActiveAt(at) {
-			out[e.Kind]++
-		}
-		return out
+	if got := tl.AffectedLinks(tl.Events()[2]); !reflect.DeepEqual(got, []int{stub}) {
+		t.Fatalf("STUB outage affects %v, want [%d]", got, stub)
+	}
+	lw, sw := tl.DownWindows(link), tl.DownWindows(stub)
+	if !reflect.DeepEqual(lw, []Window{{Start: 10, End: 25}}) {
+		t.Fatalf("DownWindows = %v, want one merged [10,25)", lw)
 	}
 	for _, probe := range []struct {
-		at   float64
-		want map[Kind]int
+		at         float64
+		link, stub bool
 	}{
-		{9.999, map[Kind]int{}},
-		{10, map[Kind]int{LinkDown: 1}}, // starts at its Start
-		{15, map[Kind]int{LinkDown: 2}}, // overlap: both report
-		{19.999, map[Kind]int{LinkDown: 2}},
-		{20, map[Kind]int{LinkDown: 1, ASOutage: 1}}, // first ends exactly here
-		{24.999, map[Kind]int{LinkDown: 1, ASOutage: 1}},
-		{25, map[Kind]int{}}, // both end exactly here
+		{9.999, false, false},
+		{10, true, false}, // starts at its Start
+		{15, true, false}, // overlap: still one window
+		{19.999, true, false},
+		{20, true, true}, // first ends exactly here; the second and the AS outage hold
+		{24.999, true, true},
+		{25, false, false}, // both end exactly here
 	} {
-		if got := count(probe.at); !reflect.DeepEqual(got, probe.want) {
-			t.Errorf("ActiveAt(%v) kinds = %v, want %v", probe.at, got, probe.want)
+		if l, s := inWindows(lw, probe.at), inWindows(sw, probe.at); l != probe.link || s != probe.stub {
+			t.Errorf("at %v: link down %v stub down %v, want %v %v", probe.at, l, s, probe.link, probe.stub)
 		}
-	}
-	// The point queries agree: the overlapped link is down throughout
-	// [10,25) and up at exactly 25; the merged window says the same.
-	if !tl.LinkDownAt(link, 20) || tl.LinkDownAt(link, 25) {
-		t.Fatal("LinkDownAt disagrees with the [Start, End) contract")
-	}
-	if ws := tl.DownWindows(link); !reflect.DeepEqual(ws, []Window{{Start: 10, End: 25}}) {
-		t.Fatalf("DownWindows = %v, want one merged [10,25)", ws)
 	}
 }
 
-// TestTimelineDeltas checks the epoch compilation against the instant
-// queries it summarizes: every sampled minute must see the same down set
-// through seq.DownAt as through DownLinks, epoch boundaries must fall
-// exactly on the instants the injected world changes, and a window
-// already open at the span start must be down in epoch 0.
+// TestTimelineDeltas checks the timeline's merged windows, compiled into
+// an epoch sequence, against an independent scan of those windows: the
+// sequence must answer every epoch boundary, the instants 1e-6 either
+// side of it, and every mid-epoch point exactly as the scan does; epoch
+// boundaries must fall exactly on the instants the injected world
+// changes, and a window already open at the span start must be down in
+// epoch 0.
 func TestTimelineDeltas(t *testing.T) {
 	topo, ids, _ := testTopo(t)
 	la := topo.Neighbors(ids["EYE"])[0].Link
@@ -365,10 +373,20 @@ func TestTimelineDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := tl.Deltas(8, 60)
-	if err != nil {
-		t.Fatal(err)
+	compile := func(t0, t1 float64) *delta.Sequence {
+		var evs []delta.Event
+		for _, l := range tl.FaultedLinks() {
+			for _, w := range tl.DownWindows(l) {
+				evs = append(evs, delta.Event{At: w.Start, Link: l, Down: true}, delta.Event{At: w.End, Link: l})
+			}
+		}
+		seq, err := delta.Compile(evs, t0, t1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
 	}
+	seq := compile(8, 60)
 	// Change instants inside (8, 60): 20 (la up), 30 (lb down), 35 (la
 	// down), 40 (lb up), 45 (la up) — plus epoch 0 at 8 with la already down.
 	var starts []float64
@@ -381,19 +399,23 @@ func TestTimelineDeltas(t *testing.T) {
 	if d := seq.Epoch(0).Down; !reflect.DeepEqual(d, []int{la}) {
 		t.Fatalf("epoch 0 down = %v, want [%d] (window open at span start)", d, la)
 	}
-	// Dense cross-check against the instant query, including the exact
-	// boundary instants (a window ending at t is up at t).
-	for at := 8.0; at < 60; at += 0.5 {
-		want := tl.DownLinks(at)
-		got := map[int]bool{}
-		for _, l := range seq.DownAt(at) {
-			got[l] = true
+	var probes []float64
+	for i, b := range starts {
+		probes = append(probes, b, b-1e-6, b+1e-6)
+		end := seq.End()
+		if i+1 < len(starts) {
+			end = starts[i+1]
 		}
-		if len(want) == 0 && len(got) == 0 {
+		probes = append(probes, (b+end)/2)
+	}
+	for _, at := range probes {
+		if at < seq.Start() {
 			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("DownAt(%v) = %v, DownLinks = %v", at, got, want)
+		for _, l := range []int{la, lb} {
+			if got, want := seq.LinkDownAt(l, at), inWindows(tl.DownWindows(l), at); got != want {
+				t.Fatalf("link %d at %v: sequence says down=%v, windows say %v", l, at, got, want)
+			}
 		}
 	}
 	// Folding the epoch deltas reproduces each epoch's down set.
@@ -414,11 +436,7 @@ func TestTimelineDeltas(t *testing.T) {
 		}
 	}
 	// A quiet span compiles to a single empty epoch.
-	quiet, err := tl.Deltas(100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quiet.Len() != 1 || len(quiet.Epoch(0).Down) != 0 {
+	if quiet := compile(100, 200); quiet.Len() != 1 || len(quiet.Epoch(0).Down) != 0 {
 		t.Fatalf("quiet span: %d epochs, down %v", quiet.Len(), quiet.Epoch(0).Down)
 	}
 }

@@ -16,7 +16,7 @@ func setup(t testing.TB) (*topology.Topo, *Platform, Target) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := netsim.New(topo, netsim.Config{Seed: 6}, nil, nil)
+	sim := netsim.New(topo, netsim.Config{Seed: 6}, nil, nil, nil)
 	pl := New(topo, sim, Config{Seed: 6})
 	// Target: the first prefix's origin city, reached via each VP's best
 	// BGP route.

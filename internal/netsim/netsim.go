@@ -22,6 +22,8 @@ import (
 	"math"
 	"sync"
 
+	"beatbgp/internal/delta"
+	"beatbgp/internal/faults"
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/topology"
 	"beatbgp/internal/xrand"
@@ -154,17 +156,6 @@ const (
 	kindLinkFail
 )
 
-// FaultOverlay is a scheduled fault process (typically a faults.Timeline)
-// composed on top of the stochastic incidents: a link is down when either
-// process says so, and injected congestion adds to the drawn congestion.
-type FaultOverlay interface {
-	// LinkDownAt reports whether an injected fault takes the link down at
-	// minute t.
-	LinkDownAt(linkID int, t float64) bool
-	// ExtraLinkMs returns injected congestion on the link at minute t.
-	ExtraLinkMs(linkID int, t float64) float64
-}
-
 // Sim evaluates the congestion model. Every per-entity process is a pure
 // function of (seed, entity), memoized on first use; the memo is guarded,
 // so queries are safe from any number of goroutines and identical under
@@ -172,16 +163,19 @@ type FaultOverlay interface {
 // Clone — it samples the same world from a private memo, trading a little
 // duplicated schedule construction for zero lock traffic.
 //
-// Everything that shapes a Sim's answers — config, fault overlay,
-// per-link failure scales — is bound at construction; nothing changes it
-// afterwards.
+// Everything that shapes a Sim's answers — config, injected link state,
+// injected congestion, per-link failure scales — is bound at
+// construction; nothing changes it afterwards.
 type Sim struct {
 	topo *topology.Topo
 	cfg  Config
-	// faults is the scheduled fault overlay (nil for none); failScale
-	// multiplies individual links' failure rates (e.g. fragile small
-	// peers). Both are read-only after New.
-	faults    FaultOverlay
+	// seq is the compiled epoch sequence of injected link state (nil for
+	// none), the same one the route chains walk; tl supplies injected
+	// congestion storms (nil for none); failScale multiplies individual
+	// links' failure rates (e.g. fragile small peers). All are read-only
+	// after New.
+	seq       *delta.Sequence
+	tl        *faults.Timeline
 	failScale map[int]float64
 
 	mu        sync.RWMutex
@@ -205,18 +199,20 @@ type linkProc struct {
 	incidents []incident
 }
 
-// New creates a simulator over the topology. faults, when non-nil, is a
-// scheduled fault process composed on top of the stochastic incidents (a
-// link is down when either says so; injected congestion adds to the
-// drawn congestion). failScale, when non-nil, multiplies the failure rate
-// of the links it names; it is copied, so later edits by the caller do
-// not reach the Sim.
-func New(t *topology.Topo, cfg Config, faults FaultOverlay, failScale map[int]float64) *Sim {
+// New creates a simulator over the topology. seq, when non-nil, is the
+// compiled epoch sequence of injected link state, composed on top of the
+// stochastic failures (a link is down when either says so, and past
+// seq's horizon its last epoch holds). tl, when non-nil, supplies
+// injected congestion storms, which add to the drawn congestion.
+// failScale, when non-nil, multiplies the failure rate of the links it
+// names; it is copied, so later edits by the caller do not reach the Sim.
+func New(t *topology.Topo, cfg Config, seq *delta.Sequence, tl *faults.Timeline, failScale map[int]float64) *Sim {
 	cfg.setDefaults()
 	s := &Sim{
 		topo:      t,
 		cfg:       cfg,
-		faults:    faults,
+		seq:       seq,
+		tl:        tl,
 		prefixes:  make(map[int]*prefixProc),
 		links:     make(map[int]*linkProc),
 		asNoise:   make(map[int]float64),
@@ -234,14 +230,15 @@ func New(t *topology.Topo, cfg Config, faults FaultOverlay, failScale map[int]fl
 // Config returns the effective configuration (defaults applied).
 func (s *Sim) Config() Config { return s.cfg }
 
-// Clone returns a simulator over the same topology, configuration, fault
-// overlay, and failure-rate scales, with a private (empty) process memo.
+// Clone returns a simulator over the same topology, configuration,
+// injected link state and congestion, and failure-rate scales, with a
+// private (empty) process memo.
 // Because every process is a pure function of (seed, entity), a clone
 // returns bit-identical answers to its parent for every query; it exists
 // as the per-worker state factory for parallel fan-out (internal/par), so
 // hot loops sample without cross-worker lock contention.
 func (s *Sim) Clone() *Sim {
-	return New(s.topo, s.cfg, s.faults, s.failScale)
+	return New(s.topo, s.cfg, s.seq, s.tl, s.failScale)
 }
 
 // rngFor derives a deterministic generator for one entity, independent of
@@ -404,8 +401,8 @@ func (s *Sim) LastMileMs(p topology.Prefix, t float64) float64 {
 func (s *Sim) LinkMs(linkID int, t float64) float64 {
 	lp := s.linkProcFor(linkID)
 	ms := lp.impairMs + lp.diurnalMs*diurnal(t, lp.phase) + incidentMs(lp.incidents, t)
-	if s.faults != nil {
-		ms += s.faults.ExtraLinkMs(linkID, t)
+	if s.tl != nil {
+		ms += s.tl.ExtraLinkMs(linkID, t)
 	}
 	return ms
 }
@@ -491,9 +488,10 @@ func (s *Sim) failSchedule(linkID int) []incident {
 }
 
 // LinkFailed reports whether the interdomain link is down at time t,
-// either by the stochastic failure process or by an injected fault.
+// either by the stochastic failure process or in the injected epoch
+// sequence.
 func (s *Sim) LinkFailed(linkID int, t float64) bool {
-	if s.faults != nil && s.faults.LinkDownAt(linkID, t) {
+	if s.seq != nil && s.seq.LinkDownAt(linkID, t) {
 		return true
 	}
 	for _, in := range s.failSchedule(linkID) {
@@ -515,17 +513,4 @@ func (s *Sim) RouteUp(r netpath.Route, t float64) bool {
 		}
 	}
 	return true
-}
-
-// DowntimeMinutes sums the link's stochastic outage minutes over [t0, t1).
-// Injected faults are not included; query the overlay's own schedule.
-func (s *Sim) DowntimeMinutes(linkID int, t0, t1 float64) float64 {
-	total := 0.0
-	for _, in := range s.failSchedule(linkID) {
-		lo, hi := math.Max(in.start, t0), math.Min(in.end, t1)
-		if hi > lo {
-			total += hi - lo
-		}
-	}
-	return total
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"beatbgp/internal/bgp"
+	"beatbgp/internal/delta"
+	"beatbgp/internal/faults"
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/topology"
 )
@@ -65,7 +67,7 @@ func setup(t testing.TB) fixture {
 
 func TestRTTAboveProp(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 1}, nil, nil)
+	s := New(f.topo, Config{Seed: 1}, nil, nil, nil)
 	for tm := 0.0; tm < 24*60; tm += 97 {
 		rtt := s.RouteRTTMs(f.route, f.prefix, tm)
 		if rtt < f.route.PropRTTMs() {
@@ -76,8 +78,8 @@ func TestRTTAboveProp(t *testing.T) {
 
 func TestDeterministicAcrossInstances(t *testing.T) {
 	f := setup(t)
-	a := New(f.topo, Config{Seed: 9}, nil, nil)
-	b := New(f.topo, Config{Seed: 9}, nil, nil)
+	a := New(f.topo, Config{Seed: 9}, nil, nil, nil)
+	b := New(f.topo, Config{Seed: 9}, nil, nil, nil)
 	// Query b in a different order to confirm order independence.
 	_ = b.RouteRTTMs(f.route, f.prefix, 5000)
 	for tm := 0.0; tm < 3000; tm += 333 {
@@ -89,8 +91,8 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 
 func TestSeedChangesCongestion(t *testing.T) {
 	f := setup(t)
-	a := New(f.topo, Config{Seed: 1}, nil, nil)
-	b := New(f.topo, Config{Seed: 2}, nil, nil)
+	a := New(f.topo, Config{Seed: 1}, nil, nil, nil)
+	b := New(f.topo, Config{Seed: 2}, nil, nil, nil)
 	diff := false
 	for tm := 0.0; tm < 5000; tm += 100 {
 		if a.RouteRTTMs(f.route, f.prefix, tm) != b.RouteRTTMs(f.route, f.prefix, tm) {
@@ -108,7 +110,7 @@ func TestSharedFateHitsAllRoutes(t *testing.T) {
 	if len(f.alt.Hops) == 0 {
 		t.Skip("no alternate route in fixture")
 	}
-	s := New(f.topo, Config{Seed: 3}, nil, nil)
+	s := New(f.topo, Config{Seed: 3}, nil, nil, nil)
 	// Find a moment with a strong prefix incident.
 	base := s.prefixProcFor(f.prefix).baseMs
 	found := false
@@ -132,8 +134,8 @@ func TestSharedFateHitsAllRoutes(t *testing.T) {
 
 func TestDisableSharedFateAblation(t *testing.T) {
 	f := setup(t)
-	on := New(f.topo, Config{Seed: 4}, nil, nil)
-	off := New(f.topo, Config{Seed: 4, DisableSharedFate: true}, nil, nil)
+	on := New(f.topo, Config{Seed: 4}, nil, nil, nil)
+	off := New(f.topo, Config{Seed: 4, DisableSharedFate: true}, nil, nil, nil)
 	base := off.LastMileMs(f.prefix, 0)
 	for tm := 0.0; tm < 3*24*60; tm += 13 {
 		if off.LastMileMs(f.prefix, tm) != base {
@@ -179,7 +181,7 @@ func TestDiurnalShape(t *testing.T) {
 
 func TestMinRTTAtMostMaxOfWindow(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 6}, nil, nil)
+	s := New(f.topo, Config{Seed: 6}, nil, nil, nil)
 	for tm := 0.0; tm < 24*60; tm += 60 {
 		minRTT := s.MinRTTMs(f.route, f.prefix, tm, 15)
 		// MinRTT must be at least the propagation floor and at most the
@@ -201,7 +203,7 @@ func TestMinRTTAtMostMaxOfWindow(t *testing.T) {
 
 func TestMinRTTStableAcrossCalls(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 8}, nil, nil)
+	s := New(f.topo, Config{Seed: 8}, nil, nil, nil)
 	a := s.MinRTTMs(f.route, f.prefix, 100, 15)
 	b := s.MinRTTMs(f.route, f.prefix, 100, 15)
 	if a != b {
@@ -211,7 +213,7 @@ func TestMinRTTStableAcrossCalls(t *testing.T) {
 
 func TestLossRateBounds(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 10}, nil, nil)
+	s := New(f.topo, Config{Seed: 10}, nil, nil, nil)
 	for tm := 0.0; tm < 24*60; tm += 37 {
 		l := s.LossRate(f.route, f.prefix, tm)
 		if l < 0.0005 || l > 0.2 {
@@ -222,7 +224,7 @@ func TestLossRateBounds(t *testing.T) {
 
 func TestLinkFailures(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 12, LinkFailuresPerDay: 2}, nil, nil)
+	s := New(f.topo, Config{Seed: 12, LinkFailuresPerDay: 2}, nil, nil, nil)
 	link := f.route.Links[0]
 	down := 0.0
 	for tm := 0.0; tm < 10*24*60; tm++ {
@@ -233,7 +235,7 @@ func TestLinkFailures(t *testing.T) {
 	if down == 0 {
 		t.Fatal("no failures with 2/day over 10 days")
 	}
-	wantDown := s.DowntimeMinutes(link, 0, 10*24*60)
+	wantDown := stochasticDowntime(s, link, 0, 10*24*60)
 	if math.Abs(down-wantDown) > wantDown*0.1+5 {
 		t.Fatalf("sampled downtime %v vs scheduled %v", down, wantDown)
 	}
@@ -253,19 +255,19 @@ func TestLinkFailures(t *testing.T) {
 func TestScaleLinkFailures(t *testing.T) {
 	f := setup(t)
 	link := f.route.Links[0]
-	base := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5}, nil, nil)
+	base := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5}, nil, nil, nil)
 	scales := map[int]float64{link: 10}
-	scaled := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5}, nil, scales)
+	scaled := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5}, nil, nil, scales)
 	scales[link] = 1 // the Sim holds its own copy
 	horizon := base.cfg.HorizonMinutes
-	if b, s2 := base.DowntimeMinutes(link, 0, horizon), scaled.DowntimeMinutes(link, 0, horizon); s2 <= b {
+	if b, s2 := stochasticDowntime(base, link, 0, horizon), stochasticDowntime(scaled, link, 0, horizon); s2 <= b {
 		t.Fatalf("scaled downtime %v not above base %v", s2, b)
 	}
 }
 
 func TestPersistentImpairmentExists(t *testing.T) {
 	f := setup(t)
-	s := New(f.topo, Config{Seed: 16}, nil, nil)
+	s := New(f.topo, Config{Seed: 16}, nil, nil, nil)
 	impaired := 0
 	for l := range f.topo.Links {
 		if s.linkProcFor(l).impairMs > 0 {
@@ -280,7 +282,7 @@ func TestPersistentImpairmentExists(t *testing.T) {
 
 func BenchmarkMinRTT(b *testing.B) {
 	f := setup(b)
-	s := New(f.topo, Config{Seed: 1}, nil, nil)
+	s := New(f.topo, Config{Seed: 1}, nil, nil, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.MinRTTMs(f.route, f.prefix, float64(i%10000), 15)
@@ -291,7 +293,7 @@ func BenchmarkMinRTT(b *testing.B) {
 // the per-worker state-factory contract of the parallel runtime.
 func TestCloneBitIdentical(t *testing.T) {
 	f := setup(t)
-	parent := New(f.topo, Config{Seed: 11}, nil, nil)
+	parent := New(f.topo, Config{Seed: 11}, nil, nil, nil)
 	// Warm the parent out of order relative to how the clone will query.
 	_ = parent.MinRTTMs(f.route, f.prefix, 300, 15)
 	clone := parent.Clone()
@@ -308,34 +310,64 @@ func TestCloneBitIdentical(t *testing.T) {
 	}
 }
 
-// downOverlay is a fault overlay holding one link down over [from, to).
-type downOverlay struct {
-	link     int
-	from, to float64
-}
-
-func (o downOverlay) LinkDownAt(l int, t float64) bool { return l == o.link && t >= o.from && t < o.to }
-func (o downOverlay) ExtraLinkMs(int, float64) float64 { return 0 }
-
-// TestCloneCarriesFailureScales: the failure-rate scales and the fault
-// overlay bound at construction must shape the clone's answers
-// identically.
+// TestCloneCarriesFailureScales: the failure-rate scales, the injected
+// epoch sequence and the storm timeline bound at construction must shape
+// the clone's answers identically.
 func TestCloneCarriesFailureScales(t *testing.T) {
 	f := setup(t)
 	if len(f.route.Links) == 0 {
 		t.Skip("route crosses no interdomain link")
 	}
 	link := f.route.Links[0]
-	parent := New(f.topo, Config{Seed: 3}, downOverlay{link: link, from: 100, to: 200}, map[int]float64{link: 50})
+	seq, err := delta.Compile([]delta.Event{
+		{At: 100, Link: link, Down: true},
+		{At: 200, Link: link, Down: false},
+	}, 0, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := faults.New(f.topo, []faults.Event{{
+		Kind: faults.CongestionStorm, Start: 300, Duration: 60,
+		Target: f.topo.Links[link].Cities[0], MagnitudeMs: 40,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := New(f.topo, Config{Seed: 3}, seq, tl, map[int]float64{link: 50})
 	clone := parent.Clone()
-	a := parent.DowntimeMinutes(link, 0, 16*24*60)
-	b := clone.DowntimeMinutes(link, 0, 16*24*60)
+	a := stochasticDowntime(parent, link, 0, 16*24*60)
+	b := stochasticDowntime(clone, link, 0, 16*24*60)
 	if a != b {
 		t.Fatalf("clone downtime %v != parent %v", b, a)
 	}
 	if !parent.LinkFailed(link, 150) || !clone.LinkFailed(link, 150) {
-		t.Fatal("fault overlay not honored by the parent and its clone")
+		t.Fatal("injected sequence not honored by the parent and its clone")
 	}
+	for _, tm := range []float64{99, 100, 150, 199.999, 200, 330, 2000} {
+		if pa, cl := parent.LinkFailed(link, tm), clone.LinkFailed(link, tm); pa != cl {
+			t.Fatalf("t=%v: clone LinkFailed %v != parent %v", tm, cl, pa)
+		}
+	}
+	bare := New(f.topo, Config{Seed: 3}, nil, nil, nil)
+	if got := parent.LinkMs(link, 330) - bare.LinkMs(link, 330); math.Abs(got-40) > 1e-9 {
+		t.Fatalf("storm adds %v ms to the parent, want 40", got)
+	}
+	if pa, cl := parent.LinkMs(link, 330), clone.LinkMs(link, 330); pa != cl {
+		t.Fatalf("clone storm LinkMs %v != parent %v", cl, pa)
+	}
+}
+
+// stochasticDowntime sums the link's drawn outage minutes over [t0, t1),
+// straight from its failure schedule.
+func stochasticDowntime(s *Sim, link int, t0, t1 float64) float64 {
+	total := 0.0
+	for _, in := range s.failSchedule(link) {
+		lo, hi := math.Max(in.start, t0), math.Min(in.end, t1)
+		if hi > lo {
+			total += hi - lo
+		}
+	}
+	return total
 }
 
 // TestConcurrentQueries hits one shared Sim from many goroutines under
@@ -343,8 +375,8 @@ func TestCloneCarriesFailureScales(t *testing.T) {
 // serially warmed twin.
 func TestConcurrentQueries(t *testing.T) {
 	f := setup(t)
-	shared := New(f.topo, Config{Seed: 7}, nil, nil)
-	oracle := New(f.topo, Config{Seed: 7}, nil, nil)
+	shared := New(f.topo, Config{Seed: 7}, nil, nil, nil)
+	oracle := New(f.topo, Config{Seed: 7}, nil, nil, nil)
 	times := make([]float64, 64)
 	for i := range times {
 		times[i] = float64(i) * 37

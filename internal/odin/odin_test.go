@@ -34,7 +34,7 @@ func setup(t testing.TB) world {
 		topo: topo,
 		cdn:  c,
 		dns:  dnsmap.Build(topo, dnsmap.Config{Seed: 12}),
-		sim:  netsim.New(topo, netsim.Config{Seed: 12}, nil, nil),
+		sim:  netsim.New(topo, netsim.Config{Seed: 12}, nil, nil, nil),
 	}
 }
 

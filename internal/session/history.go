@@ -11,9 +11,6 @@ import (
 // replayed under.
 func (h *History) Config() Config { return h.cfg }
 
-// HorizonMin returns the replay horizon in minutes.
-func (h *History) HorizonMin() float64 { return h.horizonMin }
-
 // Links returns the replayed link IDs, ascending.
 func (h *History) Links() []int { return append([]int(nil), h.links...) }
 
@@ -101,16 +98,6 @@ func (h *History) Suppressed(link int) []faults.Window {
 	return append([]faults.Window(nil), lh.suppressed...)
 }
 
-// SuppressedAt reports whether damping suppresses the link's route at
-// minute t.
-func (h *History) SuppressedAt(link int, t float64) bool {
-	lh := h.perLink[link]
-	if lh == nil {
-		return false
-	}
-	return windowsContain(lh.suppressed, t)
-}
-
 // PhysDownMinutes returns the link's total physical downtime within the
 // horizon.
 func (h *History) PhysDownMinutes(link int) float64 {
@@ -127,7 +114,7 @@ func (h *History) UnusableMinutes(link int) float64 {
 	if lh == nil {
 		return measure(h.physWindows(link))
 	}
-	return measure(mergeWindows(append(h.physWindows(link), lh.ctlDown...)))
+	return measure(faults.MergeWindows(append(h.physWindows(link), lh.ctlDown...)))
 }
 
 // SuppressedWhileUpMinutes returns the time the link's route was
@@ -141,46 +128,14 @@ func (h *History) SuppressedWhileUpMinutes(link int) float64 {
 	return measure(lh.suppressed) - overlap(lh.suppressed, h.physWindows(link))
 }
 
-// Boundaries returns the sorted, de-duplicated instants in [t0, t1) at
-// which the replayed world changes: the timeline's own fault boundaries
-// plus every control-plane and suppression edge — where experiments
-// integrating availability over time should sample.
-func (h *History) Boundaries(t0, t1 float64) []float64 {
-	seen := make(map[float64]bool)
-	var out []float64
-	add := func(t float64) {
-		if t >= t0 && t < t1 && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	for _, t := range h.tl.Boundaries(t0, t1) {
-		add(t)
-	}
-	for _, link := range h.links {
-		lh := h.perLink[link]
-		for _, w := range lh.ctlDown {
-			add(w.Start)
-			add(w.End)
-		}
-		for _, w := range lh.suppressed {
-			add(w.Start)
-			add(w.End)
-		}
-	}
-	sort.Float64s(out)
-	return out
-}
-
 // Events returns the replayed world's ordered link-usability stream: one
 // Down edge where a link stops carrying routes and one Up edge where it
 // resumes, for every link the timeline faults or the replay covers. A
-// link is unusable exactly when LinkDownAt says so — physically down, or
-// its route withdrawn/suppressed by the session layer — so each link's
-// edges are the boundaries of the merged union of its physical and
-// control-plane windows (a session tail fuses with the physical outage
-// it trails into one continuous down span). Edges are ordered by time,
-// then link.
+// link is unusable while it is physically down or its route is
+// withdrawn/suppressed by the session layer, so each link's edges are
+// the boundaries of the merged union of its physical and control-plane
+// windows (a session tail fuses with the physical outage it trails into
+// one continuous down span). Edges are ordered by time, then link.
 func (h *History) Events() []delta.Event {
 	links := h.tl.FaultedLinks()
 	for _, l := range h.links {
@@ -196,7 +151,7 @@ func (h *History) Events() []delta.Event {
 		prev = link
 		ws := h.tl.DownWindows(link)
 		if lh := h.perLink[link]; lh != nil && len(lh.ctlDown) > 0 {
-			ws = mergeWindows(append(append([]faults.Window(nil), ws...), lh.ctlDown...))
+			ws = faults.MergeWindows(append(ws, lh.ctlDown...))
 		}
 		for _, w := range ws {
 			out = append(out, delta.Event{At: w.Start, Link: link, Down: true})
@@ -214,30 +169,13 @@ func (h *History) Events() []delta.Event {
 
 // Deltas compiles the usability stream over [t0, t1) into an epoch
 // sequence: one epoch per instant the usable-link set changes, each
-// carrying the delta from its predecessor. The sequence agrees with the
-// instant query everywhere — seq.LinkDownAt(l, t) == h.LinkDownAt(l, t)
-// for every t in the span — so route pipelines can repair across epochs
-// instead of recomputing the down set per sample.
+// carrying the delta from its predecessor. The sequence is the one
+// answer to "is link l down at minute t" — for t in [t0, t1),
+// seq.LinkDownAt(l, t) holds exactly when t lies in one of the link's
+// DownWindows or CtlDown spans — so route pipelines repair across its
+// epochs and netsim reads its link state from it.
 func (h *History) Deltas(t0, t1 float64) (*delta.Sequence, error) {
 	return delta.Compile(h.Events(), t0, t1)
-}
-
-// LinkDownAt implements netsim.FaultOverlay: the link is unusable when
-// physically down (delegated to the timeline, so non-replayed links keep
-// their legacy instantaneous behavior) or when its route is withdrawn or
-// suppressed.
-func (h *History) LinkDownAt(linkID int, t float64) bool {
-	if h.tl.LinkDownAt(linkID, t) {
-		return true
-	}
-	lh := h.perLink[linkID]
-	return lh != nil && windowsContain(lh.ctlDown, t)
-}
-
-// ExtraLinkMs implements netsim.FaultOverlay, delegating congestion
-// storms to the timeline untouched.
-func (h *History) ExtraLinkMs(linkID int, t float64) float64 {
-	return h.tl.ExtraLinkMs(linkID, t)
 }
 
 // physWindows returns the link's merged physical windows clamped to the
@@ -254,36 +192,6 @@ func (h *History) physWindows(link int) []faults.Window {
 		out = append(out, w)
 	}
 	return out
-}
-
-func windowsContain(ws []faults.Window, t float64) bool {
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].End > t })
-	return i < len(ws) && ws[i].Start <= t
-}
-
-// mergeWindows sorts and coalesces overlapping/touching windows.
-func mergeWindows(ws []faults.Window) []faults.Window {
-	if len(ws) == 0 {
-		return nil
-	}
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Start != ws[j].Start {
-			return ws[i].Start < ws[j].Start
-		}
-		return ws[i].End < ws[j].End
-	})
-	merged := ws[:1]
-	for _, w := range ws[1:] {
-		last := &merged[len(merged)-1]
-		if w.Start <= last.End {
-			if w.End > last.End {
-				last.End = w.End
-			}
-			continue
-		}
-		merged = append(merged, w)
-	}
-	return merged
 }
 
 // measure returns the total length of a set of disjoint sorted windows.

@@ -75,9 +75,9 @@ type linkHistory struct {
 
 // History is the replayed session dynamics of every requested link over
 // one fault timeline. It is immutable after Replay and safe for
-// concurrent reads, and implements netsim.FaultOverlay: a link is down
-// when it is physically down OR its route is withdrawn/suppressed — the
-// emergent control-plane shadow the closed-form model approximates.
+// concurrent reads. Its Deltas compile the link-usability stream: a link
+// is down when it is physically down OR its route is withdrawn/suppressed
+// — the emergent control-plane shadow the closed-form model approximates.
 type History struct {
 	tl         *faults.Timeline
 	cfg        Config

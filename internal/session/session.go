@@ -19,9 +19,10 @@
 // Each link is replayed independently on a discrete-event clock (see
 // clock.go) through the RFC 4271 FSM (fsm.go); the result is a History:
 // per-link outage episodes, control-plane-down spans, and damping
-// suppression spans, queryable by experiments and composable as a
-// netsim.FaultOverlay (a link is unusable when it is physically down OR
-// its route is withdrawn/suppressed).
+// suppression spans, queryable by experiments and compiled by Deltas
+// into the epoch sequence (internal/delta) that every route pipeline and
+// netsim read (a link is unusable when it is physically down OR its
+// route is withdrawn/suppressed).
 //
 // # Determinism contract
 //

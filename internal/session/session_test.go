@@ -3,18 +3,15 @@ package session
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"beatbgp/internal/cable"
+	"beatbgp/internal/delta"
 	"beatbgp/internal/faults"
 	"beatbgp/internal/geo"
-	"beatbgp/internal/netsim"
 	"beatbgp/internal/topology"
 )
-
-// History composes with the stochastic fault process exactly like a raw
-// Timeline does.
-var _ netsim.FaultOverlay = (*History)(nil)
 
 // testTopo builds the same tiny world the faults tests use: two transits
 // spanning the hub cities and two stubs.
@@ -202,19 +199,22 @@ func TestReplayDetectsLongFault(t *testing.T) {
 	if !reflect.DeepEqual(evs, want) {
 		t.Fatalf("transitions %v, want %v", evs, want)
 	}
-	// Overlay composition: physically down mid-fault, control-down after
-	// recovery until usable, up afterwards.
-	if !h.LinkDownAt(link, 15) {
+	// The compiled sequence: physically down mid-fault, control-down
+	// after recovery until usable, up afterwards.
+	seq, err := h.Deltas(0, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !seq.LinkDownAt(link, 15) {
 		t.Fatal("link should be down mid-fault")
 	}
-	if !h.LinkDownAt(link, (20+o.UsableAt)/2) {
+	if !seq.LinkDownAt(link, (20+o.UsableAt)/2) {
 		t.Fatal("link should be control-plane down after recovery")
 	}
-	if h.LinkDownAt(link, o.UsableAt+0.01) {
+	if seq.LinkDownAt(link, o.UsableAt+0.01) {
 		t.Fatal("link should be usable after re-advertisement")
 	}
-	// Unreplayed links keep the legacy timeline behavior.
-	if h.LinkDownAt(links["stub"], 15) {
+	if seq.LinkDownAt(links["stub"], 15) {
 		t.Fatal("unfaulted link reported down")
 	}
 }
@@ -388,6 +388,10 @@ func TestReplayDeterministicAndSeedSensitive(t *testing.T) {
 	}
 }
 
+// TestBoundariesIncludeSessionEdges: the compiled sequence changes epoch
+// where the link stops carrying routes (the fault onset) and where the
+// session re-advertises (UsableAt), not at the physical end the
+// control-plane tail covers.
 func TestBoundariesIncludeSessionEdges(t *testing.T) {
 	topo, links := testTopo(t)
 	link := links["eye"]
@@ -397,17 +401,19 @@ func TestBoundariesIncludeSessionEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := h.Outages(link)[0]
-	bounds := h.Boundaries(0, 200)
-	want := map[float64]bool{10: false, 20: false, o.DetectAt: false, o.UsableAt: false}
-	for _, b := range bounds {
-		if _, ok := want[b]; ok {
-			want[b] = true
-		}
+	if o.UsableAt <= 20 {
+		t.Fatalf("outage %+v has no control-plane tail", o)
 	}
-	for v, seen := range want {
-		if !seen {
-			t.Fatalf("boundary %v missing from %v", v, bounds)
-		}
+	seq, err := h.Deltas(0, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []float64
+	for i := 0; i < seq.Len(); i++ {
+		starts = append(starts, seq.Epoch(i).Start)
+	}
+	if want := []float64{0, 10, o.UsableAt}; !reflect.DeepEqual(starts, want) {
+		t.Fatalf("epoch starts = %v, want %v", starts, want)
 	}
 }
 
@@ -433,26 +439,8 @@ func TestDeltasMatchLinkDownAt(t *testing.T) {
 	if seq.Len() < 4 {
 		t.Fatalf("only %d epochs for a schedule with session tails", seq.Len())
 	}
-	// The compiled sequence and the instant query must agree everywhere:
-	// sample densely plus exactly at every boundary instant (an edge
-	// ending at t is up at t) and just around it.
-	samples := []float64{0}
-	for _, b := range h.Boundaries(0, 300) {
-		samples = append(samples, b, b-1e-9, b+1e-9)
-	}
-	for at := 0.5; at < 300; at += 0.5 {
-		samples = append(samples, at)
-	}
-	for _, link := range []int{eye, stub, links["trab"]} {
-		for _, at := range samples {
-			if at < 0 {
-				continue
-			}
-			if got, want := seq.LinkDownAt(link, at), h.LinkDownAt(link, at); got != want {
-				t.Fatalf("link %d at %v: sequence says down=%v, history says %v", link, at, got, want)
-			}
-		}
-	}
+	// The compiled sequence and the window scan must agree everywhere.
+	checkSeqAgainstScan(t, h, seq, []int{eye, stub, links["trab"]})
 	// The session layer's tail must be visible as epochs: the link stays
 	// down past the physical end (minute 30) of its merged stub fault,
 	// until the route is re-advertised at UsableAt.
@@ -478,6 +466,57 @@ func TestDeltasMatchLinkDownAt(t *testing.T) {
 	for l, down := range state {
 		if down {
 			t.Fatalf("link %d left down at stream end", l)
+		}
+	}
+}
+
+// scanDown is the tests' independent answer to "is link l down at minute
+// t": a linear scan of the link's merged physical windows and its
+// control-plane-down spans.
+func scanDown(h *History, l int, t float64) bool {
+	for _, ws := range [][]faults.Window{h.tl.DownWindows(l), h.CtlDown(l)} {
+		for _, w := range ws {
+			if w.Start <= t && t < w.End {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkSeqAgainstScan asserts seq.LinkDownAt == scanDown for every given
+// link at every epoch start and every window edge, 1e-6 either side of
+// each, and the midpoint between consecutive instants — every instant
+// inside the sequence's span where either answer could change, and one
+// point inside every span where neither should.
+func checkSeqAgainstScan(t testing.TB, h *History, seq *delta.Sequence, links []int) {
+	t.Helper()
+	edges := []float64{seq.Start(), seq.End()}
+	for i := 0; i < seq.Len(); i++ {
+		edges = append(edges, seq.Epoch(i).Start)
+	}
+	for _, l := range links {
+		for _, ws := range [][]faults.Window{h.tl.DownWindows(l), h.CtlDown(l)} {
+			for _, w := range ws {
+				edges = append(edges, w.Start, w.End)
+			}
+		}
+	}
+	sort.Float64s(edges)
+	for i, b := range edges {
+		probes := []float64{b, b - 1e-6, b + 1e-6}
+		if i+1 < len(edges) {
+			probes = append(probes, (b+edges[i+1])/2)
+		}
+		for _, at := range probes {
+			if at < seq.Start() || at >= seq.End() {
+				continue
+			}
+			for _, l := range links {
+				if got, want := seq.LinkDownAt(l, at), scanDown(h, l, at); got != want {
+					t.Fatalf("link %d at %v: sequence says down=%v, window scan says %v", l, at, got, want)
+				}
+			}
 		}
 	}
 }

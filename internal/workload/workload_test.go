@@ -29,7 +29,7 @@ func setup(t testing.TB) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := netsim.New(topo, netsim.Config{Seed: 8}, nil, nil)
+	sim := netsim.New(topo, netsim.Config{Seed: 8}, nil, nil, nil)
 	res := netpath.NewResolver(topo)
 	gen := NewGenerator(sim, res, Config{Seed: 8, Days: 2})
 	return fixture{topo, prov, sim, res, gen, bgp.NewOracle(bgp.NewReference(topo))}
