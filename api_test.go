@@ -1,0 +1,231 @@
+package beatbgp_test
+
+import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/printer"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// apiPath is the API ledger: one line per exported declaration, method,
+// struct field and interface method of every package outside cmd/,
+// examples/ and bench/, in the spirit of Go's own api/*.txt.
+var apiPath = filepath.Join("testdata", "api.txt")
+
+// TestAPILedger fails when the exported surface drifts from the ledger,
+// so every change to it shows in a diff of testdata/api.txt. Rewrite the
+// ledger with `go test -run TestAPILedger -update .`.
+func TestAPILedger(t *testing.T) {
+	got, err := apiLines(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(apiPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(apiPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var added, removed []string
+	for _, l := range got {
+		if _, ok := slices.BinarySearch(want, l); !ok {
+			added = append(added, "+ "+l)
+		}
+	}
+	for _, l := range want {
+		if _, ok := slices.BinarySearch(got, l); !ok {
+			removed = append(removed, "- "+l)
+		}
+	}
+	if len(added)+len(removed) > 0 {
+		t.Fatalf("exported surface differs from %s (rewrite it with -update if the change is deliberate):\n%s",
+			apiPath, strings.Join(append(removed, added...), "\n"))
+	}
+}
+
+// apiLines walks root's non-test Go files, skipping cmd/, examples/,
+// bench/ and the directories the go tool ignores, and returns the sorted,
+// de-duplicated ledger lines.
+func apiLines(root string) ([]string, error) {
+	fset := token.NewFileSet()
+	var lines []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			switch {
+			case path == root:
+				return nil
+			case name == "testdata", strings.HasPrefix(name, "."), strings.HasPrefix(name, "_"):
+				return filepath.SkipDir
+			case filepath.Dir(path) == root && (name == "cmd" || name == "examples" || name == "bench"):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "beatbgp"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkg += "/" + dir
+		}
+		lines = append(lines, fileAPI(fset, "pkg "+pkg+", ", f)...)
+		return nil
+	})
+	slices.Sort(lines)
+	return slices.Compact(lines), err
+}
+
+// fileAPI lists one file's exported surface, each line behind prefix.
+func fileAPI(fset *token.FileSet, prefix string, f *ast.File) []string {
+	src := func(n ast.Node) string {
+		var b bytes.Buffer
+		printer.Fprint(&b, fset, n)
+		return b.String()
+	}
+	var out []string
+	emit := func(s string) { out = append(out, prefix+s) }
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				emit("func " + d.Name.Name + typeParams(src, d.Type.TypeParams) + signature(src, d.Type))
+				continue
+			}
+			recv := src(d.Recv.List[0].Type)
+			if base, _, _ := strings.Cut(strings.TrimPrefix(recv, "*"), "["); ast.IsExported(base) {
+				emit("method (" + recv + ") " + d.Name.Name + signature(src, d.Type))
+			}
+		case *ast.GenDecl:
+			var lastType ast.Expr // a const spec without values repeats the previous type
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						out = append(out, typeAPI(src, prefix, s)...)
+					}
+				case *ast.ValueSpec:
+					if s.Type != nil || len(s.Values) > 0 {
+						lastType = s.Type
+					}
+					for _, n := range s.Names {
+						if !n.IsExported() {
+							continue
+						}
+						line := d.Tok.String() + " " + n.Name
+						if lastType != nil && (d.Tok == token.CONST || s.Type != nil) {
+							line += " " + src(lastType)
+						}
+						emit(line)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// typeAPI lists an exported type: its kind, then one line per exported
+// struct field or interface method.
+func typeAPI(src func(ast.Node) string, prefix string, s *ast.TypeSpec) []string {
+	head := "type " + s.Name.Name + typeParams(src, s.TypeParams)
+	if s.Assign.IsValid() {
+		return []string{prefix + head + " = " + src(s.Type)}
+	}
+	var out []string
+	switch t := s.Type.(type) {
+	case *ast.StructType:
+		head += " struct"
+		for _, f := range t.Fields.List {
+			if len(f.Names) == 0 {
+				out = append(out, prefix+head+", embedded "+src(f.Type))
+			}
+			for _, n := range f.Names {
+				if n.IsExported() {
+					out = append(out, prefix+head+", "+n.Name+" "+src(f.Type))
+				}
+			}
+		}
+	case *ast.InterfaceType:
+		head += " interface"
+		for _, m := range t.Methods.List {
+			if len(m.Names) == 0 {
+				out = append(out, prefix+head+", embedded "+src(m.Type))
+			}
+			for _, n := range m.Names {
+				if ft, ok := m.Type.(*ast.FuncType); ok && n.IsExported() {
+					out = append(out, prefix+head+", "+n.Name+signature(src, ft))
+				}
+			}
+		}
+	default:
+		head += " " + src(s.Type)
+	}
+	return append(out, prefix+head)
+}
+
+// signature renders a function type without parameter names:
+// "(int, ...string) (T, error)".
+func signature(src func(ast.Node) string, ft *ast.FuncType) string {
+	sig := "(" + strings.Join(fieldTypes(src, ft.Params), ", ") + ")"
+	res := fieldTypes(src, ft.Results)
+	switch {
+	case len(res) == 1:
+		sig += " " + res[0]
+	case len(res) > 1:
+		sig += " (" + strings.Join(res, ", ") + ")"
+	}
+	return sig
+}
+
+// typeParams renders a type-parameter list, names kept: "[T any]".
+func typeParams(src func(ast.Node) string, tp *ast.FieldList) string {
+	if tp == nil {
+		return ""
+	}
+	var ps []string
+	for _, f := range tp.List {
+		var names []string
+		for _, n := range f.Names {
+			names = append(names, n.Name)
+		}
+		ps = append(ps, strings.Join(names, ", ")+" "+src(f.Type))
+	}
+	return "[" + strings.Join(ps, ", ") + "]"
+}
+
+// fieldTypes lists a field list's types, one per declared name.
+func fieldTypes(src func(ast.Node) string, fl *ast.FieldList) []string {
+	if fl == nil {
+		return nil
+	}
+	var out []string
+	for _, f := range fl.List {
+		for range max(1, len(f.Names)) {
+			out = append(out, src(f.Type))
+		}
+	}
+	return out
+}

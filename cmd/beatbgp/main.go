@@ -74,7 +74,7 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 42, "scenario seed; all results are deterministic in it")
 		exp      = fs.String("exp", "", "comma-separated experiment IDs (default: all)")
 		list     = fs.Bool("list", false, "list experiments and exit")
-		days     = fs.Int("days", 0, "override Edge-Fabric trace length in days (default 10)")
+		days     = fs.Int("days", 0, "override Edge-Fabric trace length in days (default 10, at most 40: the netsim horizon)")
 		eyeballs = fs.Int("eyeballs", 0, "override eyeball ASes per region (default 20)")
 		asJSON   = fs.Bool("json", false, "emit each result as JSON instead of text")
 		outDir   = fs.String("out", "", "also write <id>.json and per-series/table CSVs into this directory")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,17 +168,26 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestUnbuildableWorldExitsOne: a campaign none of whose worlds can be
-// built (here the address pool is too small for the requested size) is a
-// hard failure — exit 1 with the build error as the cause — not a
-// partial run, while a campaign with a completed cell beside a
-// build-failed one stays partial (exit 2).
+// built (here the config names a data-center city the catalog lacks,
+// which passes Validate and fails the provider stage) is a hard failure
+// — exit 1 with the build error as the cause — not a partial run, while
+// a campaign with a completed cell beside a build-failed one stays
+// partial (exit 2).
 func TestUnbuildableWorldExitsOne(t *testing.T) {
 	dir := t.TempDir()
-	err := run([]string{"-eyeballs", "200", "-exp", "t31", "-run-dir", dir})
+	cfg := beatbgp.Config{Seed: 42, Workers: 2}
+	cfg.Provider.DCCity = "Atlantis"
+	rep, err := beatbgp.RunCampaign(context.Background(),
+		beatbgp.Campaign{Base: cfg, IDs: []string{"t31"}},
+		beatbgp.SupervisorConfig{RunDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = campaignErr(rep)
 	if got := exitCode(err); got != 1 {
 		t.Fatalf("unbuildable world: exit code %d (err %v), want 1", got, err)
 	}
-	if !strings.Contains(err.Error(), "exhausted") || !errors.Is(err, beatbgp.ErrBuildFailed) {
+	if !strings.Contains(err.Error(), "Atlantis") || !errors.Is(err, beatbgp.ErrBuildFailed) {
 		t.Fatalf("unbuildable world: error %q does not carry the build failure", err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, beatbgp.ManifestName))
@@ -193,7 +203,7 @@ func TestUnbuildableWorldExitsOne(t *testing.T) {
 	}
 
 	failed := beatbgp.Outcome{CellRef: beatbgp.CellRef{Experiment: "t31", Seed: 43},
-		Status: "failed", Kind: "build-failed", Err: "inet: 10.0.0.0/8 exhausted", Attempts: 1}
+		Status: "failed", Kind: "build-failed", Err: `provider: unknown DC city "Atlantis"`, Attempts: 1}
 	ok := beatbgp.Outcome{CellRef: beatbgp.CellRef{Experiment: "t31", Seed: 42}, Status: "ok", Attempts: 1}
 	for _, tc := range []struct {
 		name     string
@@ -207,7 +217,7 @@ func TestUnbuildableWorldExitsOne(t *testing.T) {
 		if got := exitCode(err); got != tc.want {
 			t.Errorf("%s: exit code %d (err %v), want %d", tc.name, got, err, tc.want)
 		}
-		if err == nil || (tc.want == 1) != strings.Contains(err.Error(), "exhausted") {
+		if err == nil || (tc.want == 1) != strings.Contains(err.Error(), "Atlantis") {
 			t.Errorf("%s: error %v", tc.name, err)
 		}
 	}

@@ -62,7 +62,7 @@ func run(args []string) error {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8379", "listen address for the query surface")
 		seed     = fs.Uint64("seed", 42, "world seed; the frozen world is deterministic in it")
-		days     = fs.Int("days", 0, "override Edge-Fabric trace length in days (default 10)")
+		days     = fs.Int("days", 0, "override Edge-Fabric trace length in days (default 10, at most 40: the netsim horizon)")
 		eyeballs = fs.Int("eyeballs", 0, "override eyeball ASes per region (default 20)")
 		workers  = fs.Int("workers", 0, "parallel worker budget for the world build; 0 means GOMAXPROCS")
 		hold     = fs.Float64("hold", 0, "BGP hold timer in seconds for the session layer; 0 means the 36s default")

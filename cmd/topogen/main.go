@@ -73,8 +73,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("links: %d  (customer-provider %d, public peering %d, PNIs %d)\n",
 		len(t.Links), c2p, p2p, pni)
-	fmt.Printf("prefixes: %d (CIDRs %s .. %s)\n", len(t.Prefixes),
-		t.Prefixes[0].CIDR, t.Prefixes[len(t.Prefixes)-1].CIDR)
+	fmt.Printf("prefixes: %d\n", len(t.Prefixes))
 
 	fmt.Printf("\nprovider %s: %d PoPs, DC at %s\n",
 		s.Prov.AS.Name, len(s.Prov.PoPs), t.Catalog.City(s.Prov.DC).Name)

@@ -11,7 +11,7 @@ import (
 	"beatbgp"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
+var update = flag.Bool("update", false, "rewrite testdata/golden and testdata/api.txt from the current code")
 
 // campaignStdout renders a default campaign exactly as `beatbgp -seed N
 // -workers W` prints it on stdout: every experiment, in registry order,

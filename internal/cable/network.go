@@ -94,23 +94,9 @@ func NetworkFromCities(g *Graph, name string, cities []int, stretch float64) (*N
 	return n, nil
 }
 
-// Graph returns the underlying physical graph.
-func (n *Network) Graph() *Graph { return n.g }
-
 // Present reports whether the network has presence in the city.
 func (n *Network) Present(city int) bool {
 	return city >= 0 && city < len(n.present) && n.present[city]
-}
-
-// Cities returns the network's footprint in ascending city-ID order.
-func (n *Network) Cities() []int {
-	var out []int
-	for c, ok := range n.present {
-		if ok {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func (n *Network) tree(src int) sstree {

@@ -55,6 +55,11 @@ type Config struct {
 	Workers int
 }
 
+// defaultHorizonMinutes is the netsim schedule window a scenario gets
+// when Net.HorizonMinutes is zero: 40 days, covering the 10-day Edge
+// Fabric trace and the (time-compressed) cloud-tier campaign with slack.
+const defaultHorizonMinutes = 40 * 24 * 60
+
 func (c *Config) setDefaults() {
 	if c.Topology.Seed == 0 {
 		c.Topology.Seed = c.Seed
@@ -75,9 +80,7 @@ func (c *Config) setDefaults() {
 		c.Workload.Seed = c.Seed + 5
 	}
 	if c.Net.HorizonMinutes == 0 {
-		// Cover the 10-day Edge Fabric trace and the (time-compressed)
-		// cloud-tier campaign with slack.
-		c.Net.HorizonMinutes = 40 * 24 * 60
+		c.Net.HorizonMinutes = defaultHorizonMinutes
 	}
 	// Normalize the dynamics models so equal effective configs hash to
 	// equal world keys regardless of which zero fields the caller left.
@@ -86,8 +89,9 @@ func (c *Config) setDefaults() {
 }
 
 // Validate checks every sub-configuration, rejecting nonsensical
-// parameters (negative counts and rates, NaN, probabilities above 1)
-// instead of silently building a broken world. Zero values still mean
+// parameters (negative counts and rates, NaN, probabilities above 1, a
+// trace longer than the netsim horizon) instead of silently building a
+// broken world. Zero values still mean
 // "use the default". NewScenario calls this; standalone callers can use
 // it to fail fast before an expensive build.
 func (c *Config) Validate() error {
@@ -108,6 +112,18 @@ func (c *Config) Validate() error {
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
+	}
+	// netsim draws incidents and link failures only inside its horizon,
+	// so a longer trace would end in silently quiet days. Compare the
+	// effective values: zero selects each side's default.
+	horizon := c.Net.HorizonMinutes
+	if horizon == 0 {
+		horizon = defaultHorizonMinutes
+	}
+	days := workload.NewGenerator(nil, nil, c.Workload).Config().Days
+	if float64(days)*24*60 > horizon {
+		return fmt.Errorf("core: Workload.Days = %d (%v minutes) exceeds Net.HorizonMinutes = %v",
+			days, float64(days)*24*60, horizon)
 	}
 	if err := c.Convergence.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

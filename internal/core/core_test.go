@@ -572,6 +572,8 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"prob above one", func(c *Config) { c.Provider.PNIProb = 1.5 }},
 		{"NaN impair prob", func(c *Config) { c.Net.LinkImpairedProb = math.NaN() }},
 		{"negative days", func(c *Config) { c.Workload.Days = -3 }},
+		{"trace past the default horizon", func(c *Config) { c.Workload.Days = 41 }},
+		{"trace past a set horizon", func(c *Config) { c.Workload.Days = 0; c.Net.HorizonMinutes = 9 * 24 * 60 }},
 		{"wan stretch below one", func(c *Config) { c.Provider.WANStretch = 0.5 }},
 	}
 	for _, tc := range cases {

@@ -8,14 +8,17 @@ import (
 // FuzzConfigValidate throws arbitrary field values at Config.Validate and
 // checks the contract: it never panics, and whenever it accepts a config
 // every fuzzed field is within its documented range (probabilities in
-// [0, 1], counts non-negative, rates finite). Run with
+// [0, 1], counts non-negative, rates finite) and the trace fits the
+// netsim horizon. Run with
 // `go test -fuzz=FuzzConfigValidate ./internal/core/` (or `make fuzz`).
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(uint64(42), 10, 3, 0.5, 1.2, 0.1, 15.0, 2.0)
-	f.Add(uint64(1), 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint64(7), -1, 5, 1.5, 0.5, math.NaN(), -3.0, math.Inf(1))
+	f.Add(uint64(42), 10, 3, 0.5, 1.2, 0.1, 15.0, 2.0, 0.0)
+	f.Add(uint64(1), 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(7), -1, 5, 1.5, 0.5, math.NaN(), -3.0, math.Inf(1), -1.0)
+	f.Add(uint64(3), 41, 3, 0.5, 1.2, 0.1, 15.0, 2.0, 0.0)
+	f.Add(uint64(5), 0, 3, 0.5, 1.2, 0.1, 15.0, 2.0, 5*24*60.0)
 	f.Fuzz(func(t *testing.T, seed uint64, days, topk int,
-		pniProb, wanStretch, impairProb, windowMin, serverMs float64) {
+		pniProb, wanStretch, impairProb, windowMin, serverMs, horizonMin float64) {
 		cfg := Config{Seed: seed}
 		cfg.Workload.Days = days
 		cfg.Workload.TopK = topk
@@ -24,6 +27,7 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.Provider.WANStretch = wanStretch
 		cfg.Net.LinkImpairedProb = impairProb
 		cfg.CDN.ServerMs = serverMs
+		cfg.Net.HorizonMinutes = horizonMin
 		err := cfg.Validate()
 		if err != nil {
 			return
@@ -48,6 +52,18 @@ func FuzzConfigValidate(f *testing.F) {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				t.Fatalf("accepted %s = %v (not finite non-negative)", name, v)
 			}
+		}
+		// The trace fits the horizon (zero days means 10, a zero horizon
+		// 40 days).
+		effDays, effHorizon := float64(days), horizonMin
+		if days == 0 {
+			effDays = 10
+		}
+		if horizonMin == 0 {
+			effHorizon = 40 * 24 * 60
+		}
+		if effDays*24*60 > effHorizon {
+			t.Fatalf("accepted a %v-day trace past a %v-minute horizon", effDays, effHorizon)
 		}
 	})
 }

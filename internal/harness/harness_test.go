@@ -202,10 +202,11 @@ func TestRunExperimentPanicIsTyped(t *testing.T) {
 // EventWorld, and every cell of that seed is filed under it.
 func TestBuildFailureFilesEveryCell(t *testing.T) {
 	base := testBase(6)
-	base.Topology.EyeballsPerRegion = 200 // more client prefixes than the address pool holds
+	base.Provider.DCCity = "Atlantis" // passes Validate, fails provider.Build
+	dir := t.TempDir()
 	events := make(chan Event, 64)
 	camp := Campaign{Base: base, IDs: []string{"t32", "t33", "fig3", "t4g"}}
-	rep, err := Run(context.Background(), camp, Config{Events: events})
+	rep, err := Run(context.Background(), camp, Config{RunDir: dir, Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +227,9 @@ func TestBuildFailureFilesEveryCell(t *testing.T) {
 	}
 	if !errors.Is(rep.FirstError(), ErrBuildFailed) {
 		t.Errorf("FirstError %v does not match ErrBuildFailed", rep.FirstError())
+	}
+	if m := readManifest(t, dir); m.Complete || m.ExitCode != 1 {
+		t.Errorf("manifest: complete=%v exit=%d, want false/1", m.Complete, m.ExitCode)
 	}
 }
 

@@ -227,9 +227,6 @@ func New(t *topology.Topo, cfg Config, seq *delta.Sequence, tl *faults.Timeline,
 	return s
 }
 
-// Config returns the effective configuration (defaults applied).
-func (s *Sim) Config() Config { return s.cfg }
-
 // Clone returns a simulator over the same topology, configuration,
 // injected link state and congestion, and failure-rate scales, with a
 // private (empty) process memo.

@@ -438,12 +438,6 @@ func (p *Provider) peerAtPoPs(cfg Config, rng *xrand.Rand) error {
 	return nil
 }
 
-// LinkClass returns the provider's classification of one of its links.
-func (p *Provider) LinkClass(linkID int) (RouteClass, bool) {
-	c, ok := p.classes[linkID]
-	return c, ok
-}
-
 // PeerLinks returns the provider's links of the given class.
 func (p *Provider) PeerLinks(class RouteClass) []int {
 	var out []int

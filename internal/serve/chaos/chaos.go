@@ -99,9 +99,6 @@ func New(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, attempts: make(map[attemptKey]uint64)}, nil
 }
 
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config { return i.cfg }
-
 // QueryDelay returns the injected transport latency for the next query
 // (zero for most). The draw is keyed by the global query ordinal, so a
 // fixed seed yields a fixed delay sequence.

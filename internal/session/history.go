@@ -7,10 +7,6 @@ import (
 	"beatbgp/internal/faults"
 )
 
-// Config returns the (defaults-applied) configuration the History was
-// replayed under.
-func (h *History) Config() Config { return h.cfg }
-
 // Links returns the replayed link IDs, ascending.
 func (h *History) Links() []int { return append([]int(nil), h.links...) }
 

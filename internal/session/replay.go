@@ -45,17 +45,6 @@ type Outage struct {
 	Suppressed bool
 }
 
-// DowntimeMinutes is the episode's client-visible blackhole for traffic
-// with no alternative route: physical downtime plus the control-plane
-// tail (detection handshake, MRAI, damping) after recovery.
-func (o Outage) DowntimeMinutes() float64 {
-	end := o.End
-	if o.Detected && o.UsableAt > end {
-		end = o.UsableAt
-	}
-	return end - o.Start
-}
-
 // Transition is one recorded BGP FSM state change.
 type Transition struct {
 	Link     int

@@ -55,7 +55,6 @@ import (
 // the RFC 2439 / cisco defaults.
 const (
 	DefaultHoldSec         = 36.0
-	DefaultKeepaliveSec    = 12.0
 	DefaultConnectRetrySec = 30.0
 	DefaultMsgDelaySec     = 0.5
 	DefaultMRAISec         = 30.0
@@ -215,16 +214,6 @@ func (c Config) MeanDetectSec() float64 {
 	return c.HoldSec - c.KeepaliveSec/2
 }
 
-// MaxDetectSec is the worst-case detection latency: a full hold time (a
-// keepalive landed just before the fault), or the BFD detection time.
-func (c Config) MaxDetectSec() float64 {
-	c = c.ApplyDefaults()
-	if c.BFD {
-		return float64(c.BFDMultiplier)*c.BFDIntervalMs/1e3 + c.BFDIntervalMs/1e3
-	}
-	return c.HoldSec
-}
-
 // ExplorationMinutes is the emergent path-exploration cost for a route
 // whose replacement spans `hops` AS hops: one MRAI of advertisement
 // batching per hop. With the default MRAI this equals the reference
@@ -235,13 +224,6 @@ func (c Config) ExplorationMinutes(hops int) float64 {
 		hops = 0
 	}
 	return c.MRAISec / 60 * float64(hops)
-}
-
-// HandshakeSec is the time from a successful connect attempt to
-// Established: transport open, OPEN exchange, KEEPALIVE confirmation.
-func (c Config) HandshakeSec() float64 {
-	c = c.ApplyDefaults()
-	return 3 * c.MsgDelaySec
 }
 
 // penaltyCeiling is the maximum accrued damping penalty: the value that

@@ -16,7 +16,6 @@ import (
 
 	"beatbgp/internal/cable"
 	"beatbgp/internal/geo"
-	"beatbgp/internal/inet"
 )
 
 // Class categorizes an AS's role in the routing hierarchy.
@@ -142,16 +141,14 @@ type Neighbor struct {
 	View  RelView
 }
 
-// Prefix is an originated address block with a client population anchored
-// at a city (clients of the prefix live in that metro area).
+// Prefix is an originated client prefix, identified by its ID: a client
+// population anchored at a city (clients of the prefix live in that metro
+// area). No address is modelled; every consumer keys on the ID.
 type Prefix struct {
 	ID     int
 	Origin int     // originating AS ID
 	City   int     // anchor city
 	Weight float64 // relative traffic/population weight
-	// CIDR is the prefix's address block, allocated at creation from the
-	// topology's client address pool.
-	CIDR inet.Prefix
 }
 
 // Topo is a complete AS-level topology.
@@ -161,31 +158,6 @@ type Topo struct {
 	ASes     []*AS
 	Links    []Link
 	Prefixes []Prefix
-
-	alloc *inet.Allocator // client address pool
-	fib   inet.Table[int] // CIDR -> prefix ID
-}
-
-// clientPrefixBits is the block size every client prefix receives: a /20
-// (4096 addresses, sixteen /24s — the granularity the paper's datasets
-// aggregate at). Blocks are carved sequentially from 10.0.0.0/8.
-const clientPrefixBits = 20
-
-func (t *Topo) allocator() *inet.Allocator {
-	if t.alloc == nil {
-		t.alloc = inet.NewAllocator(inet.MustParsePrefix("10.0.0.0/8"))
-	}
-	return t.alloc
-}
-
-// PrefixByAddr returns the client prefix containing the address, by
-// longest-prefix match over the originated blocks.
-func (t *Topo) PrefixByAddr(addr uint32) (Prefix, bool) {
-	id, ok := t.fib.Lookup(addr)
-	if !ok {
-		return Prefix{}, false
-	}
-	return t.Prefixes[id], true
 }
 
 // NumASes returns the number of ASes.
@@ -199,7 +171,7 @@ func (t *Topo) NumASes() int { return len(t.ASes) }
 // (which nothing mutates: provider.Build replaces the clone's Graph with
 // its own WAN-extended copy), and each AS's backbone cable.Network (whose
 // distance memo is concurrency-safe) — are shared by pointer, which keeps
-// a clone cheap: the cost is one AS-table copy plus the prefix FIB.
+// a clone cheap: the cost is one AS-table copy.
 func (t *Topo) Clone() *Topo {
 	nt := &Topo{
 		Catalog:  t.Catalog,
@@ -207,7 +179,6 @@ func (t *Topo) Clone() *Topo {
 		ASes:     make([]*AS, len(t.ASes)),
 		Links:    append([]Link(nil), t.Links...),
 		Prefixes: append([]Prefix(nil), t.Prefixes...),
-		fib:      t.fib.Clone(),
 	}
 	for i, a := range t.ASes {
 		cp := *a
@@ -215,9 +186,6 @@ func (t *Topo) Clone() *Topo {
 		// list grows on Connect and must not alias the original's.
 		cp.links = append([]int(nil), a.links...)
 		nt.ASes[i] = &cp
-	}
-	if t.alloc != nil {
-		nt.alloc = t.alloc.Clone()
 	}
 	return nt
 }
@@ -353,13 +321,8 @@ func (t *Topo) AddPrefix(origin, city int, weight float64) (Prefix, error) {
 	if weight <= 0 {
 		return Prefix{}, fmt.Errorf("topology: prefix weight must be positive")
 	}
-	cidr, err := t.allocator().Alloc(clientPrefixBits)
-	if err != nil {
-		return Prefix{}, fmt.Errorf("topology: %w", err)
-	}
-	p := Prefix{ID: len(t.Prefixes), Origin: origin, City: city, Weight: weight, CIDR: cidr}
+	p := Prefix{ID: len(t.Prefixes), Origin: origin, City: city, Weight: weight}
 	t.Prefixes = append(t.Prefixes, p)
-	t.fib.Insert(cidr, p.ID)
 	return p, nil
 }
 
@@ -388,17 +351,6 @@ func (t *Topo) ByClass(c Class) []int {
 	for _, a := range t.ASes {
 		if a.Class == c {
 			out = append(out, a.ID)
-		}
-	}
-	return out
-}
-
-// PrefixesOf returns the prefixes originated by the AS.
-func (t *Topo) PrefixesOf(asID int) []Prefix {
-	var out []Prefix
-	for _, p := range t.Prefixes {
-		if p.Origin == asID {
-			out = append(out, p)
 		}
 	}
 	return out

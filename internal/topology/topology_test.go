@@ -262,26 +262,21 @@ func TestAddPrefixValidation(t *testing.T) {
 	}
 }
 
-func TestPrefixCIDRs(t *testing.T) {
-	topo := gen(t, 25)
-	seen := map[uint32]bool{}
-	for _, p := range topo.Prefixes {
-		if p.CIDR.Bits != 20 {
-			t.Fatalf("prefix %d got a /%d, want /20", p.ID, p.CIDR.Bits)
-		}
-		if seen[p.CIDR.Addr] {
-			t.Fatalf("prefix %d reuses block %v", p.ID, p.CIDR)
-		}
-		seen[p.CIDR.Addr] = true
-		// LPM on any address inside the block resolves to the prefix.
-		got, ok := topo.PrefixByAddr(p.CIDR.Nth(137))
-		if !ok || got.ID != p.ID {
-			t.Fatalf("PrefixByAddr inside %v resolved to %v/%v", p.CIDR, got.ID, ok)
-		}
+// TestLargeWorldPrefixIDs: a prefix is an ID, so world size has no
+// address-pool ceiling. 200 eyeballs per region yields more prefixes than
+// the 4,096 /20 blocks a 10.0.0.0/8 pool could hand out.
+func TestLargeWorldPrefixIDs(t *testing.T) {
+	topo, err := Generate(GenConfig{Seed: 42, EyeballsPerRegion: 200})
+	if err != nil {
+		t.Fatalf("Generate at 200 eyeballs per region: %v", err)
 	}
-	// Addresses outside the pool resolve to nothing.
-	if _, ok := topo.PrefixByAddr(0xC0A80001); ok { // 192.168.0.1
-		t.Fatal("address outside the client pool resolved")
+	if n := len(topo.Prefixes); n <= 4096 {
+		t.Fatalf("%d prefixes, want more than 4096", n)
+	}
+	for i, p := range topo.Prefixes {
+		if p.ID != i {
+			t.Fatalf("Prefixes[%d].ID = %d", i, p.ID)
+		}
 	}
 }
 
