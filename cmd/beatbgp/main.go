@@ -5,7 +5,7 @@
 //
 //	beatbgp [-seed N] [-exp id[,id...]] [-list] [-days N] [-eyeballs N]
 //	        [-seeds N] [-timeout D] [-watchdog D] [-workers N]
-//	        [-run-dir DIR] [-resume DIR] [-hold SEC] [-bfd]
+//	        [-run-dir DIR] [-resume DIR] [-hold SEC] [-bfd] [-cpuprofile FILE]
 //
 // With no -exp, every registered experiment runs in the paper's order.
 // Every run is a supervised campaign over (experiment, seed) cells:
@@ -35,7 +35,9 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -88,6 +90,7 @@ func run(args []string) error {
 		hold     = fs.Float64("hold", 0, "BGP hold timer in seconds for the session layer (keepalive scales to hold/3); 0 means the 36s default")
 		bfd      = fs.Bool("bfd", false, "enable BFD fast failure detection on every session (300ms x3 by default)")
 		bstats   = fs.Bool("buildstats", false, "print the scenario build report (per-stage wall time, rebuilt vs reused)")
+		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file; off by default")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -137,6 +140,16 @@ func run(args []string) error {
 			return fmt.Errorf("-exp named no experiments")
 		}
 	}
+	stopProfile := func() {}
+	if *cpuprof != "" {
+		stop, err := startCPUProfile(*cpuprof)
+		if err != nil {
+			return err
+		}
+		stopProfile = stop
+		defer stopProfile()
+	}
+
 	var seedList []uint64
 	if *seeds > 1 {
 		for i := 0; i < *seeds; i++ {
@@ -172,6 +185,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "beatbgp: %v: draining (in-flight experiments get %v; repeat to force-quit)\n", s, drainGrace)
 		cancel()
 		<-sig
+		stopProfile()
 		os.Exit(130)
 	}()
 
@@ -237,6 +251,26 @@ func run(args []string) error {
 		fmt.Fprint(os.Stderr, rep.Banner())
 	}
 	return campaignErr(rep)
+}
+
+// startCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file, safe to call more than
+// once.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %v", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %v", err)
+	}
+	return sync.OnceFunc(func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "beatbgp: -cpuprofile: %v\n", err)
+		}
+	}), nil
 }
 
 // campaignErr maps a finished campaign onto run's error: nil when every

@@ -222,3 +222,22 @@ func TestUnbuildableWorldExitsOne(t *testing.T) {
 		}
 	}
 }
+
+// TestCPUProfile: -cpuprofile writes a non-empty gzip-compressed pprof
+// profile of a successful run.
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := run([]string{"-exp", "t32", "-cpuprofile", path}); exitCode(err) != 0 {
+		t.Fatalf("-exp t32 -cpuprofile: exit code %d (err %v), want 0", exitCode(err), err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is %d bytes without the gzip magic", len(data))
+	}
+	if err := run([]string{"-exp", "t32", "-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir")}); exitCode(err) != 1 {
+		t.Fatalf("unwritable -cpuprofile: exit code %d (err %v), want 1", exitCode(err), err)
+	}
+}

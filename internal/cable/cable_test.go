@@ -328,3 +328,72 @@ func BenchmarkShortestPath(b *testing.B) {
 		}
 	}
 }
+
+// TestDistKmMatchesPath: DistKm reads the shortest-path tree directly, so
+// it must equal Path's Km for every pair of footprint cities, be 0 from a
+// city to itself, and be +Inf toward an absent or unreachable city.
+func TestDistKmMatchesPath(t *testing.T) {
+	g, cat := world(t)
+	all := make([]int, g.NumEdges())
+	for i := range all {
+		all[i] = i
+	}
+	// split lights two edges with no city in common: each edge's cities
+	// reach each other and nothing else.
+	e0 := g.Edge(0)
+	var e1 Edge
+	for _, e := range g.Edges() {
+		if e.A != e0.A && e.A != e0.B && e.B != e0.A && e.B != e0.B {
+			e1 = e
+			break
+		}
+	}
+	split := NewNetwork(g, "split", []int{e0.ID, e1.ID}, 1.0)
+	leased, err := NetworkFromCities(g, "leased", []int{
+		cityID(t, cat, "Helsinki"), cityID(t, cat, "CapeTown"), cityID(t, cat, "Tokyo"),
+	}, 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Network{NewNetwork(g, "all", all, 1.25), split, leased} {
+		var present []int
+		absents := []int{-1, cat.Len()}
+		for c := 0; c < cat.Len(); c++ {
+			if n.Present(c) {
+				present = append(present, c)
+			} else if len(absents) == 2 {
+				absents = append(absents, c) // in range, off the footprint
+			}
+		}
+		for _, a := range present {
+			for _, b := range present {
+				got := n.DistKm(a, b)
+				p, ok := n.Path(a, b)
+				switch {
+				case a == b && got != 0:
+					t.Fatalf("%s: DistKm(%d, %d) = %v, want 0", n.Name, a, b, got)
+				case !ok && !math.IsInf(got, 1):
+					t.Fatalf("%s: DistKm(%d, %d) = %v for an unreachable pair, want +Inf", n.Name, a, b, got)
+				case ok && got != p.Km:
+					t.Fatalf("%s: DistKm(%d, %d) = %v, Path Km = %v", n.Name, a, b, got, p.Km)
+				}
+			}
+			for _, absent := range absents {
+				if d := n.DistKm(a, absent); !math.IsInf(d, 1) {
+					t.Fatalf("%s: DistKm to absent city %d = %v, want +Inf", n.Name, absent, d)
+				}
+				if d := n.DistKm(absent, a); !math.IsInf(d, 1) {
+					t.Fatalf("%s: DistKm from absent city %d = %v, want +Inf", n.Name, absent, d)
+				}
+			}
+		}
+	}
+	if d := split.DistKm(e0.A, e1.A); !math.IsInf(d, 1) {
+		t.Fatalf("split: DistKm across the two edges = %v, want +Inf", d)
+	}
+	if off := cityID(t, cat, "London"); !split.Present(off) {
+		if d := split.DistKm(off, off); !math.IsInf(d, 1) {
+			t.Fatalf("split: DistKm from an off-footprint city to itself = %v, want +Inf", d)
+		}
+	}
+}

@@ -163,13 +163,16 @@ func (n *Network) Path(from, to int) (Path, bool) {
 }
 
 // DistKm returns the network-internal distance between two footprint
-// cities, or +Inf when unreachable.
+// cities — Path's Km, read straight off the shortest-path tree — or +Inf
+// when either city is outside the footprint or unreachable.
 func (n *Network) DistKm(from, to int) float64 {
-	p, ok := n.Path(from, to)
-	if !ok {
+	if !n.Present(from) || !n.Present(to) {
 		return math.Inf(1)
 	}
-	return p.Km
+	if from == to {
+		return 0
+	}
+	return n.tree(from).dist[to] * n.Stretch
 }
 
 // NearestPresent returns the footprint city closest (by network distance)

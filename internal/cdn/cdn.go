@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/geo"
@@ -126,6 +127,10 @@ type CDN struct {
 	// anycastAt is the ungroomed anycast repair chain over the epoch
 	// sequence this view is bound to (epoch.go); nil on a built CDN.
 	anycastAt *bgp.EpochChain
+
+	// nearest holds each catalog city's site ranking (rankedSites),
+	// filled on first use; every view shares it.
+	nearest []atomic.Pointer[[]int]
 }
 
 // ribCache holds the CDN's memoized routing state. Every entry is a pure
@@ -158,6 +163,7 @@ func Build(t *topology.Topo, cfg Config, lower func(*topology.Topo) (bgp.Compute
 		siteByAS: make(map[int]int),
 		resolver: netpath.NewResolver(t),
 		cache:    &ribCache{phys: make(map[int64]netpath.Route)},
+		nearest:  make([]atomic.Pointer[[]int], t.Catalog.Len()),
 	}
 	catalog := t.Catalog
 	asn := cfg.BaseASN

@@ -3,6 +3,8 @@ package cdn
 import (
 	"errors"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"beatbgp/internal/bgp"
@@ -218,6 +220,41 @@ func TestUnicastRIBCached(t *testing.T) {
 	}
 	if _, err := c.UnicastRIB(-1); err == nil {
 		t.Fatal("bad site index accepted")
+	}
+}
+
+// TestNearestSitesToCityMatchesBruteForce: the memoised per-city ranking
+// must equal a fresh (distance, index) ranking for every city and k, on
+// first use and on reuse, and its capacity must stop an append from
+// writing into the shared memo.
+func TestNearestSitesToCityMatchesBruteForce(t *testing.T) {
+	topo, c := build(t, 11)
+	cat := topo.Catalog
+	for pass := 0; pass < 2; pass++ {
+		for city := 0; city < cat.Len(); city++ {
+			loc := cat.City(city).Loc
+			want := make([]int, len(c.Sites))
+			for i := range want {
+				want[i] = i
+			}
+			// A stable sort of ascending indices by distance is the
+			// (distance, index) order.
+			sort.SliceStable(want, func(a, b int) bool {
+				return geo.DistanceKm(loc, cat.City(c.Sites[want[a]].City).Loc) <
+					geo.DistanceKm(loc, cat.City(c.Sites[want[b]].City).Loc)
+			})
+			for _, k := range []int{0, 1, 4, len(c.Sites), len(c.Sites) + 3} {
+				got := c.NearestSitesToCity(city, k)
+				n := min(k, len(c.Sites))
+				if !slices.Equal(got, want[:n]) {
+					t.Fatalf("pass %d city %d k=%d: got %v, want %v", pass, city, k, got, want[:n])
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("pass %d city %d k=%d: cap %d != len %d", pass, city, k, cap(got), len(got))
+				}
+				_ = append(got, -1)
+			}
+		}
 	}
 }
 

@@ -45,25 +45,44 @@ func NewRedirector(byResolver, byPrefix map[int]int) *Redirector {
 	return rd
 }
 
-// NearestSitesToCity returns the k sites closest to a city.
+// NearestSitesToCity returns the k sites closest to a city, nearest
+// first (ties by site index). The slice is shared: callers must not
+// modify it, and its capacity is capped at k so an append copies.
 func (c *CDN) NearestSitesToCity(city, k int) []int {
-	loc := c.Topo.Catalog.City(city).Loc
-	idx := make([]int, len(c.Sites))
-	for i := range idx {
-		idx[i] = i
+	ranked := c.rankedSites(city)
+	if k > len(ranked) {
+		k = len(ranked)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		da := geo.DistanceKm(loc, c.Topo.Catalog.City(c.Sites[idx[a]].City).Loc)
-		db := geo.DistanceKm(loc, c.Topo.Catalog.City(c.Sites[idx[b]].City).Loc)
+	return ranked[:k:k]
+}
+
+// rankedSites returns every site index ranked by geodesic distance from
+// the city, ties by index: built on first use, then memoized in the
+// city's slot. The ranking is a pure function of the sites, so a racing
+// build is identical and the first install wins.
+func (c *CDN) rankedSites(city int) []int {
+	slot := &c.nearest[city]
+	if ranked := slot.Load(); ranked != nil {
+		return *ranked
+	}
+	loc := c.Topo.Catalog.City(city).Loc
+	dist := make([]float64, len(c.Sites))
+	ranked := make([]int, len(c.Sites))
+	for i, s := range c.Sites {
+		dist[i] = geo.DistanceKm(loc, c.Topo.Catalog.City(s.City).Loc)
+		ranked[i] = i
+	}
+	sort.Slice(ranked, func(a, b int) bool {
+		da, db := dist[ranked[a]], dist[ranked[b]]
 		if da != db {
 			return da < db
 		}
-		return idx[a] < idx[b]
+		return ranked[a] < ranked[b]
 	})
-	if k > len(idx) {
-		k = len(idx)
+	if !slot.CompareAndSwap(nil, &ranked) {
+		return *slot.Load()
 	}
-	return idx[:k]
+	return ranked
 }
 
 // TrainOpts tunes redirection training.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"beatbgp/internal/delta"
 	"beatbgp/internal/faults"
@@ -157,11 +158,9 @@ const (
 )
 
 // Sim evaluates the congestion model. Every per-entity process is a pure
-// function of (seed, entity), memoized on first use; the memo is guarded,
-// so queries are safe from any number of goroutines and identical under
-// any interleaving. Hot parallel loops should still prefer a per-worker
-// Clone — it samples the same world from a private memo, trading a little
-// duplicated schedule construction for zero lock traffic.
+// function of (seed, entity), memoized on first use in lock-free per-ID
+// slots (the first install wins), so queries are safe from any number of
+// goroutines and identical under any interleaving.
 //
 // Everything that shapes a Sim's answers — config, injected link state,
 // injected congestion, per-link failure scales — is bound at
@@ -178,11 +177,50 @@ type Sim struct {
 	tl        *faults.Timeline
 	failScale map[int]float64
 
-	mu        sync.RWMutex
-	prefixes  map[int]*prefixProc
-	links     map[int]*linkProc
-	asNoise   map[int]float64
-	linkFails map[int][]incident
+	// asNoise is each AS's backbone jitter floor, drawn in New (one
+	// draw per AS); the per-entity processes are memoized lazily.
+	asNoise   []float64
+	prefixes  memo[prefixProc]
+	links     memo[linkProc]
+	linkFails memo[[]incident]
+}
+
+// memo is a lazily filled, lock-free table of per-entity values: one
+// slot per ID the topology had at New, and a map for any other ID (the
+// vantage-point prefixes of internal/measure live at 1,000,000 and up).
+// Every value is a pure function of (seed, entity), so a racing build is
+// identical and the first install wins.
+type memo[T any] struct {
+	dense  []atomic.Pointer[T]
+	sparse sync.Map // int -> *T
+}
+
+func newMemo[T any](n int) memo[T] {
+	return memo[T]{dense: make([]atomic.Pointer[T], n)}
+}
+
+// load returns id's value, or nil before its first install.
+func (m *memo[T]) load(id int) *T {
+	if uint(id) < uint(len(m.dense)) {
+		return m.dense[id].Load()
+	}
+	if v, ok := m.sparse.Load(id); ok {
+		return v.(*T)
+	}
+	return nil
+}
+
+// install stores v as id's value unless one is already there, and
+// returns the value that stays.
+func (m *memo[T]) install(id int, v *T) *T {
+	if uint(id) < uint(len(m.dense)) {
+		if m.dense[id].CompareAndSwap(nil, v) {
+			return v
+		}
+		return m.dense[id].Load()
+	}
+	got, _ := m.sparse.LoadOrStore(id, v)
+	return got.(*T)
 }
 
 type prefixProc struct {
@@ -213,10 +251,13 @@ func New(t *topology.Topo, cfg Config, seq *delta.Sequence, tl *faults.Timeline,
 		cfg:       cfg,
 		seq:       seq,
 		tl:        tl,
-		prefixes:  make(map[int]*prefixProc),
-		links:     make(map[int]*linkProc),
-		asNoise:   make(map[int]float64),
-		linkFails: make(map[int][]incident),
+		asNoise:   make([]float64, len(t.ASes)),
+		prefixes:  newMemo[prefixProc](len(t.Prefixes)),
+		links:     newMemo[linkProc](len(t.Links)),
+		linkFails: newMemo[[]incident](len(t.Links)),
+	}
+	for as := range s.asNoise {
+		s.asNoise[as] = s.drawASNoise(as)
 	}
 	if len(failScale) > 0 {
 		s.failScale = make(map[int]float64, len(failScale))
@@ -232,8 +273,7 @@ func New(t *topology.Topo, cfg Config, seq *delta.Sequence, tl *faults.Timeline,
 // private (empty) process memo.
 // Because every process is a pure function of (seed, entity), a clone
 // returns bit-identical answers to its parent for every query; it exists
-// as the per-worker state factory for parallel fan-out (internal/par), so
-// hot loops sample without cross-worker lock contention.
+// as the per-worker state factory for parallel fan-out (internal/par).
 func (s *Sim) Clone() *Sim {
 	return New(s.topo, s.cfg, s.seq, s.tl, s.failScale)
 }
@@ -301,39 +341,24 @@ func diurnal(tMinutes, phaseHours float64) float64 {
 }
 
 func (s *Sim) prefixProcFor(p topology.Prefix) *prefixProc {
-	s.mu.RLock()
-	pp, ok := s.prefixes[p.ID]
-	s.mu.RUnlock()
-	if ok {
+	if pp := s.prefixes.load(p.ID); pp != nil {
 		return pp
 	}
 	rng := s.rngFor(kindPrefix, p.ID)
 	origin := s.topo.ASes[p.Origin]
 	city := s.topo.Catalog.City(p.City)
-	pp = &prefixProc{
+	pp := &prefixProc{
 		baseMs:     origin.LastMileMs * rng.LogNormal(0, 0.3),
 		diurnalMs:  rng.LogNormal(math.Log(s.cfg.LastMileDiurnalMedianMs), 0.8),
 		phaseHours: city.Loc.Lon / 15,
 		incidents: drawIncidents(rng, s.cfg.HorizonMinutes,
 			s.cfg.PrefixIncidentsPerDay, s.cfg.PrefixIncidentMeanMin, 4, 1.3, 200),
 	}
-	// The process is a pure function of (seed, prefix): a racing build
-	// produced an identical value, so keep whichever pointer landed first.
-	s.mu.Lock()
-	if prior, ok := s.prefixes[p.ID]; ok {
-		pp = prior
-	} else {
-		s.prefixes[p.ID] = pp
-	}
-	s.mu.Unlock()
-	return pp
+	return s.prefixes.install(p.ID, pp)
 }
 
 func (s *Sim) linkProcFor(linkID int) *linkProc {
-	s.mu.RLock()
-	lp, ok := s.links[linkID]
-	s.mu.RUnlock()
-	if ok {
+	if lp := s.links.load(linkID); lp != nil {
 		return lp
 	}
 	rng := s.rngFor(kindLink, linkID)
@@ -351,35 +376,25 @@ func (s *Sim) linkProcFor(linkID int) *linkProc {
 		impair = rng.Uniform(s.cfg.LinkImpairMinMs, impairMax)
 	}
 	phase := s.topo.Catalog.City(link.Cities[0]).Loc.Lon / 15
-	lp = &linkProc{
+	lp := &linkProc{
 		impairMs:  impair,
 		diurnalMs: rng.LogNormal(0, 0.8), // median 1 ms
 		phase:     phase,
 		incidents: drawIncidents(rng, s.cfg.HorizonMinutes,
 			s.cfg.LinkIncidentsPerDay, s.cfg.LinkIncidentMeanMin, 3, 1.5, 100),
 	}
-	s.mu.Lock()
-	if prior, ok := s.links[linkID]; ok {
-		lp = prior
-	} else {
-		s.links[linkID] = lp
-	}
-	s.mu.Unlock()
-	return lp
+	return s.links.install(linkID, lp)
+}
+
+func (s *Sim) drawASNoise(asID int) float64 {
+	return s.rngFor(kindAS, asID).Uniform(0.1, 0.5)
 }
 
 func (s *Sim) asNoiseFor(asID int) float64 {
-	s.mu.RLock()
-	v, ok := s.asNoise[asID]
-	s.mu.RUnlock()
-	if ok {
-		return v
+	if uint(asID) < uint(len(s.asNoise)) {
+		return s.asNoise[asID]
 	}
-	v = s.rngFor(kindAS, asID).Uniform(0.1, 0.5)
-	s.mu.Lock()
-	s.asNoise[asID] = v
-	s.mu.Unlock()
-	return v
+	return s.drawASNoise(asID)
 }
 
 // LastMileMs returns the shared-fate last-mile latency toward the prefix
@@ -462,26 +477,16 @@ func (s *Sim) LossRate(r netpath.Route, p topology.Prefix, t float64) float64 {
 }
 
 func (s *Sim) failSchedule(linkID int) []incident {
-	s.mu.RLock()
-	f, ok := s.linkFails[linkID]
-	s.mu.RUnlock()
-	if ok {
-		return f
+	if f := s.linkFails.load(linkID); f != nil {
+		return *f
 	}
 	rate := s.cfg.LinkFailuresPerDay
 	if scale, ok := s.failScale[linkID]; ok {
 		rate *= scale
 	}
 	rng := s.rngFor(kindLinkFail, linkID)
-	f = drawIncidents(rng, s.cfg.HorizonMinutes, rate, s.cfg.LinkRepairMeanMin, 1, 2, 1)
-	s.mu.Lock()
-	if prior, ok := s.linkFails[linkID]; ok {
-		f = prior
-	} else {
-		s.linkFails[linkID] = f
-	}
-	s.mu.Unlock()
-	return f
+	f := drawIncidents(rng, s.cfg.HorizonMinutes, rate, s.cfg.LinkRepairMeanMin, 1, 2, 1)
+	return *s.linkFails.install(linkID, &f)
 }
 
 // LinkFailed reports whether the interdomain link is down at time t,

@@ -370,35 +370,76 @@ func stochasticDowntime(s *Sim, link int, t0, t1 float64) float64 {
 	return total
 }
 
-// TestConcurrentQueries hits one shared Sim from many goroutines under
-// -race: the memo must stay consistent and the answers bit-identical to a
-// serially warmed twin.
+// TestConcurrentQueries races eight goroutines over one fresh Sim under
+// -race, so they contend on installing every memo slot: each walks the
+// same queries (MinRTTMs, LastMileMs, LinkMs, LinkFailed, LossRate) in
+// its own order, and every answer must equal a serial fresh Sim's. A
+// vantage-point prefix ID far past the topology's prefixes exercises the
+// memo's off-table path.
 func TestConcurrentQueries(t *testing.T) {
 	f := setup(t)
-	shared := New(f.topo, Config{Seed: 7}, nil, nil, nil)
-	oracle := New(f.topo, Config{Seed: 7}, nil, nil, nil)
-	times := make([]float64, 64)
-	for i := range times {
-		times[i] = float64(i) * 37
+	vp := topology.Prefix{ID: 1_000_000, Origin: f.prefix.Origin, City: f.prefix.City, Weight: 1}
+	if vp.ID < len(f.topo.Prefixes) {
+		t.Fatalf("vantage-point prefix %d inside the topology's %d prefixes", vp.ID, len(f.topo.Prefixes))
 	}
-	want := make([]float64, len(times))
-	for i, tm := range times {
-		want[i] = oracle.MinRTTMs(f.route, f.prefix, tm, 15)
+	prefixes := []topology.Prefix{f.prefix, vp}
+	for i := 0; i < len(f.topo.Prefixes); i += 7 {
+		prefixes = append(prefixes, f.topo.Prefixes[i])
 	}
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	routes := []netpath.Route{f.route}
+	if len(f.alt.Links) > 0 {
+		routes = append(routes, f.alt)
+	}
+	type query func(s *Sim) float64
+	var queries []query
+	for _, tm := range []float64{0, 611, 1260, 4000, 13000} {
+		for _, p := range prefixes {
+			queries = append(queries, func(s *Sim) float64 { return s.LastMileMs(p, tm) })
+			for _, r := range routes {
+				queries = append(queries,
+					func(s *Sim) float64 { return s.MinRTTMs(r, p, tm, 15) },
+					func(s *Sim) float64 { return s.LossRate(r, p, tm) })
+			}
+		}
+		for l := range f.topo.Links {
+			queries = append(queries,
+				func(s *Sim) float64 { return s.LinkMs(l, tm) },
+				func(s *Sim) float64 {
+					if s.LinkFailed(l, tm) {
+						return 1
+					}
+					return 0
+				})
+		}
+	}
+	serial := New(f.topo, Config{Seed: 13}, nil, nil, nil)
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		want[i] = q(serial)
+	}
+	shared := New(f.topo, Config{Seed: 13}, nil, nil, nil)
+	const workers = 8
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
 		go func() {
-			for i, tm := range times {
-				if got := shared.MinRTTMs(f.route, f.prefix, tm, 15); got != want[i] {
-					done <- fmt.Errorf("t=%v: concurrent %v != serial %v", tm, got, want[i])
+			n := len(queries)
+			for j := 0; j < n; j++ {
+				// Even goroutines walk forward from a per-goroutine
+				// offset, odd ones backward.
+				i := (j + g*n/workers) % n
+				if g%2 == 1 {
+					i = n - 1 - i
+				}
+				if got := queries[i](shared); math.Float64bits(got) != math.Float64bits(want[i]) {
+					errs <- fmt.Errorf("goroutine %d query %d: shared Sim %v != serial %v", g, i, got, want[i])
 					return
 				}
 			}
-			done <- nil
+			errs <- nil
 		}()
 	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -58,34 +59,112 @@ func referenceMedianCI(d *Dist, level float64) (lo, hi float64) {
 
 func TestMedianCIMatchesReference(t *testing.T) {
 	// A deterministic value/weight stream independent of the CI's own
-	// generator, covering ties, skew, and weighted mass.
+	// generator, covering ties, skew, and weighted mass. The second pass
+	// draws fresh samples at the same sizes, so it reads the memoised
+	// bootstrap draws the first pass installed.
 	gen := uint64(0x1234_5678_9abc_def0)
 	next := func() float64 {
 		gen = gen*6364136223846793005 + 1442695040888963407
 		return float64(gen>>11) / (1 << 53)
 	}
-	for _, n := range []int{5, 6, 7, 16, 33, 100, 257, 1000} {
-		for _, weighted := range []bool{false, true} {
-			for _, level := range []float64{0.90, 0.95, 0.99} {
-				var d Dist
-				for i := 0; i < n; i++ {
-					v := math.Floor(next()*40) * 2.5 // coarse grid forces value ties
-					w := 1.0
-					if weighted {
-						w = 0.25 + 10*next()
+	for pass := 0; pass < 2; pass++ {
+		for _, n := range []int{5, 6, 7, 16, 33, 100, 257, 960, 1000} {
+			for _, weighted := range []bool{false, true} {
+				for _, level := range []float64{0.90, 0.95, 0.99} {
+					d := randomDist(n, weighted, next)
+					wantLo, wantHi := referenceMedianCI(d, level)
+					gotLo, gotHi := d.MedianCI(level)
+					if gotLo != wantLo || gotHi != wantHi {
+						t.Fatalf("pass=%d n=%d weighted=%v level=%v: MedianCI=(%v,%v) reference=(%v,%v)",
+							pass, n, weighted, level, gotLo, gotHi, wantLo, wantHi)
 					}
-					d.Add(v, w)
-				}
-				wantLo, wantHi := referenceMedianCI(&d, level)
-				gotLo, gotHi := d.MedianCI(level)
-				if gotLo != wantLo || gotHi != wantHi {
-					t.Fatalf("n=%d weighted=%v level=%v: MedianCI=(%v,%v) reference=(%v,%v)",
-						n, weighted, level, gotLo, gotHi, wantLo, wantHi)
 				}
 			}
 		}
 	}
 }
+
+// randomDist draws n samples from next on a coarse grid (forcing value
+// ties), with unit or random weights.
+func randomDist(n int, weighted bool, next func() float64) *Dist {
+	var d Dist
+	for i := 0; i < n; i++ {
+		v := math.Floor(next()*40) * 2.5
+		w := 1.0
+		if weighted {
+			w = 0.25 + 10*next()
+		}
+		d.Add(v, w)
+	}
+	return &d
+}
+
+// TestMedianCIConcurrent races first and repeat uses of the bootstrap
+// memo across goroutines and several sample counts: every interval must
+// equal the serial one.
+func TestMedianCIConcurrent(t *testing.T) {
+	gen := uint64(0xfeed)
+	next := func() float64 {
+		gen = gen*6364136223846793005 + 1442695040888963407
+		return float64(gen>>11) / (1 << 53)
+	}
+	// Sample counts no other test uses, so the goroutines race to
+	// install each memo entry.
+	var dists []*Dist
+	for _, n := range []int{11, 97, 480, 961} {
+		for i := 0; i < 3; i++ {
+			dists = append(dists, randomDist(n, i%2 == 1, next))
+		}
+	}
+	type ci struct{ lo, hi float64 }
+	got := make([][]ci, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]ci, len(dists))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range dists {
+				i := (j + g*5) % len(dists) // a different order per goroutine
+				// Each goroutine reads its own copy: MedianCI sorts the
+				// samples in place on first use.
+				d := *dists[i]
+				d.samples = append([]WeightedSample(nil), d.samples...)
+				lo, hi := d.MedianCI(0.95)
+				got[g][i] = ci{lo, hi}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, d := range dists {
+		wantLo, wantHi := referenceMedianCI(d, 0.95)
+		for g := range got {
+			if got[g][i] != (ci{wantLo, wantHi}) {
+				t.Fatalf("goroutine %d dist %d (n=%d): got %v, want (%v,%v)",
+					g, i, d.N(), got[g][i], wantLo, wantHi)
+			}
+		}
+	}
+}
+
+// BenchmarkMedianCI times a warm bootstrap at the campaign's sample
+// count (10 days of 96 windows). Run with -benchmem.
+func BenchmarkMedianCI(b *testing.B) {
+	gen := uint64(7)
+	next := func() float64 {
+		gen = gen*6364136223846793005 + 1442695040888963407
+		return float64(gen>>11) / (1 << 53)
+	}
+	d := randomDist(960, true, next)
+	d.MedianCI(0.95)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ciSink[0], ciSink[1] = d.MedianCI(0.95)
+	}
+}
+
+var ciSink [2]float64
 
 func TestMedianCIDegenerateCases(t *testing.T) {
 	var empty Dist

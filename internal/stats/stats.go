@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // WeightedSample is one observation with an associated weight (typically
@@ -196,15 +197,6 @@ func (d *Dist) MedianCI(level float64) (lo, hi float64) {
 	if n < 5 {
 		return d.Min(), d.Max()
 	}
-	const resamples = 200
-	meds := make([]float64, 0, resamples)
-	// Deterministic LCG local to the call: CI computation must not consume
-	// simulation randomness.
-	state := uint64(n)*2654435761 + 0x9e3779b9
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 11
-	}
 	// Resample indices proportionally to weight using cumulative weights.
 	d.ensureSorted()
 	cum := make([]float64, n)
@@ -213,23 +205,18 @@ func (d *Dist) MedianCI(level float64) (lo, hi float64) {
 		acc += s.Weight
 		cum[i] = acc
 	}
-	// Each resample draws n uniforms; the resampled median is the k-th
-	// smallest drawn value with k = ceil(n/2) (unit weights make the
+	// Each resample draws n uniforms u = q·acc; the resampled median is
+	// the k-th smallest u with k = ceil(n/2) (unit weights make the
 	// weighted Quantile(0.5) scan stop at the first 1-based rank reaching
-	// n/2). The map from a uniform u to its sample value — binary search
-	// in cum, then the value at that index of the sorted samples — is
-	// monotone non-decreasing, so order statistics commute with it:
-	// selecting the k-th smallest u and mapping it once yields exactly
-	// the median that materializing, sorting, and scanning the whole
-	// resampled distribution would.
-	k := (n + 1) / 2
-	us := make([]float64, n)
-	for r := 0; r < resamples; r++ {
-		for i := 0; i < n; i++ {
-			us[i] = float64(next()%(1<<52)) / (1 << 52) * acc
-		}
-		u := selectKth(us, k-1)
-		idx := sort.SearchFloat64s(cum, u)
+	// n/2). The map from a uniform to its sample value — binary search in
+	// cum, then the value at that index of the sorted samples — is
+	// monotone non-decreasing, and so is q ↦ q·acc, so order statistics
+	// commute with both: the k-th smallest q, scaled and mapped once,
+	// yields exactly the median that materializing, sorting, and scanning
+	// the whole resampled distribution would.
+	meds := make([]float64, 0, resamples)
+	for _, q := range medianDraws(n) {
+		idx := sort.SearchFloat64s(cum, q*acc)
 		if idx >= n {
 			idx = n - 1
 		}
@@ -243,6 +230,42 @@ func (d *Dist) MedianCI(level float64) (lo, hi float64) {
 		hiIdx = resamples - 1
 	}
 	return meds[loIdx], meds[hiIdx]
+}
+
+// resamples is the bootstrap's resample count.
+const resamples = 200
+
+// medianMemo maps a sample count n to its *[resamples]float64 of
+// per-resample median draws (see medianDraws).
+var medianMemo sync.Map
+
+// medianDraws returns, for each bootstrap resample of n draws, the
+// ceil(n/2)-th smallest raw uniform q in [0, 1). The generator is a
+// deterministic LCG local to the bootstrap and seeded from n alone — CI
+// computation must not consume simulation randomness — so the draws
+// depend on nothing else and are memoised per n: a warm MedianCI pays
+// one binary search per resample instead of n draws and a selection.
+func medianDraws(n int) *[resamples]float64 {
+	if v, ok := medianMemo.Load(n); ok {
+		return v.(*[resamples]float64)
+	}
+	state := uint64(n)*2654435761 + 0x9e3779b9
+	next := func() uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return state >> 11
+	}
+	k := (n + 1) / 2
+	qs := new([resamples]float64)
+	us := make([]float64, n)
+	for r := range qs {
+		for i := range us {
+			us[i] = float64(next()%(1<<52)) / (1 << 52)
+		}
+		qs[r] = selectKth(us, k-1)
+	}
+	// A racing computation produced the same draws; keep the first.
+	v, _ := medianMemo.LoadOrStore(n, qs)
+	return v.(*[resamples]float64)
 }
 
 // selectKth returns the k-th smallest element (0-based) of a, reordering

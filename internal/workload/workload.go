@@ -152,14 +152,18 @@ func (g *Generator) Observe(popCity int, p topology.Prefix, options []provider.E
 	// Per-window session noise stream, keyed by (prefix, pop) so traces
 	// are independent of generation order.
 	rng := xrand.New(g.cfg.Seed ^ uint64(p.ID)*0x9e3779b97f4a7c15 ^ uint64(popCity)<<32)
-	for _, start := range Windows(g.cfg.Days, g.cfg.WindowMin) {
-		obs := WindowObs{Start: start}
+	windows := Windows(g.cfg.Days, g.cfg.WindowMin)
+	tr.Windows = make([]WindowObs, 0, len(windows))
+	// One jitter buffer for the whole trace: every element is redrawn
+	// before each sort.
+	jit := make([]float64, g.cfg.SessionsPW)
+	for _, start := range windows {
+		obs := WindowObs{Start: start, MedianMinRTTMs: make([]float64, 0, len(tr.Routes))}
 		for _, ro := range tr.Routes {
 			floor := g.sim.MinRTTMs(ro.Phys, p, start, g.cfg.WindowMin)
 			// Median of SessionsPW sampled sessions: the per-session
 			// MinRTT sits at the window floor plus a small jitter, so the
 			// median is the middle order statistic of the jitter.
-			jit := make([]float64, g.cfg.SessionsPW)
 			for i := range jit {
 				jit[i] = rng.Exp(0.25)
 			}
