@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"beatbgp"
+	"beatbgp/internal/netpath"
 	"beatbgp/internal/workload"
 )
 
@@ -42,15 +43,23 @@ func main() {
 		fmt.Printf("\nclients in %s served from the %s PoP — %d egress routes:\n",
 			cat.City(p.City).Name, cat.City(pop).Name, len(opts))
 
-		// Measure the sprayed routes hourly across one day.
+		// Measure the sprayed routes over one day of 15-minute windows
+		// and compare them at the top of every hour.
+		const samples, perHour = 24, 4
+		phys := make([]netpath.Route, len(routes))
+		minRTT := make([][]float64, len(routes))
+		for j, ro := range routes {
+			phys[j] = ro.Phys
+			minRTT[j] = make([]float64, samples*perHour)
+		}
+		s.Sim.MinRTTsMs(phys, p, 15, minRTT)
 		gain := 0.0
-		const samples = 24
 		for hour := 0; hour < samples; hour++ {
-			t := float64(hour) * 60
-			preferred := s.Sim.MinRTTMs(routes[0].Phys, p, t, 15)
+			w := hour * perHour
+			preferred := minRTT[0][w]
 			best := preferred
-			for _, ro := range routes[1:] {
-				best = min(best, s.Sim.MinRTTMs(ro.Phys, p, t, 15))
+			for _, series := range minRTT[1:] {
+				best = min(best, series[w])
 			}
 			gain += preferred - best
 		}

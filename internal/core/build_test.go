@@ -375,3 +375,18 @@ func TestStageKeyDeterminism(t *testing.T) {
 		t.Error("CDN config change did not cascade to downstream stage keys")
 	}
 }
+
+// TestWorldKeyPinned pins the default worlds' keys at seeds 42 and 7. A
+// change to a stage's config, its defaults or the key derivation fails
+// here: it orphans every checkpoint keyed by the old value.
+func TestWorldKeyPinned(t *testing.T) {
+	for seed, want := range map[uint64]string{42: "299bda54a90aacb8", 7: "60a3c02079b2fc9d"} {
+		got, err := WorldKey(Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("WorldKey(seed %d) = %q, pinned %q", seed, got, want)
+		}
+	}
+}

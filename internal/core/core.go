@@ -172,6 +172,8 @@ type Scenario struct {
 	// experiments (a campaign's cells) block only on the cache they share.
 	tracesMu sync.Mutex
 	traces   []workload.Trace // lazily built Edge-Fabric trace (see efTraces)
+	pairsMu  sync.Mutex
+	pairs    []pairStats // lazily aggregated traces (see pairStatsAll)
 	tierMu   sync.Mutex
 	tier     *tierState // lazily built cloud-tier state (see tiers)
 	epochsMu sync.Mutex

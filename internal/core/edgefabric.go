@@ -84,14 +84,22 @@ func (s *Scenario) efTraces() ([]workload.Trace, error) {
 // pairStats is the per-⟨PoP, prefix⟩ aggregation behind Figures 1 and 2.
 type pairStats struct {
 	trace     workload.Trace
-	diffs     stats.Dist // per-window (preferred - best alternate)
-	pointDiff float64    // median over windows
+	pointDiff float64 // median over windows of (preferred - best alternate)
 	ciLo      float64
 	ciHi      float64
 	volume    float64 // total bytes
 }
 
+// pairStatsAll aggregates every Edge-Fabric trace once per scenario:
+// fig1, fig2, t31 and xqoe read the same result. Each pair's per-window
+// differences live only while its median and CI are taken, so the
+// published slice holds nothing a reader could mutate.
 func (s *Scenario) pairStatsAll() ([]pairStats, error) {
+	s.pairsMu.Lock()
+	defer s.pairsMu.Unlock()
+	if s.pairs != nil {
+		return s.pairs, nil
+	}
 	traces, err := s.efTraces()
 	if err != nil {
 		return nil, err
@@ -99,19 +107,21 @@ func (s *Scenario) pairStatsAll() ([]pairStats, error) {
 	out := make([]pairStats, 0, len(traces))
 	for _, tr := range traces {
 		ps := pairStats{trace: tr}
+		var diffs stats.Dist // per-window (preferred - best alternate)
 		for _, w := range tr.Windows {
 			pref := w.MedianMinRTTMs[0]
 			alt := math.Inf(1)
 			for _, v := range w.MedianMinRTTMs[1:] {
 				alt = min(alt, v)
 			}
-			ps.diffs.Add(pref-alt, 1)
+			diffs.Add(pref-alt, 1)
 			ps.volume += w.VolumeBytes
 		}
-		ps.pointDiff = ps.diffs.Median()
-		ps.ciLo, ps.ciHi = ps.diffs.MedianCI(0.95)
+		ps.pointDiff = diffs.Median()
+		ps.ciLo, ps.ciHi = diffs.MedianCI(0.95)
 		out = append(out, ps)
 	}
+	s.pairs = out
 	return out, nil
 }
 

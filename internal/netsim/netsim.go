@@ -15,6 +15,14 @@
 // simulation is reproducible and time-travel (evaluating any window in any
 // order) is free. Time is simulated minutes from epoch; latencies are
 // float64 milliseconds.
+//
+// The measurement trace (MinRTTsMs) evaluates the model on a fixed grid of
+// probe instants — five per window — so its time-only terms are computed
+// once per instant, not once per route: the prefix's last mile once per
+// trace, and the evening-peak factor once per (catalog city, instant) per
+// Sim. The single-instant queries (RouteRTTMs, LinkMs, LastMileMs)
+// evaluate the same expressions directly, so both forms return
+// bit-identical floats.
 package netsim
 
 import (
@@ -160,7 +168,9 @@ const (
 // Sim evaluates the congestion model. Every per-entity process is a pure
 // function of (seed, entity), memoized on first use in lock-free per-ID
 // slots (the first install wins), so queries are safe from any number of
-// goroutines and identical under any interleaving.
+// goroutines and identical under any interleaving. The diurnal factor on
+// the probe grid, a pure function of (city, instant), is memoized the same
+// way, one series per city.
 //
 // Everything that shapes a Sim's answers — config, injected link state,
 // injected congestion, per-link failure scales — is bound at
@@ -183,6 +193,11 @@ type Sim struct {
 	prefixes  memo[prefixProc]
 	links     memo[linkProc]
 	linkFails memo[[]incident]
+	// diurnal memoises the diurnal factor on the probe grid per (window
+	// length, city phase), a seriesKey -> *atomic.Pointer[[]float64]
+	// (see diurnalOn). It depends on nothing else, but each Sim keeps its
+	// own, as it does its processes: a clone's series go with it.
+	diurnal sync.Map
 }
 
 // memo is a lazily filled, lock-free table of per-entity values: one
@@ -230,11 +245,22 @@ type prefixProc struct {
 	incidents  []incident
 }
 
+// at is the congestion-affected last mile at t, given diurnal(t, phase).
+func (pp *prefixProc) at(diurnalFactor, t float64) float64 {
+	return pp.baseMs + pp.diurnalMs*diurnalFactor + incidentMs(pp.incidents, t)
+}
+
 type linkProc struct {
 	impairMs  float64 // persistent extra latency (0 for healthy links)
 	diurnalMs float64
 	phase     float64
 	incidents []incident
+}
+
+// at is the link's drawn congestion at t, given diurnal(t, phase); the
+// injected storms are added by the caller.
+func (lp *linkProc) at(diurnalFactor, t float64) float64 {
+	return lp.impairMs + lp.diurnalMs*diurnalFactor + incidentMs(lp.incidents, t)
 }
 
 // New creates a simulator over the topology. seq, when non-nil, is the
@@ -270,7 +296,7 @@ func New(t *topology.Topo, cfg Config, seq *delta.Sequence, tl *faults.Timeline,
 
 // Clone returns a simulator over the same topology, configuration,
 // injected link state and congestion, and failure-rate scales, with a
-// private (empty) process memo.
+// private (empty) process and diurnal memo.
 // Because every process is a pure function of (seed, entity), a clone
 // returns bit-identical answers to its parent for every query; it exists
 // as the per-worker state factory for parallel fan-out (internal/par).
@@ -324,12 +350,8 @@ func incidentMs(incidents []incident, t float64) float64 {
 // diurnal returns the evening-peak congestion multiplier in [0,1]:
 // a smooth bump centered near 21:00 local time.
 func diurnal(tMinutes, phaseHours float64) float64 {
-	localHour := math.Mod(tMinutes/60+phaseHours, 24)
-	if localHour < 0 {
-		localHour += 24
-	}
 	// Bump between 17:00 and 25:00 (1:00), peaking at 21:00.
-	h := localHour
+	h := hourOfDay(tMinutes/60 + phaseHours)
 	if h < 12 {
 		h += 24 // map early-morning hours to 24..36 so the bump is contiguous
 	}
@@ -338,6 +360,71 @@ func diurnal(tMinutes, phaseHours float64) float64 {
 	}
 	x := math.Sin(math.Pi * (h - 17) / 8)
 	return x * x
+}
+
+// hourOfDay reduces x hours to the local hour in [0, 24]: math.Mod(x, 24),
+// plus 24 when that is negative. The truncated quotient makes the same
+// remainder as math.Mod, exactly: 24·q is exact, x − 24·q is exact for
+// x ≥ 0 (Sterbenz) and rounds once, as math.Mod's remainder + 24 does, for
+// x < 0; a quotient that rounds to the next integer leaves a remainder
+// just below 0, which the fix-up adds 24 to, as it does to math.Mod's.
+// The only difference is the sign of a zero result for x a negative
+// multiple of 24, which diurnal maps to the same hour. Beyond 2⁵⁰ hours
+// (and for NaN and ±Inf), where q would stop fitting the exact range,
+// it defers to math.Mod.
+func hourOfDay(x float64) float64 {
+	var r float64
+	if math.Abs(x) < 1<<50 {
+		r = x - 24*float64(int64(x/24))
+	} else {
+		r = math.Mod(x, 24)
+	}
+	if r < 0 {
+		r += 24
+	}
+	return r
+}
+
+// probes is the number of instants MinRTT samples in each window.
+const probes = 5
+
+// probeAt is the i-th probe instant of the window starting at t.
+func probeAt(t, windowMin float64, i int) float64 {
+	return t + windowMin*float64(i)/probes
+}
+
+// seriesKey is a grid's window length and a phase, as bits so that every
+// float is a key that matches itself.
+type seriesKey struct{ windowMin, phase uint64 }
+
+// diurnalOn returns the diurnal series at phase (a catalog city's
+// Lon/15) for the first windows windows of length windowMin: element
+// w·probes+i is diurnal(probeAt(w·windowMin, windowMin, i), phase).
+// Racing builds are identical; a longer series replaces a shorter one,
+// whose values it repeats.
+func (s *Sim) diurnalOn(phase, windowMin float64, windows int) []float64 {
+	key := seriesKey{math.Float64bits(windowMin), math.Float64bits(phase)}
+	v, ok := s.diurnal.Load(key)
+	if !ok {
+		v, _ = s.diurnal.LoadOrStore(key, new(atomic.Pointer[[]float64]))
+	}
+	slot := v.(*atomic.Pointer[[]float64])
+	for {
+		old := slot.Load()
+		if old != nil && len(*old) >= windows*probes {
+			return *old
+		}
+		series := make([]float64, windows*probes)
+		for w := 0; w < windows; w++ {
+			t := float64(w) * windowMin
+			for i := 0; i < probes; i++ {
+				series[w*probes+i] = diurnal(probeAt(t, windowMin, i), phase)
+			}
+		}
+		if slot.CompareAndSwap(old, &series) {
+			return series
+		}
+	}
 }
 
 func (s *Sim) prefixProcFor(p topology.Prefix) *prefixProc {
@@ -375,11 +462,10 @@ func (s *Sim) linkProcFor(linkID int) *linkProc {
 	if rng.Bool(impairProb) {
 		impair = rng.Uniform(s.cfg.LinkImpairMinMs, impairMax)
 	}
-	phase := s.topo.Catalog.City(link.Cities[0]).Loc.Lon / 15
 	lp := &linkProc{
 		impairMs:  impair,
 		diurnalMs: rng.LogNormal(0, 0.8), // median 1 ms
-		phase:     phase,
+		phase:     s.topo.Catalog.City(link.Cities[0]).Loc.Lon / 15,
 		incidents: drawIncidents(rng, s.cfg.HorizonMinutes,
 			s.cfg.LinkIncidentsPerDay, s.cfg.LinkIncidentMeanMin, 3, 1.5, 100),
 	}
@@ -405,14 +491,14 @@ func (s *Sim) LastMileMs(p topology.Prefix, t float64) float64 {
 	if s.cfg.DisableSharedFate {
 		return pp.baseMs
 	}
-	return pp.baseMs + pp.diurnalMs*diurnal(t, pp.phaseHours) + incidentMs(pp.incidents, t)
+	return pp.at(diurnal(t, pp.phaseHours), t)
 }
 
 // LinkMs returns the route-specific latency contribution of one
 // interdomain link at time t, including any injected congestion storms.
 func (s *Sim) LinkMs(linkID int, t float64) float64 {
 	lp := s.linkProcFor(linkID)
-	ms := lp.impairMs + lp.diurnalMs*diurnal(t, lp.phase) + incidentMs(lp.incidents, t)
+	ms := lp.at(diurnal(t, lp.phase), t)
 	if s.tl != nil {
 		ms += s.tl.ExtraLinkMs(linkID, t)
 	}
@@ -435,30 +521,88 @@ func (s *Sim) RouteRTTMs(r netpath.Route, p topology.Prefix, t float64) float64 
 	return rtt
 }
 
-// MinRTTMs models TCP's MinRTT over a measurement window starting at t:
-// the minimum of the instantaneous RTT sampled across the window, plus a
-// small sampling residue drawn deterministically from the window identity.
-func (s *Sim) MinRTTMs(r netpath.Route, p topology.Prefix, t, windowMin float64) float64 {
+// MinRTTsMs models TCP's MinRTT for each route toward the prefix over
+// consecutive measurement windows of windowMin minutes (15 when not
+// positive). dst holds one slice per route, all of one length n, and
+// dst[j][w] becomes route j's MinRTT over the window starting at
+// w·windowMin, for every w below n. Each is the minimum of
+// the instantaneous RTT (RouteRTTMs) at five probe instants across the
+// window, plus a small sampling residue drawn deterministically from the
+// window identity, and equals, bit for bit, that minimum taken by five
+// RouteRTTMs calls. The time-only terms are evaluated once per probe
+// instant: the last mile for all routes at once, the diurnal factor from
+// the Sim's per-city series.
+func (s *Sim) MinRTTsMs(routes []netpath.Route, p topology.Prefix, windowMin float64, dst [][]float64) {
 	if windowMin <= 0 {
 		windowMin = 15
 	}
-	lo := math.Inf(1)
-	const probes = 5
-	for i := 0; i < probes; i++ {
-		ti := t + windowMin*float64(i)/probes
-		if v := s.RouteRTTMs(r, p, ti); v < lo {
-			lo = v
+	if len(routes) == 0 {
+		return
+	}
+	windows := len(dst[0])
+	pp := s.prefixProcFor(p)
+	var lastMile []float64 // nil when the last mile is flat
+	if !s.cfg.DisableSharedFate {
+		lastMile = s.diurnalOn(pp.phaseHours, windowMin, windows)
+	}
+	// Per route, the time-invariant head of RouteRTTMs' sum (the same
+	// left-to-right prefix) and each crossed link's process and series.
+	type linkTerm struct {
+		id      int
+		lp      *linkProc
+		diurnal []float64
+	}
+	heads := make([]float64, len(routes))
+	terms := make([][]linkTerm, len(routes))
+	for j, r := range routes {
+		rtt := r.PropRTTMs()
+		for _, h := range r.Hops {
+			rtt += s.asNoiseFor(h.AS)
+		}
+		heads[j] = rtt
+		terms[j] = make([]linkTerm, len(r.Links))
+		for k, l := range r.Links {
+			lp := s.linkProcFor(l)
+			terms[j][k] = linkTerm{l, lp, s.diurnalOn(lp.phase, windowMin, windows)}
 		}
 	}
-	// Sampling residue: MinRTT over finitely many sessions sits slightly
-	// above the floor. Keyed by (prefix, window, first link) so repeated
-	// evaluation is stable.
-	key := p.ID*1_000_003 + int(t/windowMin)
-	if len(r.Links) > 0 {
-		key = key*31 + r.Links[0]
+	var at, lm [probes]float64
+	for w := 0; w < windows; w++ {
+		t := float64(w) * windowMin
+		for i := range at {
+			at[i] = probeAt(t, windowMin, i)
+			lm[i] = pp.baseMs
+			if lastMile != nil {
+				lm[i] = pp.at(lastMile[w*probes+i], at[i])
+			}
+		}
+		// Sampling residue: MinRTT over finitely many sessions sits
+		// slightly above the floor. Keyed by (prefix, window, first link)
+		// so repeated evaluation is stable.
+		window := p.ID*1_000_003 + int(t/windowMin)
+		for j, r := range routes {
+			lo := math.Inf(1)
+			for i, ti := range at {
+				rtt := heads[j]
+				for _, lt := range terms[j] {
+					ms := lt.lp.at(lt.diurnal[w*probes+i], ti)
+					if s.tl != nil {
+						ms += s.tl.ExtraLinkMs(lt.id, ti)
+					}
+					rtt += ms
+				}
+				rtt += lm[i]
+				if rtt < lo {
+					lo = rtt
+				}
+			}
+			key := window
+			if len(r.Links) > 0 {
+				key = key*31 + r.Links[0]
+			}
+			dst[j][w] = lo + s.rngFor(kindAS+17, key).Exp(0.3)
+		}
 	}
-	rng := s.rngFor(kindAS+17, key)
-	return lo + rng.Exp(0.3)
 }
 
 // LossRate estimates packet loss on the route at time t, for the TCP

@@ -8,8 +8,10 @@ import (
 	"beatbgp/internal/bgp"
 	"beatbgp/internal/delta"
 	"beatbgp/internal/faults"
+	"beatbgp/internal/geo"
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/topology"
+	"beatbgp/internal/xrand"
 )
 
 // fixture builds a generated topology plus one resolved route to the
@@ -179,11 +181,121 @@ func TestDiurnalShape(t *testing.T) {
 	}
 }
 
+// minRTTMs is the per-window MinRTT, the oracle MinRTTsMs is checked
+// against: the minimum of five RouteRTTMs probes across the window
+// starting at t, plus the sampling residue keyed by (prefix, window,
+// first link).
+func (s *Sim) minRTTMs(r netpath.Route, p topology.Prefix, t, windowMin float64) float64 {
+	if windowMin <= 0 {
+		windowMin = 15
+	}
+	lo := math.Inf(1)
+	const perWindow = 5
+	for i := 0; i < perWindow; i++ {
+		ti := t + windowMin*float64(i)/perWindow
+		if v := s.RouteRTTMs(r, p, ti); v < lo {
+			lo = v
+		}
+	}
+	key := p.ID*1_000_003 + int(t/windowMin)
+	if len(r.Links) > 0 {
+		key = key*31 + r.Links[0]
+	}
+	return lo + s.rngFor(kindAS+17, key).Exp(0.3)
+}
+
+// MinRTTMsPerWindow is the per-window oracle, for the external tests.
+var MinRTTMsPerWindow = (*Sim).minRTTMs
+
+// minRTTs runs the batch call over the first windows windows of each
+// route.
+func minRTTs(s *Sim, routes []netpath.Route, p topology.Prefix, windowMin float64, windows int) [][]float64 {
+	dst := make([][]float64, len(routes))
+	for j := range dst {
+		dst[j] = make([]float64, windows)
+	}
+	s.MinRTTsMs(routes, p, windowMin, dst)
+	return dst
+}
+
+// TestDiurnalMatchesMod: the Mod-free reduction equals math.Mod (plus 24
+// when negative) at every probe instant of the 10-day grids (15- and
+// 7-minute windows) and every phase of the world catalog, at negative
+// inputs, −0, exact multiples of 24 and huge values; diurnal's bits equal
+// the math.Mod form's everywhere.
+func TestDiurnalMatchesMod(t *testing.T) {
+	modHour := func(x float64) float64 {
+		r := math.Mod(x, 24)
+		if r < 0 {
+			r += 24
+		}
+		return r
+	}
+	modDiurnal := func(tMinutes, phaseHours float64) float64 {
+		h := modHour(tMinutes/60 + phaseHours)
+		if h < 12 {
+			h += 24
+		}
+		if h < 17 || h > 25 {
+			return 0
+		}
+		x := math.Sin(math.Pi * (h - 17) / 8)
+		return x * x
+	}
+	check := func(tMinutes, phase float64) {
+		t.Helper()
+		x := tMinutes/60 + phase
+		if got, want := hourOfDay(x), modHour(x); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("hourOfDay(%v) = %v, math.Mod form %v", x, got, want)
+		}
+		if got, want := diurnal(tMinutes, phase), modDiurnal(tMinutes, phase); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("diurnal(%v, %v) = %v, math.Mod form %v", tMinutes, phase, got, want)
+		}
+	}
+	phases := []float64{0, math.Copysign(0, -1), -12, 12, -7.5, 24, -24}
+	for _, c := range geo.World().All() {
+		phases = append(phases, c.Loc.Lon/15)
+	}
+	for _, windowMin := range []float64{15, 7} {
+		for w := 0; w < int(10*24*60/windowMin); w++ {
+			start := float64(w) * windowMin
+			for i := 0; i < probes; i++ {
+				for _, ph := range phases {
+					check(probeAt(start, windowMin, i), ph)
+				}
+			}
+		}
+	}
+	for k := -1000.0; k <= 1000; k++ {
+		check(k*24*60, 0)        // exact multiples of 24 hours
+		check(k*24*60-1e-9, 0)   // just below them
+		check(-k*24*60, -1e-300) // just below zero
+		check(math.Nextafter(k*24*60, math.Inf(-1)), 0)
+	}
+	for _, x := range []float64{math.Copysign(0, -1), -1e-300, -1e-17, -24, -48, 1 << 49, -(1 << 49), 1 << 50, -(1 << 51), 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		check(x*60, 0)
+	}
+	rng := xrand.New(3)
+	for range 200_000 {
+		check(rng.Uniform(-1e7, 1e7), rng.Uniform(-12, 12))
+		// Hours of every magnitude up to 2⁷⁰, either sign, integers
+		// included: the reduction's exact range and beyond it.
+		x := math.Ldexp(rng.Uniform(1, 2), rng.Intn(70))
+		if rng.Bool(0.5) {
+			x = math.Round(x)
+		}
+		if rng.Bool(0.5) {
+			x = -x
+		}
+		check(x*60, 0)
+	}
+}
+
 func TestMinRTTAtMostMaxOfWindow(t *testing.T) {
 	f := setup(t)
 	s := New(f.topo, Config{Seed: 6}, nil, nil, nil)
-	for tm := 0.0; tm < 24*60; tm += 60 {
-		minRTT := s.MinRTTMs(f.route, f.prefix, tm, 15)
+	for w, minRTT := range minRTTs(s, []netpath.Route{f.route}, f.prefix, 15, 96)[0] {
+		tm := float64(w) * 15
 		// MinRTT must be at least the propagation floor and at most the
 		// max instantaneous RTT in the window plus the sampling residue.
 		if minRTT < f.route.PropRTTMs() {
@@ -204,10 +316,13 @@ func TestMinRTTAtMostMaxOfWindow(t *testing.T) {
 func TestMinRTTStableAcrossCalls(t *testing.T) {
 	f := setup(t)
 	s := New(f.topo, Config{Seed: 8}, nil, nil, nil)
-	a := s.MinRTTMs(f.route, f.prefix, 100, 15)
-	b := s.MinRTTMs(f.route, f.prefix, 100, 15)
-	if a != b {
-		t.Fatalf("MinRTT not stable: %v vs %v", a, b)
+	routes := []netpath.Route{f.route}
+	a := minRTTs(s, routes, f.prefix, 15, 8)
+	b := minRTTs(s, routes, f.prefix, 15, 96) // grows the city series
+	for w := range a[0] {
+		if a[0][w] != b[0][w] {
+			t.Fatalf("window %d: MinRTT not stable: %v vs %v", w, a[0][w], b[0][w])
+		}
 	}
 }
 
@@ -280,13 +395,18 @@ func TestPersistentImpairmentExists(t *testing.T) {
 	}
 }
 
+// BenchmarkMinRTT is one day of 15-minute windows over one route, the
+// batch form; ns/window is the per-window cost.
 func BenchmarkMinRTT(b *testing.B) {
 	f := setup(b)
 	s := New(f.topo, Config{Seed: 1}, nil, nil, nil)
+	routes := []netpath.Route{f.route}
+	dst := [][]float64{make([]float64, 96)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.MinRTTMs(f.route, f.prefix, float64(i%10000), 15)
+		s.MinRTTsMs(routes, f.prefix, 15, dst)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst[0])), "ns/window")
 }
 
 // TestCloneBitIdentical: a clone samples the same world as its parent —
@@ -294,13 +414,17 @@ func BenchmarkMinRTT(b *testing.B) {
 func TestCloneBitIdentical(t *testing.T) {
 	f := setup(t)
 	parent := New(f.topo, Config{Seed: 11}, nil, nil, nil)
+	routes := []netpath.Route{f.route}
 	// Warm the parent out of order relative to how the clone will query.
-	_ = parent.MinRTTMs(f.route, f.prefix, 300, 15)
+	_ = minRTTs(parent, routes, f.prefix, 15, 24)
 	clone := parent.Clone()
-	for _, tm := range []float64{0, 45, 300, 1440, 9999} {
-		if a, b := parent.MinRTTMs(f.route, f.prefix, tm, 15), clone.MinRTTMs(f.route, f.prefix, tm, 15); a != b {
-			t.Fatalf("t=%v: clone MinRTT %v != parent %v", tm, b, a)
+	pa, cl := minRTTs(parent, routes, f.prefix, 15, 700), minRTTs(clone, routes, f.prefix, 15, 700)
+	for w := range pa[0] {
+		if pa[0][w] != cl[0][w] {
+			t.Fatalf("window %d: clone MinRTT %v != parent %v", w, cl[0][w], pa[0][w])
 		}
+	}
+	for _, tm := range []float64{0, 45, 300, 1440, 9999} {
 		if a, b := parent.LastMileMs(f.prefix, tm), clone.LastMileMs(f.prefix, tm); a != b {
 			t.Fatalf("t=%v: clone LastMile %v != parent %v", tm, b, a)
 		}
@@ -370,10 +494,13 @@ func stochasticDowntime(s *Sim, link int, t0, t1 float64) float64 {
 	return total
 }
 
-// TestConcurrentQueries races eight goroutines over one fresh Sim under
-// -race, so they contend on installing every memo slot: each walks the
-// same queries (MinRTTMs, LastMileMs, LinkMs, LinkFailed, LossRate) in
-// its own order, and every answer must equal a serial fresh Sim's. A
+// TestConcurrentQueries races eight goroutines under -race, so they
+// contend on installing every memo slot: first all over one fresh Sim,
+// then each over its own clone of a fresh parent. Each walks the same
+// queries (MinRTTsMs at two window counts, so a short diurnal series is
+// replaced by a longer one, LastMileMs, LinkMs, LinkFailed, LossRate) in
+// its own order, and every answer must equal a serial fresh Sim's (the
+// batch answers are checked against the per-window oracle). A
 // vantage-point prefix ID far past the topology's prefixes exercises the
 // memo's off-table path.
 func TestConcurrentQueries(t *testing.T) {
@@ -390,57 +517,107 @@ func TestConcurrentQueries(t *testing.T) {
 	if len(f.alt.Links) > 0 {
 		routes = append(routes, f.alt)
 	}
-	type query func(s *Sim) float64
-	var queries []query
-	for _, tm := range []float64{0, 611, 1260, 4000, 13000} {
+	// A query answers with the bits of its float, or a digest of the
+	// bits of a whole batch; want, when set, is its answer on the serial
+	// Sim.
+	type query struct {
+		run  func(s *Sim) uint64
+		want func(s *Sim) uint64
+	}
+	float := func(q func(s *Sim) float64) query {
+		return query{run: func(s *Sim) uint64 { return math.Float64bits(q(s)) }}
+	}
+	digest := func(series [][]float64) uint64 {
+		h := uint64(14695981039346656037)
+		for _, vs := range series {
+			for _, v := range vs {
+				h = (h ^ math.Float64bits(v)) * 1099511628211
+			}
+		}
+		return h
+	}
+	queries := func() []query {
+		const windowMin = 15
+		var queries []query
 		for _, p := range prefixes {
-			queries = append(queries, func(s *Sim) float64 { return s.LastMileMs(p, tm) })
-			for _, r := range routes {
-				queries = append(queries,
-					func(s *Sim) float64 { return s.MinRTTMs(r, p, tm, 15) },
-					func(s *Sim) float64 { return s.LossRate(r, p, tm) })
-			}
-		}
-		for l := range f.topo.Links {
-			queries = append(queries,
-				func(s *Sim) float64 { return s.LinkMs(l, tm) },
-				func(s *Sim) float64 {
-					if s.LinkFailed(l, tm) {
-						return 1
-					}
-					return 0
+			for _, windows := range []int{24, 200} {
+				queries = append(queries, query{
+					run: func(s *Sim) uint64 { return digest(minRTTs(s, routes, p, windowMin, windows)) },
+					want: func(s *Sim) uint64 {
+						oracle := make([][]float64, len(routes))
+						for j, r := range routes {
+							for w := 0; w < windows; w++ {
+								oracle[j] = append(oracle[j], s.minRTTMs(r, p, float64(w)*windowMin, windowMin))
+							}
+						}
+						return digest(oracle)
+					},
 				})
+			}
 		}
-	}
-	serial := New(f.topo, Config{Seed: 13}, nil, nil, nil)
-	want := make([]float64, len(queries))
-	for i, q := range queries {
-		want[i] = q(serial)
-	}
-	shared := New(f.topo, Config{Seed: 13}, nil, nil, nil)
-	const workers = 8
-	errs := make(chan error, workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			n := len(queries)
-			for j := 0; j < n; j++ {
-				// Even goroutines walk forward from a per-goroutine
-				// offset, odd ones backward.
-				i := (j + g*n/workers) % n
-				if g%2 == 1 {
-					i = n - 1 - i
-				}
-				if got := queries[i](shared); math.Float64bits(got) != math.Float64bits(want[i]) {
-					errs <- fmt.Errorf("goroutine %d query %d: shared Sim %v != serial %v", g, i, got, want[i])
-					return
+		for _, tm := range []float64{0, 611, 1260, 4000, 13000} {
+			for _, p := range prefixes {
+				queries = append(queries, float(func(s *Sim) float64 { return s.LastMileMs(p, tm) }))
+				for _, r := range routes {
+					queries = append(queries, float(func(s *Sim) float64 { return s.LossRate(r, p, tm) }))
 				}
 			}
-			errs <- nil
-		}()
-	}
-	for g := 0; g < workers; g++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+			for l := range f.topo.Links {
+				queries = append(queries,
+					float(func(s *Sim) float64 { return s.LinkMs(l, tm) }),
+					query{run: func(s *Sim) uint64 {
+						if s.LinkFailed(l, tm) {
+							return 1
+						}
+						return 0
+					}})
+			}
+		}
+		return queries
+	}()
+	const workers = 8
+	race := func(t *testing.T, simFor func() *Sim) {
+		serial := New(f.topo, Config{Seed: 13}, nil, nil, nil)
+		want := make([]uint64, len(queries))
+		for i, q := range queries {
+			if q.want != nil {
+				want[i] = q.want(serial)
+			} else {
+				want[i] = q.run(serial)
+			}
+		}
+		errs := make(chan error, workers)
+		for g := 0; g < workers; g++ {
+			go func() {
+				s := simFor()
+				n := len(queries)
+				for j := 0; j < n; j++ {
+					// Even goroutines walk forward from a per-goroutine
+					// offset, odd ones backward.
+					i := (j + g*n/workers) % n
+					if g%2 == 1 {
+						i = n - 1 - i
+					}
+					if got := queries[i].run(s); got != want[i] {
+						errs <- fmt.Errorf("goroutine %d query %d: %#x != serial %#x", g, i, got, want[i])
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for g := 0; g < workers; g++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	t.Run("shared", func(t *testing.T) {
+		shared := New(f.topo, Config{Seed: 13}, nil, nil, nil)
+		race(t, func() *Sim { return shared })
+	})
+	t.Run("clones", func(t *testing.T) {
+		parent := New(f.topo, Config{Seed: 13}, nil, nil, nil)
+		race(t, parent.Clone)
+	})
 }

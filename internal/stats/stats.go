@@ -5,8 +5,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -50,10 +52,14 @@ func (d *Dist) N() int { return len(d.samples) }
 // TotalWeight returns the sum of all weights.
 func (d *Dist) TotalWeight() float64 { return d.total }
 
+// ensureSorted orders the samples by value. slices.SortFunc runs the same
+// pdqsort as sort.Slice, without its reflective swapper, so samples with
+// tied values keep the order sort.Slice gave them — the order the
+// running sums of Mean, CDF and Quantile add their weights in.
 func (d *Dist) ensureSorted() {
 	if !d.sorted {
-		sort.Slice(d.samples, func(i, j int) bool {
-			return d.samples[i].Value < d.samples[j].Value
+		slices.SortFunc(d.samples, func(a, b WeightedSample) int {
+			return cmp.Compare(a.Value, b.Value) // Add keeps NaN out
 		})
 		d.sorted = true
 	}

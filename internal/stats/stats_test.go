@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -239,5 +242,30 @@ func TestSeriesRender(t *testing.T) {
 	out := s.Render()
 	if !strings.Contains(out, "line") || !strings.Contains(out, "0.5") {
 		t.Fatalf("render missing content:\n%s", out)
+	}
+}
+
+// TestSortMatchesSortSlice: ensureSorted leaves the samples in exactly
+// the permutation sort.Slice by value gives, ties included — the order
+// the running sums of Mean, CDF and Quantile depend on — over random
+// weighted samples drawn from a few distinct values, at lengths on both
+// sides of pdqsort's insertion-sort and ninther cut-offs.
+func TestSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, n := range []int{0, 1, 2, 11, 12, 13, 49, 50, 51, 200, 960, 5000} {
+		for _, distinct := range []int{1, 3, 17, 1 << 30} {
+			for trial := 0; trial < 4; trial++ {
+				var d Dist
+				for i := 0; i < n; i++ {
+					d.Add(float64(rng.IntN(distinct)), 1+float64(i)) // weights tag the original position
+				}
+				want := slices.Clone(d.samples)
+				sort.Slice(want, func(i, j int) bool { return want[i].Value < want[j].Value })
+				d.ensureSorted()
+				if !slices.Equal(d.samples, want) {
+					t.Fatalf("n=%d distinct=%d trial %d: permutation differs from sort.Slice's", n, distinct, trial)
+				}
+			}
+		}
 	}
 }

@@ -153,14 +153,25 @@ func (g *Generator) Observe(popCity int, p topology.Prefix, options []provider.E
 	// are independent of generation order.
 	rng := xrand.New(g.cfg.Seed ^ uint64(p.ID)*0x9e3779b97f4a7c15 ^ uint64(popCity)<<32)
 	windows := Windows(g.cfg.Days, g.cfg.WindowMin)
-	tr.Windows = make([]WindowObs, 0, len(windows))
+	k := len(tr.Routes)
+	// Every window's floors come from one batch call per trace, route
+	// by route; the medians live in one buffer, window by window.
+	floors := make([][]float64, k)
+	routes := make([]netpath.Route, k)
+	floorBuf := make([]float64, k*len(windows))
+	for j, ro := range tr.Routes {
+		floors[j] = floorBuf[j*len(windows) : (j+1)*len(windows)]
+		routes[j] = ro.Phys
+	}
+	g.sim.MinRTTsMs(routes, p, g.cfg.WindowMin, floors)
+	medians := make([]float64, k*len(windows))
+	tr.Windows = make([]WindowObs, len(windows))
 	// One jitter buffer for the whole trace: every element is redrawn
 	// before each sort.
 	jit := make([]float64, g.cfg.SessionsPW)
-	for _, start := range windows {
-		obs := WindowObs{Start: start, MedianMinRTTMs: make([]float64, 0, len(tr.Routes))}
-		for _, ro := range tr.Routes {
-			floor := g.sim.MinRTTMs(ro.Phys, p, start, g.cfg.WindowMin)
+	for w, start := range windows {
+		obs := WindowObs{Start: start, MedianMinRTTMs: medians[w*k : (w+1)*k : (w+1)*k]}
+		for j := range tr.Routes {
 			// Median of SessionsPW sampled sessions: the per-session
 			// MinRTT sits at the window floor plus a small jitter, so the
 			// median is the middle order statistic of the jitter.
@@ -168,13 +179,13 @@ func (g *Generator) Observe(popCity int, p topology.Prefix, options []provider.E
 				jit[i] = rng.Exp(0.25)
 			}
 			slices.Sort(jit)
-			obs.MedianMinRTTMs = append(obs.MedianMinRTTMs, floor+jit[len(jit)/2])
+			obs.MedianMinRTTMs[j] = floors[j][w] + jit[len(jit)/2]
 		}
 		// Volume: the prefix's weight modulated by its local diurnal
 		// activity (busier evenings move more bytes).
 		local := start/60 + g.phaseHours(p)
 		obs.VolumeBytes = p.Weight * (0.4 + diurnalVolume(local))
-		tr.Windows = append(tr.Windows, obs)
+		tr.Windows[w] = obs
 	}
 	return tr, nil
 }
