@@ -6,6 +6,7 @@
 //	beatbgp [-seed N] [-exp id[,id...]] [-list] [-days N] [-eyeballs N]
 //	        [-seeds N] [-timeout D] [-watchdog D] [-workers N]
 //	        [-run-dir DIR] [-resume DIR] [-hold SEC] [-bfd] [-cpuprofile FILE]
+//	        [-memprofile FILE]
 //
 // With no -exp, every registered experiment runs in the paper's order.
 // Every run is a supervised campaign over (experiment, seed) cells:
@@ -35,6 +36,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -91,6 +93,7 @@ func run(args []string) error {
 		bfd      = fs.Bool("bfd", false, "enable BFD fast failure detection on every session (300ms x3 by default)")
 		bstats   = fs.Bool("buildstats", false, "print the scenario build report (per-stage wall time, rebuilt vs reused)")
 		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file; off by default")
+		memprof  = fs.String("memprofile", "", "write a heap profile (runtime/pprof; in-use and allocated since start) to this file when the run ends; off by default")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -140,14 +143,27 @@ func run(args []string) error {
 			return fmt.Errorf("-exp named no experiments")
 		}
 	}
-	stopProfile := func() {}
+	// Profiles are finished on every return path and on a forced quit.
+	var stops []func()
+	stopProfiles := func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	defer stopProfiles()
 	if *cpuprof != "" {
 		stop, err := startCPUProfile(*cpuprof)
 		if err != nil {
 			return err
 		}
-		stopProfile = stop
-		defer stopProfile()
+		stops = append(stops, stop)
+	}
+	if *memprof != "" {
+		stop, err := startMemProfile(*memprof)
+		if err != nil {
+			return err
+		}
+		stops = append(stops, stop)
 	}
 
 	var seedList []uint64
@@ -185,7 +201,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "beatbgp: %v: draining (in-flight experiments get %v; repeat to force-quit)\n", s, drainGrace)
 		cancel()
 		<-sig
-		stopProfile()
+		stopProfiles()
 		os.Exit(130)
 	}()
 
@@ -269,6 +285,26 @@ func startCPUProfile(path string) (func(), error) {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "beatbgp: -cpuprofile: %v\n", err)
+		}
+	}), nil
+}
+
+// startMemProfile creates path now, so an unwritable path fails before
+// the run, and returns the function that writes the heap profile there
+// and closes the file, safe to call more than once.
+func startMemProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-memprofile: %v", err)
+	}
+	return sync.OnceFunc(func() {
+		runtime.GC() // bring the in-use numbers up to date
+		err := pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "beatbgp: -memprofile: %v\n", err)
 		}
 	}), nil
 }

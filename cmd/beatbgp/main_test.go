@@ -241,3 +241,22 @@ func TestCPUProfile(t *testing.T) {
 		t.Fatalf("unwritable -cpuprofile: exit code %d (err %v), want 1", exitCode(err), err)
 	}
 }
+
+// TestMemProfile: -memprofile writes a non-empty gzip-compressed pprof
+// heap profile of a successful run; an unwritable path exits 1.
+func TestMemProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mem.pprof")
+	if err := run([]string{"-exp", "t32", "-memprofile", path}); exitCode(err) != 0 {
+		t.Fatalf("-exp t32 -memprofile: exit code %d (err %v), want 0", exitCode(err), err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is %d bytes without the gzip magic", len(data))
+	}
+	if err := run([]string{"-exp", "t32", "-memprofile", filepath.Join(t.TempDir(), "no", "such", "dir")}); exitCode(err) != 1 {
+		t.Fatalf("unwritable -memprofile: exit code %d (err %v), want 1", exitCode(err), err)
+	}
+}

@@ -14,9 +14,7 @@ package bgp
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"beatbgp/internal/geo"
 	"beatbgp/internal/topology"
 )
 
@@ -103,14 +101,6 @@ type RIB struct {
 	// suppressed records origin-side selective-announcement withdrawals,
 	// for the same reason.
 	suppressed map[int]map[int]bool // origin AS -> suppressed link IDs
-
-	// distMemo caches BestFrom's per-ingress geographic tie-break —
-	// srcCity<<32|link -> nearest-interconnect km. The value is a pure
-	// function of the topology, so memoization cannot change answers;
-	// per-hop re-selection (cdn.forwardRoute) asks for the same few
-	// (city, link) pairs across thousands of prefix samples.
-	distMu   sync.Mutex
-	distMemo map[int64]float64
 }
 
 // NewRIB assembles a RIB from a hop table, one entry per AS of the
@@ -222,10 +212,15 @@ func homeCity(t *topology.Topo, asID int) int {
 // nearestInterconnectKm returns the geodesic distance from the AS's home
 // city to the closest interconnection city of the link.
 func nearestInterconnectKm(t *topology.Topo, asID int, link int) float64 {
-	home := t.Catalog.City(homeCity(t, asID)).Loc
+	return nearestCityKm(t, homeCity(t, asID), link)
+}
+
+// nearestCityKm returns the geodesic distance from the city to the
+// closest interconnection city of the link.
+func nearestCityKm(t *topology.Topo, city, link int) float64 {
 	best := math.Inf(1)
 	for _, c := range t.Links[link].Cities {
-		if d := geo.DistanceKm(home, t.Catalog.City(c).Loc); d < best {
+		if d := t.Catalog.DistKm(city, c); d < best {
 			best = d
 		}
 	}
@@ -551,29 +546,6 @@ func (r *RIB) BestFrom(asID, srcCity int) Route {
 	if h := r.hops[asID]; h.Len > 0 && h.Src == uint8(SrcOrigin) {
 		return r.Best(asID)
 	}
-	srcLoc := t.Catalog.City(srcCity).Loc
-	linkDist := func(link int) float64 {
-		key := int64(srcCity)<<32 | int64(link)
-		r.distMu.Lock()
-		d, ok := r.distMemo[key]
-		r.distMu.Unlock()
-		if ok {
-			return d
-		}
-		d = math.Inf(1)
-		for _, c := range t.Links[link].Cities {
-			if v := geo.DistanceKm(srcLoc, t.Catalog.City(c).Loc); v < d {
-				d = v
-			}
-		}
-		r.distMu.Lock()
-		if r.distMemo == nil {
-			r.distMemo = make(map[int64]float64)
-		}
-		r.distMemo[key] = d
-		r.distMu.Unlock()
-		return d
-	}
 	var chosen topology.Neighbor
 	chosenSrc, chosenLen, chosenDist := srcNone, 0, math.Inf(1)
 	for _, nb := range t.Neighbors(asID) {
@@ -581,7 +553,7 @@ func (r *RIB) BestFrom(asID, srcCity int) Route {
 			continue
 		}
 		src, ln := srcFor(nb.View), int(r.hops[nb.Other].Len)+1
-		cd := linkDist(nb.Link)
+		cd := nearestCityKm(t, srcCity, nb.Link)
 		switch {
 		case chosenSrc == srcNone:
 		case src != chosenSrc:

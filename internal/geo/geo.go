@@ -10,6 +10,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // EarthRadiusKm is the mean Earth radius used for great-circle math.
@@ -109,6 +110,10 @@ type Catalog struct {
 	cities  []City
 	byName  map[string]int
 	regions map[Region][]int
+	// dist holds one lazily built row of DistKm per city: lock-free
+	// slots, the first installed row wins (a racing duplicate holds the
+	// same values).
+	dist []atomic.Pointer[[]float64]
 }
 
 // NewCatalog builds a catalog from the supplied cities, assigning IDs in
@@ -118,6 +123,7 @@ func NewCatalog(cities []City) (*Catalog, error) {
 		cities:  make([]City, len(cities)),
 		byName:  make(map[string]int, len(cities)),
 		regions: make(map[Region][]int),
+		dist:    make([]atomic.Pointer[[]float64], len(cities)),
 	}
 	for i, city := range cities {
 		if _, dup := c.byName[city.Name]; dup {
@@ -150,6 +156,29 @@ func (c *Catalog) Len() int { return len(c.cities) }
 // City returns the city with the given ID. It panics on an invalid ID,
 // which always indicates a programming error.
 func (c *Catalog) City(id int) City { return c.cities[id] }
+
+// DistKm returns the great-circle distance between cities a and b, bit
+// for bit DistanceKm(c.City(a).Loc, c.City(b).Loc). The first lookup
+// from a builds a's row of distances to every city; later lookups are
+// an index. Safe for concurrent use.
+func (c *Catalog) DistKm(a, b int) float64 {
+	row := c.dist[a].Load()
+	if row == nil {
+		row = c.distRow(a)
+	}
+	return (*row)[b]
+}
+
+func (c *Catalog) distRow(a int) *[]float64 {
+	row := make([]float64, len(c.cities))
+	for b := range c.cities {
+		row[b] = DistanceKm(c.cities[a].Loc, c.cities[b].Loc)
+	}
+	if c.dist[a].CompareAndSwap(nil, &row) {
+		return &row
+	}
+	return c.dist[a].Load()
+}
 
 // ByName looks a city up by name.
 func (c *Catalog) ByName(name string) (City, bool) {

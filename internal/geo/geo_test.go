@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -172,5 +173,40 @@ func TestIndiaPresent(t *testing.T) {
 	}
 	if n < 3 {
 		t.Fatalf("need at least 3 Indian cities, have %d", n)
+	}
+}
+
+// TestCatalogDistKm: every pair's row distance is bit-equal to
+// DistanceKm, on first touch and again once the rows exist, with eight
+// goroutines racing to build the same rows first.
+func TestCatalogDistKm(t *testing.T) {
+	w := World()
+	n := w.Len()
+	check := func(a int) {
+		for b := 0; b < n; b++ {
+			want := DistanceKm(w.City(a).Loc, w.City(b).Loc)
+			if got := w.DistKm(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("DistKm(%d, %d) = %v, DistanceKm %v", a, b, got, want)
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each goroutine walks every row, starting at a different
+			// one, so first touches of each row race.
+			for i := 0; i < n; i++ {
+				check((i + g*n/8) % n)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for pass := 0; pass < 2; pass++ {
+		for a := 0; a < n; a++ {
+			check(a)
+		}
 	}
 }

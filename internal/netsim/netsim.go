@@ -307,10 +307,15 @@ func (s *Sim) Clone() *Sim {
 // rngFor derives a deterministic generator for one entity, independent of
 // query order.
 func (s *Sim) rngFor(kind, id int) *xrand.Rand {
+	return xrand.New(s.seedFor(kind, id))
+}
+
+// seedFor is rngFor's seed. A hot caller passes it to xrand.New itself:
+// New inlines there, so a generator used for one draw stays on the stack.
+func (s *Sim) seedFor(kind, id int) uint64 {
 	h := s.cfg.Seed
 	h ^= uint64(kind+1) * 0x9e3779b97f4a7c15
-	h = (h ^ uint64(id+1)) * 0xbf58476d1ce4e5b9
-	return xrand.New(h)
+	return (h ^ uint64(id+1)) * 0xbf58476d1ce4e5b9
 }
 
 // drawIncidents builds a deterministic incident schedule.
@@ -600,7 +605,7 @@ func (s *Sim) MinRTTsMs(routes []netpath.Route, p topology.Prefix, windowMin flo
 			if len(r.Links) > 0 {
 				key = key*31 + r.Links[0]
 			}
-			dst[j][w] = lo + s.rngFor(kindAS+17, key).Exp(0.3)
+			dst[j][w] = lo + xrand.New(s.seedFor(kindAS+17, key)).Exp(0.3)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"beatbgp/internal/serve/chaos"
@@ -308,8 +310,84 @@ func writeHealth(w http.ResponseWriter, code int, v HealthResp) {
 
 // httpState is the listener half of a Server, created by Start.
 type httpState struct {
-	hs *http.Server
-	ln net.Listener
+	hs     *http.Server
+	ln     net.Listener
+	silent *silentConns
+}
+
+// silentConns tracks the connections that have not sent a byte yet.
+// net/http's Shutdown counts such a connection as busy for 5 s, so a
+// client that dials and sends nothing (a spare connection a client
+// keeps dialed, a load balancer that pre-connects) would hold a drain
+// that long. Shutdown closes them instead; a connection that has begun
+// its request is left to finish it.
+type silentConns struct {
+	mu      sync.Mutex
+	closing bool // Shutdown has begun: close a new connection at once
+	conns   map[*readConn]struct{}
+}
+
+// track is the http.Server's ConnState hook.
+func (sc *silentConns) track(c net.Conn, state http.ConnState) {
+	rc := c.(*readConn) // every connection comes from a readListener
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(sc.conns, rc)
+	case sc.closing:
+		rc.Close()
+	default:
+		sc.conns[rc] = struct{}{}
+	}
+}
+
+// close closes every tracked connection that has sent nothing and
+// makes track close any that arrives later.
+func (sc *silentConns) close() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.closing = true
+	for rc := range sc.conns {
+		if !rc.read.Load() {
+			rc.Close()
+			delete(sc.conns, rc)
+		}
+	}
+}
+
+// readListener wraps each accepted connection in a readConn.
+type readListener struct{ net.Listener }
+
+func (l readListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &readConn{Conn: c}, nil
+}
+
+// readConn records whether its peer has sent a byte.
+type readConn struct {
+	net.Conn
+	read atomic.Bool
+}
+
+func (c *readConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && !c.read.Load() {
+		c.read.Store(true)
+	}
+	return n, err
+}
+
+// CloseWrite passes net/http's half-close through to the TCP
+// connection, which it uses to avoid resetting a client still sending.
+func (c *readConn) CloseWrite() error {
+	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return nil
 }
 
 // Start listens on addr (e.g. "127.0.0.1:8379", ":0" for an ephemeral
@@ -322,10 +400,12 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	silent := &silentConns{conns: make(map[*readConn]struct{})}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
+		ConnState:         silent.track,
 	}
 	s.httpMu.Lock()
 	if s.http != nil {
@@ -333,10 +413,10 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 		ln.Close()
 		return nil, fmt.Errorf("serve: Start called twice (Shutdown first)")
 	}
-	s.http = &httpState{hs: hs, ln: ln}
+	s.http = &httpState{hs: hs, ln: ln, silent: silent}
 	s.httpMu.Unlock()
 	s.draining.Store(false)
-	go hs.Serve(ln)
+	go hs.Serve(readListener{ln})
 	return ln.Addr(), nil
 }
 
@@ -349,9 +429,10 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown gracefully drains the listener started by Start: readiness
-// flips to draining, no new connections are accepted, in-flight
-// requests run to completion until ctx expires, then the rest are cut.
-// Safe to call without Start (a no-op) and at most once per Start.
+// flips to draining, no new connections are accepted, connections that
+// have sent nothing are closed, in-flight requests run to completion
+// until ctx expires, then the rest are cut. Safe to call without Start
+// (a no-op) and at most once per Start.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.StartDrain()
 	s.httpMu.Lock()
@@ -361,5 +442,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if st == nil {
 		return nil
 	}
+	st.silent.close()
 	return st.hs.Shutdown(ctx)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -8,7 +9,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -324,6 +327,86 @@ func TestServeDrain(t *testing.T) {
 	if b := httpAnswer(t, "http://"+addr2.String(), query{http.MethodGet, "/world", ""}); len(b) == 0 {
 		t.Fatal("restarted listener returned empty answer")
 	}
+}
+
+// TestShutdownClosesSilentConns: a connection that has sent nothing does
+// not hold up a drain (net/http alone would wait 5 s for it), while one
+// that has begun its request when Shutdown lands still gets its answer.
+func TestShutdownClosesSilentConns(t *testing.T) {
+	w := smallWorld(t, 42)
+	srv := New(w)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	started, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer started.Close()
+	if _, err := io.WriteString(started, "GET /world HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until the server has read the started request's first line.
+	for deadline := time.Now().Add(5 * time.Second); !srv.hasStartedConn(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never read the started request's first bytes")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan error, 1)
+	t0 := time.Now()
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx)
+	}()
+	// The silent connection is closed by the server, not left to time out.
+	silent.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := silent.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("silent connection read %d bytes, err %v; want it closed by the server", n, err)
+	}
+	// The drain has begun; the started request finishes and is answered.
+	if _, err := io.WriteString(started, "Host: beatbgpd\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(started), nil)
+	if err != nil {
+		t.Fatalf("started request cut by the drain: %v", err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(b) == 0 {
+		t.Fatalf("started request: status %d, %d bytes, err %v", resp.StatusCode, len(b), err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("drain: %v after %v", err, time.Since(t0))
+	}
+}
+
+// hasStartedConn reports whether the listener holds a connection that
+// has sent part of a request but not yet its whole header.
+func (s *Server) hasStartedConn() bool {
+	s.httpMu.Lock()
+	st := s.http
+	s.httpMu.Unlock()
+	if st == nil {
+		return false
+	}
+	st.silent.mu.Lock()
+	defer st.silent.mu.Unlock()
+	for rc := range st.silent.conns {
+		if rc.read.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // TestServeQueryValidation: malformed queries come back as 400s with a

@@ -8,7 +8,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/netsim"
@@ -166,20 +165,17 @@ func (g *Generator) Observe(popCity int, p topology.Prefix, options []provider.E
 	g.sim.MinRTTsMs(routes, p, g.cfg.WindowMin, floors)
 	medians := make([]float64, k*len(windows))
 	tr.Windows = make([]WindowObs, len(windows))
-	// One jitter buffer for the whole trace: every element is redrawn
-	// before each sort.
-	jit := make([]float64, g.cfg.SessionsPW)
+	// One scratch buffer for the whole trace: ExpKth redraws every
+	// element.
+	jit := make([]uint64, g.cfg.SessionsPW)
 	for w, start := range windows {
 		obs := WindowObs{Start: start, MedianMinRTTMs: medians[w*k : (w+1)*k : (w+1)*k]}
 		for j := range tr.Routes {
 			// Median of SessionsPW sampled sessions: the per-session
-			// MinRTT sits at the window floor plus a small jitter, so the
-			// median is the middle order statistic of the jitter.
-			for i := range jit {
-				jit[i] = rng.Exp(0.25)
-			}
-			slices.Sort(jit)
-			obs.MedianMinRTTMs[j] = floors[j][w] + jit[len(jit)/2]
+			// MinRTT sits at the window floor plus a small Exp(0.25)
+			// jitter, so the median is the middle order statistic of
+			// the jitter.
+			obs.MedianMinRTTMs[j] = floors[j][w] + rng.ExpKth(jit, len(jit)/2, 0.25)
 		}
 		// Volume: the prefix's weight modulated by its local diurnal
 		// activity (busier evenings move more bytes).

@@ -26,9 +26,16 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// New returns a generator seeded from seed.
+// New returns a generator seeded from seed. It is small enough to
+// inline, so a generator that does not outlive its caller stays on the
+// caller's stack.
 func New(seed uint64) *Rand {
 	r := &Rand{}
+	r.seed(seed)
+	return r
+}
+
+func (r *Rand) seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -38,7 +45,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Derive returns a generator that is a pure function of (seed, keys):
@@ -133,12 +139,45 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 
 // Exp returns an exponentially distributed value with the given mean.
 func (r *Rand) Exp(mean float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -mean * math.Log(u)
+	return expOf(r.expNumerator(), mean)
+}
+
+// ExpKth draws len(buf) Exp(mean) values and returns the k-th smallest
+// (0-based, k < len(buf)), bit for bit what sorting the draws of
+// len(buf) Exp calls would put at index k, and it consumes the same
+// draws. It takes one Log instead of len(buf): Exp does not increase
+// with its uniform, so the k-th smallest value is Exp of the k-th
+// largest uniform, which is selected on the integer numerators. buf is
+// scratch, overwritten.
+func (r *Rand) ExpKth(buf []uint64, k int, mean float64) float64 {
+	n := len(buf)
+	for i := range buf {
+		buf[i] = r.expNumerator()
+	}
+	// Odd-even transposition: n rounds of branchless compare-exchanges
+	// sort any n ascending.
+	for round := 0; round < n; round++ {
+		for i := round & 1; i+1 < n; i += 2 {
+			a, b := buf[i], buf[i+1]
+			buf[i], buf[i+1] = min(a, b), max(a, b)
 		}
 	}
+	return expOf(buf[n-1-k], mean)
+}
+
+// expNumerator draws the numerator of a Float64 uniform, redrawing a 0
+// (Exp's Log(0) would be infinite).
+func (r *Rand) expNumerator() uint64 {
+	for {
+		if x := r.Uint64() >> 11; x != 0 {
+			return x
+		}
+	}
+}
+
+// expOf maps a Float64 numerator to Exp(mean).
+func expOf(x uint64, mean float64) float64 {
+	return -mean * math.Log(float64(x)/(1<<53))
 }
 
 // Pareto returns a Pareto(xm, alpha) value: heavy-tailed, minimum xm.

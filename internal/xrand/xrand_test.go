@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -358,5 +359,103 @@ func TestPoissonDeterministic(t *testing.T) {
 		if ka, kb := a.Poisson(9.5), b.Poisson(9.5); ka != kb {
 			t.Fatalf("draw %d diverged: %d vs %d", i, ka, kb)
 		}
+	}
+}
+
+// expSortOracle is the session median as it was computed before ExpKth:
+// n Exp draws (with Exp's own rejection of u == 0 written out), sorted.
+func expSortOracle(r *Rand, n int, mean float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		for {
+			if u := r.Float64(); u > 0 {
+				v[i] = -mean * math.Log(u)
+				break
+			}
+		}
+	}
+	slices.Sort(v)
+	return v
+}
+
+// TestExpKthMatchesSortedExp: for every n and k, ExpKth returns the bits
+// the sorted n Exp draws hold at k, and leaves the stream where those
+// draws leave it. Even n is where the index mirror n-1-k is easy to get
+// wrong, so every n from 1 to 17 runs, plus 31.
+func TestExpKthMatchesSortedExp(t *testing.T) {
+	samples := 100_000
+	if testing.Short() {
+		samples = 5_000
+	}
+	ns := []int{31}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		r := New(uint64(1000 + n))
+		buf := make([]uint64, n)
+		for s := 0; s < samples; s++ {
+			before := *r
+			want := expSortOracle(r, n, 0.25)
+			// Every k in turn, and the median Observe reads every time.
+			for _, k := range []int{s % n, n / 2} {
+				kr := before
+				if got := kr.ExpKth(buf, k, 0.25); math.Float64bits(got) != math.Float64bits(want[k]) {
+					t.Fatalf("n=%d k=%d sample %d: ExpKth %v, sorted Exp %v", n, k, s, got, want[k])
+				}
+				if kr != *r {
+					t.Fatalf("n=%d k=%d sample %d: ExpKth consumed a different number of draws", n, k, s)
+				}
+			}
+		}
+	}
+}
+
+// TestExpRejectsZero: a zero uniform is redrawn, the same way by Exp and
+// ExpKth. xoshiro256** outputs 0 exactly when s[1] is 0.
+func TestExpRejectsZero(t *testing.T) {
+	zeroFirst := Rand{s: [4]uint64{1, 0, 2, 3}}
+	probe := zeroFirst
+	if probe.Uint64() != 0 {
+		t.Fatal("crafted state does not draw 0 first")
+	}
+	for n := 1; n <= 4; n++ {
+		ref := zeroFirst
+		want := expSortOracle(&ref, n, 1)
+		if math.IsInf(want[n-1], 0) {
+			t.Fatal("oracle did not reject the zero draw")
+		}
+		for k := range n {
+			r := zeroFirst
+			if got := r.ExpKth(make([]uint64, n), k, 1); got != want[k] || r != ref {
+				t.Fatalf("n=%d k=%d: ExpKth %v (state moved %v), want %v", n, k, got, r != ref, want[k])
+			}
+		}
+	}
+	r, ref := zeroFirst, zeroFirst
+	if got, want := r.Exp(1), expSortOracle(&ref, 1, 1)[0]; got != want || r != ref {
+		t.Fatalf("Exp %v, want %v", got, want)
+	}
+}
+
+// BenchmarkExpMedian9 is the session median of nine Exp draws by
+// ExpKth; BenchmarkExpSort9 is the same median by nine Exp calls and a
+// sort.
+func BenchmarkExpMedian9(b *testing.B) {
+	r := New(1)
+	buf := make([]uint64, 9)
+	for i := 0; i < b.N; i++ {
+		_ = r.ExpKth(buf, 4, 0.25)
+	}
+}
+
+func BenchmarkExpSort9(b *testing.B) {
+	r := New(1)
+	v := make([]float64, 9)
+	for n := 0; n < b.N; n++ {
+		for i := range v {
+			v[i] = r.Exp(0.25)
+		}
+		slices.Sort(v)
 	}
 }
