@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test bench-check race fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta fuzz-faults stress-par stress-session stress-harness stress-serve stress-golden verify clean
+.PHONY: all build vet fmt-check test examples bench-check race fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta fuzz-faults stress-par stress-session stress-harness stress-serve stress-golden verify clean
 
 all: vet fmt-check build test
 
@@ -97,6 +97,11 @@ stress-golden:
 stress-serve:
 	STRESS_SERVE=1 $(GO) test -race -run 'TestStressServeOverload' -v -timeout 10m ./internal/serve/
 
+# Run every examples/ main and fail on a non-zero exit: go build only
+# proves they compile against the internal/ surface they call.
+examples:
+	@for d in examples/*/; do echo "run $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # The benchmark is its own module (bench/), so the tier-1 suite cannot
 # see it: vet and test it here, so a refactor that breaks the internal/
 # surface it pins fails locally.
@@ -106,11 +111,11 @@ bench-check:
 
 # The full pre-merge gate: formatting, static checks, build, the whole
 # test suite, the benchmark module's own checks, the whole suite under
-# the race detector, the route engine's oracle and delta-repair
-# differential fuzz, the epoch compiler's differential fuzz, the
-# race-enabled overload soak and the extra campaign goldens, in
-# fail-fast order.
-verify: fmt-check vet build test bench-check race fuzz-matbgp fuzz-delta fuzz-faults stress-serve stress-golden
+# the race detector, every example, the route engine's oracle and
+# delta-repair differential fuzz, the epoch compiler's differential
+# fuzz, the race-enabled overload soak and the extra campaign goldens,
+# in fail-fast order.
+verify: fmt-check vet build test bench-check race examples fuzz-matbgp fuzz-delta fuzz-faults stress-serve stress-golden
 
 clean:
 	$(GO) clean ./...

@@ -229,3 +229,126 @@ func fieldTypes(src func(ast.Node) string, fl *ast.FieldList) []string {
 	}
 	return out
 }
+
+// calledOnlyFromOtherTests lists the exported helpers under internal/
+// that no non-test code names, each with the reason it stays.
+var calledOnlyFromOtherTests = map[string]string{
+	"internal/bgp.NewReference":             "the recursive reference oracle the differential tests compare against (TestReferenceEngineIsTestOnly)",
+	"internal/bgp.ConvergenceMinutes":       "the closed-form model internal/core's session differential test checks the replay against",
+	"internal/delta.Epoch.DownSet":          "internal/core's epoch tests read the compiled down set through it",
+	"internal/session.History.CtlDown":      "internal/core's epoch tests check the compiled epochs against the control-plane spans",
+	"internal/session.Config.MeanDetectSec": "internal/core's session differential test reads the expected detection latency",
+	"internal/xrand.Rand.Poisson":           "the serve stress test draws its open-loop arrivals with it",
+	"internal/geo.Catalog.All":              "netsim's world test walks every city through it",
+	"internal/stats.NewSketch":              "the serve stress test's latency histograms; ROADMAP 4 builds the daemon's on stats.Sketch",
+	"internal/stats.Sketch.Merge":           "as stats.NewSketch",
+}
+
+// interfaceMethods are method names that exist to satisfy a standard
+// library interface (error, fmt.Stringer, errors.Unwrap, sort.Interface,
+// heap.Interface) and need not be called by name.
+var interfaceMethods = map[string]bool{
+	"Error": true, "String": true, "Unwrap": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// TestExportedNamesHaveCallers fails when an exported func, method or
+// type under internal/ is named by no non-test Go file in the repository
+// (cmd/, examples/ and bench/ included) other than at a declaration: an
+// export only its own tests call is not a result, and belongs in the
+// test or nowhere. Methods on unexported types are not checked. The
+// match is by name, so it can miss a dead export whose name something
+// else uses, but it never flags a live one.
+func TestExportedNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	used := make(map[string]bool)    // identifier names outside declarations
+	decls := make(map[string]string) // "internal/pkg.[Recv.]Name" -> position
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		declared := make(map[*ast.Ident]bool)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declared[n.Name] = true
+				key := dir + "." + n.Name.Name
+				if n.Recv != nil {
+					// A receiver does not use its type: mark its
+					// identifiers, then key the method by the base type.
+					recv := n.Recv.List[0].Type
+					var base *ast.Ident
+					ast.Inspect(recv, func(r ast.Node) bool {
+						if id, ok := r.(*ast.Ident); ok {
+							declared[id] = true
+							if base == nil {
+								base = id
+							}
+						}
+						return true
+					})
+					if !base.IsExported() || interfaceMethods[n.Name.Name] {
+						break
+					}
+					key = dir + "." + base.Name + "." + n.Name.Name
+				}
+				if strings.HasPrefix(dir, "internal/") && n.Name.IsExported() {
+					decls[key] = fset.Position(n.Name.Pos()).String()
+				}
+			case *ast.TypeSpec:
+				declared[n.Name] = true
+				if strings.HasPrefix(dir, "internal/") && n.Name.IsExported() {
+					decls[dir+"."+n.Name.Name] = fset.Position(n.Name.Pos()).String()
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					declared[id] = true
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					used[n.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range calledOnlyFromOtherTests {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("allowlisted %s is not declared any more: drop it from calledOnlyFromOtherTests", key)
+		}
+	}
+	var dead []string
+	for key, pos := range decls {
+		_, allowed := calledOnlyFromOtherTests[key]
+		switch name := key[strings.LastIndex(key, ".")+1:]; {
+		case used[name] && allowed:
+			t.Errorf("allowlisted %s is named by non-test code: drop it from calledOnlyFromOtherTests", key)
+		case !used[name] && !allowed:
+			dead = append(dead, pos+": "+key)
+		}
+	}
+	slices.Sort(dead)
+	if len(dead) > 0 {
+		t.Fatalf("exported names no non-test code calls (delete them, or unexport them and keep them in the test that uses them):\n%s",
+			strings.Join(dead, "\n"))
+	}
+}

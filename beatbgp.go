@@ -165,7 +165,7 @@ const (
 // runs fresh. To build a variation of an existing world, prefer
 // Scenario.Derive:
 //
-//	sub, err := s.Derive(func(c *beatbgp.Config) { c.Net.DisableSharedFate = true })
+//	sub, err := s.Derive(context.Background(), func(c *beatbgp.Config) { c.Net.DisableSharedFate = true })
 //
 // Derive rebuilds only the stages whose config changed and shares the
 // unchanged immutable artifacts with the receiver by pointer, so sweeping

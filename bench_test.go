@@ -11,6 +11,7 @@ package beatbgp_test
 // the values recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -123,7 +124,7 @@ func BenchmarkScenarioDerive(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := base.Derive(func(c *beatbgp.Config) { c.Net.DisableSharedFate = true })
+		_, err := base.Derive(context.Background(), func(c *beatbgp.Config) { c.Net.DisableSharedFate = true })
 		if err != nil {
 			b.Fatal(err)
 		}

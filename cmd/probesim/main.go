@@ -59,7 +59,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	platform := measure.New(s.Topo, s.Sim, measure.Config{Seed: *seed})
+	platform := measure.New(s.Topo, s.Sim, *seed)
 	target := func(name string, rib *bgp.RIB) measure.Target {
 		return measure.Target{
 			Name: name,

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	platform := measure.New(s.Topo, s.Sim, measure.Config{Seed: 17})
+	platform := measure.New(s.Topo, s.Sim, 17)
 	mk := func(name string, rib *bgp.RIB) measure.Target {
 		return measure.Target{
 			Name: name,

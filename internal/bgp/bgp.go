@@ -601,14 +601,3 @@ func loop(path []int, asID int) bool {
 	}
 	return false
 }
-
-// ReachableCount returns how many ASes have a valid route in the RIB.
-func (r *RIB) ReachableCount() int {
-	n := 0
-	for _, h := range r.hops {
-		if h.Len > 0 {
-			n++
-		}
-	}
-	return n
-}

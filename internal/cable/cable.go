@@ -21,7 +21,6 @@ type Edge struct {
 	A, B      int     // city IDs, A < B
 	Km        float64 // route kilometers (≥ great-circle distance)
 	Submarine bool
-	Leased    bool // synthesized to reconnect a network footprint
 }
 
 // Other returns the endpoint of e that is not city.

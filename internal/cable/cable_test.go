@@ -28,13 +28,51 @@ func cityID(t testing.TB, cat *geo.Catalog, name string) int {
 
 func TestWorldGraphConnected(t *testing.T) {
 	g, _ := world(t)
-	connected, isolated := g.Connected()
+	ok, isolated := connected(g)
 	if len(isolated) > 0 {
 		t.Fatalf("isolated cities: %v", isolated)
 	}
-	if !connected {
+	if !ok {
 		t.Fatal("world graph is not connected")
 	}
+}
+
+// connected reports whether every city with at least one incident edge can
+// reach every other such city, and separately whether any city is
+// completely isolated.
+func connected(g *Graph) (ok bool, isolated []int) {
+	n := g.catalog.Len()
+	start := -1
+	for c := 0; c < n; c++ {
+		if len(g.adj[c]) == 0 {
+			isolated = append(isolated, c)
+		} else if start < 0 {
+			start = c
+		}
+	}
+	if start < 0 {
+		return false, isolated
+	}
+	visited := make([]bool, n)
+	stack := []int{start}
+	visited[start] = true
+	for len(stack) > 0 {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, eid := range g.adj[c] {
+			nb := g.edges[eid].Other(c)
+			if !visited[nb] {
+				visited[nb] = true
+				stack = append(stack, nb)
+			}
+		}
+	}
+	for c := 0; c < n; c++ {
+		if len(g.adj[c]) > 0 && !visited[c] {
+			return false, isolated
+		}
+	}
+	return true, isolated
 }
 
 func TestEdgesAtLeastGeodesic(t *testing.T) {
@@ -270,25 +308,6 @@ func TestNetworkStretchApplied(t *testing.T) {
 	ps, _ := slow.Path(a, b)
 	if math.Abs(ps.Km-pf.Km*1.3) > 1e-6 {
 		t.Fatalf("stretch not applied: %v vs %v", ps.Km, pf.Km)
-	}
-}
-
-func TestNearestPresent(t *testing.T) {
-	g, cat := world(t)
-	all := make([]int, g.NumEdges())
-	for i := range all {
-		all[i] = i
-	}
-	n := NewNetwork(g, "all", all, 1.0)
-	paris := cityID(t, cat, "Paris")
-	got := n.NearestPresent(paris, []int{
-		cityID(t, cat, "Tokyo"), cityID(t, cat, "London"), cityID(t, cat, "Sydney"),
-	})
-	if got != cityID(t, cat, "London") {
-		t.Fatalf("nearest to Paris = %d, want London", got)
-	}
-	if n.NearestPresent(paris, nil) != -1 {
-		t.Fatal("empty candidate list should return -1")
 	}
 }
 

@@ -12,14 +12,11 @@ import (
 // paths; eyeball ISPs typically run 1.1–1.3).
 //
 // A Network memoizes single-source shortest-path trees, so repeated Path
-// queries are cheap. The memo is guarded, so Path/DistKm/NearestPresent
-// are safe to call from any number of goroutines (internal/par workers
-// included); each tree is a pure function of the source city, so query
-// results are identical whatever the interleaving. Precompute builds
-// every tree up front, turning the memo immutable-after-build so
-// concurrent queries never contend on the write path. Topology (the edge
-// set and footprint) is still fixed at construction and must not change
-// afterwards.
+// queries are cheap. The memo is guarded, so Path and DistKm are safe to
+// call from any number of goroutines (internal/par workers included);
+// each tree is a pure function of the source city, so query results are
+// identical whatever the interleaving. Topology (the edge set and
+// footprint) is fixed at construction and must not change afterwards.
 type Network struct {
 	Name    string
 	Stretch float64
@@ -119,21 +116,6 @@ func (n *Network) tree(src int) sstree {
 	return t
 }
 
-// Precompute builds the shortest-path tree of every footprint city,
-// making the memo effectively immutable: subsequent Path queries are
-// read-only and scale across cores without write contention. It returns
-// the number of trees resident afterwards.
-func (n *Network) Precompute() int {
-	for c, ok := range n.present {
-		if ok {
-			n.tree(c)
-		}
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.cache)
-}
-
 // Path returns the network's internal route between two footprint cities.
 // The returned kilometers include the operational stretch factor. ok is
 // false if either city is outside the footprint or unreachable within it.
@@ -173,17 +155,4 @@ func (n *Network) DistKm(from, to int) float64 {
 		return 0
 	}
 	return n.tree(from).dist[to] * n.Stretch
-}
-
-// NearestPresent returns the footprint city closest (by network distance)
-// to the given footprint city set origin; used for exit-policy decisions.
-// It returns -1 if none of the candidates is reachable.
-func (n *Network) NearestPresent(from int, candidates []int) int {
-	best, bestKm := -1, math.Inf(1)
-	for _, c := range candidates {
-		if d := n.DistKm(from, c); d < bestKm {
-			best, bestKm = c, d
-		}
-	}
-	return best
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // TestPathConcurrentFromParMap hammers one Network's path memo from
-// par.Map workers under -race: the shared-cache hazard the parallel
-// runtime had to fix. Every concurrent answer must match a serially
-// warmed oracle bit for bit.
+// par.Map workers under -race, through both Path and DistKm: the
+// shared-cache hazard the parallel runtime had to fix. Every concurrent
+// answer must match a serially warmed oracle bit for bit.
 func TestPathConcurrentFromParMap(t *testing.T) {
 	g, cat := world(t)
 	cities := make([]int, cat.Len())
@@ -36,48 +36,27 @@ func TestPathConcurrentFromParMap(t *testing.T) {
 			queries = append(queries, query{i, (i + j) % cat.Len()})
 		}
 	}
-	got, err := par.Map(8, queries, func(_ int, q query) (float64, error) {
+	// Odd queries read DistKm, even ones Path, so both read paths race
+	// on the same memo.
+	answer := func(n *Network, i int, q query) float64 {
+		if i%2 == 1 {
+			return n.DistKm(q.from, q.to)
+		}
 		p, ok := n.Path(q.from, q.to)
 		if !ok {
-			return -1, nil
+			return -1
 		}
-		return p.Km, nil
+		return p.Km
+	}
+	got, err := par.Map(8, queries, func(i int, q query) (float64, error) {
+		return answer(n, i, q), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want := -1.0
-		if p, ok := oracle.Path(q.from, q.to); ok {
-			want = p.Km
-		}
-		if got[i] != want {
+		if want := answer(oracle, i, q); got[i] != want {
 			t.Fatalf("query %d (%d->%d): concurrent %v != serial %v", i, q.from, q.to, got[i], want)
 		}
-	}
-}
-
-// TestPrecomputeFreezesMemo verifies Precompute builds a tree per
-// footprint city and that post-precompute queries agree with the lazily
-// built answers.
-func TestPrecomputeFreezesMemo(t *testing.T) {
-	g, cat := world(t)
-	ny := cityID(t, cat, "NewYork")
-	lon := cityID(t, cat, "London")
-	lazy, err := NetworkFromCities(g, "lazy", []int{ny, lon}, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := NetworkFromCities(g, "eager", []int{ny, lon}, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trees := eager.Precompute(); trees != 2 {
-		t.Fatalf("Precompute built %d trees, want 2", trees)
-	}
-	lp, lok := lazy.Path(ny, lon)
-	ep, eok := eager.Path(ny, lon)
-	if lok != eok || lp.Km != ep.Km {
-		t.Fatalf("precomputed path diverges: %v/%v vs %v/%v", ep, eok, lp, lok)
 	}
 }

@@ -202,41 +202,3 @@ func WorldGraph(catalog *geo.Catalog) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// Connected reports whether every city with at least one incident edge can
-// reach every other such city, and separately whether any city is
-// completely isolated.
-func (g *Graph) Connected() (connected bool, isolated []int) {
-	n := g.catalog.Len()
-	start := -1
-	for c := 0; c < n; c++ {
-		if len(g.adj[c]) == 0 {
-			isolated = append(isolated, c)
-		} else if start < 0 {
-			start = c
-		}
-	}
-	if start < 0 {
-		return false, isolated
-	}
-	visited := make([]bool, n)
-	stack := []int{start}
-	visited[start] = true
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.adj[c] {
-			nb := g.edges[eid].Other(c)
-			if !visited[nb] {
-				visited[nb] = true
-				stack = append(stack, nb)
-			}
-		}
-	}
-	for c := 0; c < n; c++ {
-		if len(g.adj[c]) > 0 && !visited[c] {
-			return false, isolated
-		}
-	}
-	return true, isolated
-}

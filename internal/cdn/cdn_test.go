@@ -287,7 +287,7 @@ func TestRedirectorTrainsAndServes(t *testing.T) {
 			sample = append(sample, p)
 		}
 	}
-	rd, err := TrainRedirector(c, sim, m, sample, []float64{0, 360, 720}, TrainOpts{KNearest: 4})
+	rd, err := TrainRedirector(c, sim, m, sample, []float64{0, 360, 720}, TrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,12 @@ func (c *CDN) rankedSites(city int) []int {
 	return ranked
 }
 
+// kNearest bounds the candidate unicast sites redirection training
+// considers per LDNS.
+const kNearest = 5
+
 // TrainOpts tunes redirection training.
 type TrainOpts struct {
-	// KNearest bounds the candidate unicast sites considered per LDNS
-	// (default 5).
-	KNearest int
 	// NoiseMs is the standard deviation of the per-candidate estimation
 	// bias (default 10 ms). Real redirection systems estimate each
 	// candidate's latency from sparse, self-selected client samples; this
@@ -102,18 +103,9 @@ type TrainOpts struct {
 	// paper analyzed did not consume ECS, so this defaults to false; it
 	// is the granularity ablation called out in DESIGN.md.
 	UseECS bool
-	// HybridMarginMs makes the policy a hybrid in the §4 sense: a unicast
-	// front-end overrides anycast only when its predicted advantage
-	// exceeds this margin, so marginal (and therefore error-prone)
-	// overrides stay on anycast. 0 (the default) is the plain
-	// best-predicted policy of Figure 4.
-	HybridMarginMs float64
 }
 
 func (o *TrainOpts) setDefaults() {
-	if o.KNearest <= 0 {
-		o.KNearest = 5
-	}
 	if o.NoiseMs == 0 {
 		o.NoiseMs = 10
 	}
@@ -121,7 +113,7 @@ func (o *TrainOpts) setDefaults() {
 
 // TrainRedirector builds a redirection policy from measurements taken at
 // the training times: for each LDNS, the candidate set is anycast plus the
-// KNearest sites to the *resolver's* city (the redirection system only
+// kNearest sites to the *resolver's* city (the redirection system only
 // knows where the resolver is), and the winner is the candidate with the
 // lowest weighted median RTT across the resolver's client prefixes.
 func TrainRedirector(c *CDN, sim *netsim.Sim, m *dnsmap.Mapping,
@@ -130,7 +122,6 @@ func TrainRedirector(c *CDN, sim *netsim.Sim, m *dnsmap.Mapping,
 		return nil, fmt.Errorf("cdn: no training times")
 	}
 	opts.setDefaults()
-	kNearest := opts.KNearest
 	rd := &Redirector{
 		byResolver: make(map[int]int),
 		byPrefix:   make(map[int]int),
@@ -152,7 +143,7 @@ func TrainRedirector(c *CDN, sim *netsim.Sim, m *dnsmap.Mapping,
 			// Per-prefix decisions at oracle granularity.
 			for _, p := range group {
 				choice, err := c.bestOption(sim, []topology.Prefix{p},
-					c.NearestSitesToCity(p.City, kNearest), trainTimes, opts.NoiseMs, opts.HybridMarginMs)
+					c.NearestSitesToCity(p.City, kNearest), trainTimes, opts.NoiseMs)
 				if err != nil {
 					return nil, err
 				}
@@ -160,7 +151,7 @@ func TrainRedirector(c *CDN, sim *netsim.Sim, m *dnsmap.Mapping,
 			}
 			continue
 		}
-		choice, err := c.bestOption(sim, group, c.NearestSitesToCity(r.City, kNearest), trainTimes, opts.NoiseMs, opts.HybridMarginMs)
+		choice, err := c.bestOption(sim, group, c.NearestSitesToCity(r.City, kNearest), trainTimes, opts.NoiseMs)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +164,7 @@ func TrainRedirector(c *CDN, sim *netsim.Sim, m *dnsmap.Mapping,
 // prefixes and returns the winner (AnycastChoice or a site index).
 // Prefixes that cannot reach a candidate simply skip it, mirroring a
 // measurement system that never hears from those clients.
-func (c *CDN) bestOption(sim *netsim.Sim, group []topology.Prefix, candidates []int, times []float64, noiseMs, marginMs float64) (int, error) {
+func (c *CDN) bestOption(sim *netsim.Sim, group []topology.Prefix, candidates []int, times []float64, noiseMs float64) (int, error) {
 	// Deterministic per-group noise stream. The bias is drawn once per
 	// candidate, not per sample: a real redirection system estimates each
 	// candidate's latency from a sparse, self-selected subset of the
@@ -218,14 +209,7 @@ func (c *CDN) bestOption(sim *netsim.Sim, group []topology.Prefix, candidates []
 			continue
 		}
 		med := d.Median() + bias()
-		// The hybrid margin applies against anycast's estimate only:
-		// once a unicast site has cleared the bar, a better unicast site
-		// replaces it without paying the margin again.
-		bar := bestMed
-		if best == AnycastChoice {
-			bar -= marginMs
-		}
-		if med < bar {
+		if med < bestMed {
 			best, bestMed = site, med
 		}
 	}

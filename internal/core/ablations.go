@@ -14,15 +14,15 @@ import (
 // Each builds its variant worlds with Scenario.Derive, so only the stages
 // its knob touches are rebuilt (see build.go).
 
-// AblationSharedFate turns off the shared-fate last-mile congestion
+// ablationSharedFate turns off the shared-fate last-mile congestion
 // (§3.1.1's mechanism) and recomputes the Figure 1 summary: without it,
 // congestion becomes route-specific and dynamic traffic engineering finds
 // more wins.
-func AblationSharedFate(ctx context.Context, s *Scenario) (Result, error) {
+func ablationSharedFate(ctx context.Context, s *Scenario) (Result, error) {
 	run := func(disable bool) (improvable, degraded float64, err error) {
 		// Net + Workload only: topology, provider, CDN, and DNS are
 		// shared with the base scenario.
-		sub, err := s.DeriveContext(ctx, func(c *Config) {
+		sub, err := s.Derive(ctx, func(c *Config) {
 			c.Net.DisableSharedFate = disable
 			c.Workload.Days = 3
 		})
@@ -37,7 +37,7 @@ func AblationSharedFate(ctx context.Context, s *Scenario) (Result, error) {
 		for _, ps := range pairs {
 			point.Add(ps.pointDiff, ps.volume)
 		}
-		r311, err := TableS311(sub)
+		r311, err := tableS311(sub)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -66,14 +66,14 @@ func AblationSharedFate(ctx context.Context, s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// AblationECS gives the redirector oracle granularity: noiseless training
+// ablationECS gives the redirector oracle granularity: noiseless training
 // and per-client decisions wherever the resolver sends ECS — and, via a
 // DNS-only derived world, an ECS-bearing resolver for *every* client, so
 // the oracle arm is truly per-client rather than per-LDNS for the 0.1%
 // of ASes that happen to send ECS. The paper's point is that this
 // granularity is unavailable in practice; with it, prediction errors
 // shrink toward the Figure 3 opportunity.
-func AblationECS(ctx context.Context, s *Scenario) (Result, error) {
+func ablationECS(ctx context.Context, s *Scenario) (Result, error) {
 	rd, _, err := odinRedirector(s, fig4SampleRate, 0)
 	if err != nil {
 		return Result{}, err
@@ -85,7 +85,7 @@ func AblationECS(ctx context.Context, s *Scenario) (Result, error) {
 	// DNS-only mutation: the derived world shares the topology, the
 	// provider, the CDN, and the oracle with the base scenario and
 	// rebuilds only the resolver population.
-	ecsWorld, err := s.DeriveContext(ctx, func(c *Config) {
+	ecsWorld, err := s.Derive(ctx, func(c *Config) {
 		c.DNS.ISPECSProb = 1
 	})
 	if err != nil {
@@ -106,12 +106,12 @@ func AblationECS(ctx context.Context, s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// AblationPNI makes dedicated private interconnects exactly as likely to
+// ablationPNI makes dedicated private interconnects exactly as likely to
 // carry a persistent impairment as public links, removing the §3.1.2
 // capacity-management advantage, and recomputes the Figure 1/2 summaries.
-func AblationPNI(ctx context.Context, s *Scenario) (Result, error) {
+func ablationPNI(ctx context.Context, s *Scenario) (Result, error) {
 	run := func(factor float64) (improvable, peerWorseTail float64, err error) {
-		sub, err := s.DeriveContext(ctx, func(c *Config) {
+		sub, err := s.Derive(ctx, func(c *Config) {
 			c.Net.PNIImpairFactor = factor
 			c.Workload.Days = 3
 		})
@@ -126,7 +126,7 @@ func AblationPNI(ctx context.Context, s *Scenario) (Result, error) {
 		for _, ps := range pairs {
 			point.Add(ps.pointDiff, ps.volume)
 		}
-		f2, err := Figure2(sub)
+		f2, err := figure2(sub)
 		if err != nil {
 			return 0, 0, err
 		}

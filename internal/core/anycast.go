@@ -30,7 +30,7 @@ func anycastSampleTimes() []float64 {
 // measures, mirroring the instrumented search results.
 const nearbyUnicastCount = 6
 
-// Figure3 reproduces the paper's Figure 3: the CCDF, per request, of
+// figure3 reproduces the paper's Figure 3: the CCDF, per request, of
 // anycast latency minus the best measured unicast front-end latency, for
 // the world, Europe, and the United States.
 //
@@ -40,7 +40,7 @@ const nearbyUnicastCount = 6
 // order) are folded into the distributions in prefix order — the same Add
 // sequence as the serial loop, so the figure is bit-identical at any
 // worker count.
-func Figure3(s *Scenario) (Result, error) {
+func figure3(s *Scenario) (Result, error) {
 	times := anycastSampleTimes()
 	workers := s.workers()
 	if _, err := s.CDN.PrimeRIBs(context.Background(), workers); err != nil {
@@ -109,10 +109,10 @@ func Figure3(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// TableS32 reports the §2.3.2 front-end density statistics: the
+// tableS32 reports the §2.3.2 front-end density statistics: the
 // population-weighted median distance from clients to their 1st, 2nd and
 // 4th nearest front-ends.
-func TableS32(s *Scenario) (Result, error) {
+func tableS32(s *Scenario) (Result, error) {
 	var d1, d2, d4 stats.Dist
 	for _, p := range s.Topo.Prefixes {
 		d1.Add(s.CDN.SiteDistanceKm(p, 0), p.Weight)
@@ -218,12 +218,12 @@ func odinRedirector(s *Scenario, rate, marginMs float64) (*cdn.Redirector, int, 
 	return cdn.NewRedirector(odin.Decide(agg, 3, marginMs), nil), agg.Samples(), nil
 }
 
-// Figure4 reproduces Figure 4: the weighted CDF over client /24s of the
+// figure4 reproduces Figure 4: the weighted CDF over client /24s of the
 // latency improvement from serving per the LDNS-granularity redirector
 // (best predicted of unicast-or-anycast, trained from an Odin-style
 // client-measurement campaign) versus plain anycast, at the median and
 // 75th percentile.
-func Figure4(s *Scenario) (Result, error) {
+func figure4(s *Scenario) (Result, error) {
 	rd, _, err := odinRedirector(s, fig4SampleRate, 0)
 	if err != nil {
 		return Result{}, err

@@ -58,7 +58,7 @@ func BenchmarkSiteDensitySweep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SiteDensityStudy(context.Background(), s); err != nil {
+		if _, err := siteDensityStudy(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkFig3AnycastSweep(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Figure3(s); err != nil {
+				if _, err := figure3(s); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -248,14 +248,10 @@ func (s *Scenario) BuildReport() BuildReport { return s.report }
 // The determinism contract: Derive produces byte-identical experiment
 // Render() output to a fresh NewScenario on the same config, at any
 // worker count.
-func (s *Scenario) Derive(mutate func(*Config)) (*Scenario, error) {
-	return s.DeriveContext(context.Background(), mutate)
-}
-
-// DeriveContext is Derive honoring context cancellation between stages,
-// so a per-experiment deadline also bounds sub-scenario builds inside
-// sweep studies.
-func (s *Scenario) DeriveContext(ctx context.Context, mutate func(*Config)) (*Scenario, error) {
+//
+// Derive honors ctx's cancellation between stages, so a per-experiment
+// deadline also bounds sub-scenario builds inside sweep studies.
+func (s *Scenario) Derive(ctx context.Context, mutate func(*Config)) (*Scenario, error) {
 	user := s.userCfg
 	if mutate != nil {
 		mutate(&user)

@@ -69,7 +69,7 @@ func TestDeriveEquivalence(t *testing.T) {
 	for _, seed := range []uint64{42, 7} {
 		base := scenario(t, seed)
 		for _, m := range deriveMutations {
-			derived, err := base.Derive(m.mutate)
+			derived, err := base.Derive(context.Background(), m.mutate)
 			if err != nil {
 				t.Fatalf("seed %d %s: derive: %v", seed, m.name, err)
 			}
@@ -120,7 +120,7 @@ func TestDeriveEquivalenceWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		derived, err := base.Derive(func(c *Config) { c.Net.DisableSharedFate = true })
+		derived, err := base.Derive(context.Background(), func(c *Config) { c.Net.DisableSharedFate = true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestDeriveArtifactReuse(t *testing.T) {
 
 	// Net-only: every immutable artifact is shared by pointer; only the
 	// mutable sim and generator are fresh.
-	netOnly, err := base.Derive(func(c *Config) { c.Net.DisableSharedFate = true })
+	netOnly, err := base.Derive(context.Background(), func(c *Config) { c.Net.DisableSharedFate = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDeriveArtifactReuse(t *testing.T) {
 	// is re-extended from the frozen provider snapshot (the CDN stage adds
 	// its site ASes to the topology, so the final Topo pointer is new even
 	// though the topology and provider *stages* are reused).
-	cdnOnly, err := base.Derive(func(c *Config) { c.CDN.EyeballPeerProb = 0.9 })
+	cdnOnly, err := base.Derive(context.Background(), func(c *Config) { c.CDN.EyeballPeerProb = 0.9 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDeriveArtifactReuse(t *testing.T) {
 
 	// No mutation: the whole immutable world is shared; only fresh mutable
 	// state comes back (the xdiv twin-sim pattern).
-	twin, err := base.Derive(nil)
+	twin, err := base.Derive(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestDeriveArtifactReuse(t *testing.T) {
 	// Provider-only: the rebuilt provider lays its WAN on its own copy of
 	// the cable map, so the base world's graph keeps its edges.
 	edges := base.Topo.Graph.NumEdges()
-	if _, err := base.Derive(func(c *Config) { c.Provider.Seed = 99 }); err != nil {
+	if _, err := base.Derive(context.Background(), func(c *Config) { c.Provider.Seed = 99 }); err != nil {
 		t.Fatal(err)
 	}
 	if got := base.Topo.Graph.NumEdges(); got != edges {
@@ -223,7 +223,7 @@ func TestDeriveArtifactReuse(t *testing.T) {
 	// epoch sequence. Freezing both must leave each world answering at
 	// its own epochs: every anycast RIB of the first world equals a
 	// rebuild at that world's cumulative down set.
-	bfd, err := base.Derive(func(c *Config) { c.Session.BFD = true })
+	bfd, err := base.Derive(context.Background(), func(c *Config) { c.Session.BFD = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestDeriveArtifactReuse(t *testing.T) {
 	}
 
 	// A full reseed invalidates every key.
-	reseed, err := base.Derive(func(c *Config) { c.Seed = 99 })
+	reseed, err := base.Derive(context.Background(), func(c *Config) { c.Seed = 99 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDeriveReseedsPinnedStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := base.Derive(func(c *Config) { c.Seed = 7 })
+	d, err := base.Derive(context.Background(), func(c *Config) { c.Seed = 7 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestDeriveReseedsPinnedStage(t *testing.T) {
 // under -race this guards the artifact-sharing safety claim.
 func TestConcurrentDerivedScenarios(t *testing.T) {
 	base := scenario(t, 42)
-	derived, err := base.Derive(func(c *Config) { c.Net.DisableSharedFate = true })
+	derived, err := base.Derive(context.Background(), func(c *Config) { c.Net.DisableSharedFate = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +323,8 @@ func TestDeriveContextCancelled(t *testing.T) {
 	base := scenario(t, 42)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := base.DeriveContext(ctx, nil); err == nil {
-		t.Error("DeriveContext with cancelled context should fail")
+	if _, err := base.Derive(ctx, nil); err == nil {
+		t.Error("Derive with cancelled context should fail")
 	}
 	if _, err := NewScenarioContext(ctx, smallConfig(42)); err == nil {
 		t.Error("NewScenarioContext with cancelled context should fail")
@@ -333,7 +333,7 @@ func TestDeriveContextCancelled(t *testing.T) {
 
 func TestDeriveRejectsInvalidMutation(t *testing.T) {
 	base := scenario(t, 42)
-	if _, err := base.Derive(func(c *Config) { c.DNS.ISPECSProb = 2 }); err == nil {
+	if _, err := base.Derive(context.Background(), func(c *Config) { c.DNS.ISPECSProb = 2 }); err == nil {
 		t.Error("Derive should validate the mutated config")
 	}
 }

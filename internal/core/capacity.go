@@ -5,12 +5,12 @@ import (
 	"beatbgp/internal/stats"
 )
 
-// CapacityStudy runs the Edge-Fabric controller for its production
+// capacityStudy runs the Edge-Fabric controller for its production
 // purpose — keeping interconnects under capacity — across the §3.1 trace,
 // and reports how much traffic gets detoured and what the detours cost in
 // latency. The paper's framing: these controllers matter, but mostly for
 // capacity, not because BGP picks slow paths.
-func CapacityStudy(s *Scenario) (Result, error) {
+func capacityStudy(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err

@@ -9,7 +9,6 @@ import (
 	"beatbgp/internal/netpath"
 	"beatbgp/internal/par"
 	"beatbgp/internal/stats"
-	"beatbgp/internal/tcp"
 )
 
 // tierState bundles the routing and measurement machinery for the
@@ -41,7 +40,7 @@ func (s *Scenario) tiers() (*tierState, error) {
 		return nil, err
 	}
 	ts := &tierState{premRIB: premRIB, stdRIB: stdRIB}
-	ts.plat = measure.New(s.Topo, s.Sim, measure.Config{Seed: s.Cfg.Seed + 7})
+	ts.plat = measure.New(s.Topo, s.Sim, s.Cfg.Seed+7)
 
 	mkTarget := func(name string, rib *bgp.RIB) measure.Target {
 		return measure.Target{
@@ -102,10 +101,10 @@ func (s *Scenario) tiers() (*tierState, error) {
 // (documented in DESIGN.md).
 const tierCampaignDays = 12
 
-// Figure5 reproduces the paper's Figure 5: per-country median of
+// figure5 reproduces the paper's Figure 5: per-country median of
 // (Standard - Premium) ping latency, from filtered vantage points. A
 // positive value means the private WAN (Premium) performed better.
-func Figure5(s *Scenario) (Result, error) {
+func figure5(s *Scenario) (Result, error) {
 	ts, err := s.tiers()
 	if err != nil {
 		return Result{}, err
@@ -200,16 +199,16 @@ func dailySubset(ts *tierState, day int) []measure.VantagePoint {
 	return out
 }
 
-// TableS33 reports the §3.3 in-text traceroute analysis: the fraction of
+// tableS33 reports the §3.3 in-text traceroute analysis: the fraction of
 // vantage points whose traffic enters the provider within 400 km when
 // using each tier, and the India east-vs-west case study.
-func TableS33(s *Scenario) (Result, error) {
+func tableS33(s *Scenario) (Result, error) {
 	ts, err := s.tiers()
 	if err != nil {
 		return Result{}, err
 	}
 	// One traceroute-pair job per filtered VP on internal/par workers;
-	// partials merge in VP order (see Figure5 for the determinism rule).
+	// partials merge in VP order (see figure5 for the determinism rule).
 	type vpPart struct {
 		ok       bool
 		tr1, tr2 measure.TracerouteResult
@@ -301,9 +300,9 @@ func TableS33(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// TableGoodput reproduces the §4 footnote: 10 MB downloads over the two
+// tableGoodput reproduces the §4 footnote: 10 MB downloads over the two
 // tiers show little goodput difference.
-func TableGoodput(s *Scenario) (Result, error) {
+func tableGoodput(s *Scenario) (Result, error) {
 	ts, err := s.tiers()
 	if err != nil {
 		return Result{}, err
@@ -325,8 +324,8 @@ func TableGoodput(s *Scenario) (Result, error) {
 				return 0, false
 			}
 			loss := s.Sim.LossRate(route, vp.Prefix, t)
-			ms := rtt + tcp.TransferTimeMs(payload, rtt, loss)
-			return tcp.GoodputMbps(payload, ms), true
+			ms := rtt + transferTimeMs(payload, rtt, loss)
+			return goodputMbps(payload, ms), true
 		}
 		if g, ok := fetch(ts.prem, ts.premRIB); ok {
 			premPut.Add(g, 1)

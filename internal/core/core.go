@@ -229,7 +229,7 @@ func (r Result) Render() string {
 
 // Experiment is a runnable reproduction of one paper artifact. Run
 // receives a context so studies that build sub-scenarios (the sweep
-// studies, via Scenario.DeriveContext) stop at the per-experiment
+// studies, via Scenario.Derive) stop at the per-experiment
 // deadline instead of finishing the rebuild loop.
 type Experiment struct {
 	ID    string
@@ -247,36 +247,36 @@ func noCtx(run func(*Scenario) (Result, error)) func(context.Context, *Scenario)
 // Experiments returns the full registry in the order of the paper.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"fig1", "CDF of median MinRTT difference, BGP minus best alternate (Figure 1)", noCtx(Figure1)},
-		{"fig2", "Peer vs transit and private vs public peering differences (Figure 2)", noCtx(Figure2)},
-		{"t31", "§3.1 in-text: improvable traffic share and client-PoP distances", noCtx(TableS31)},
-		{"t311", "§3.1.1: degradations vs improvement windows; persistence of winners", noCtx(TableS311)},
-		{"fig3", "CCDF of anycast minus best unicast per request (Figure 3)", noCtx(Figure3)},
-		{"t32", "§2.3.2 in-text: distance to nth nearest front-end", noCtx(TableS32)},
-		{"fig4", "CDF of improvement from LDNS-grade DNS redirection (Figure 4)", noCtx(Figure4)},
-		{"fig5", "Per-country median Standard minus Premium latency (Figure 5)", noCtx(Figure5)},
-		{"t33", "§3.3 in-text: ingress distance by tier; India case study", noCtx(TableS33)},
-		{"t4g", "§4 footnote: 10 MB goodput, Premium vs Standard", noCtx(TableGoodput)},
-		{"xpeer", "§3.1.3 open question: reduced peering footprint", PeeringReduction},
-		{"xgroom", "§3.2.2 open question: anycast grooming, nature vs nurture", noCtx(GroomingStudy)},
-		{"xwan", "§3.3.2 open question: single-WAN behavior of public routes", noCtx(SingleWANStudy)},
-		{"xsplit", "§4: split TCP with WAN vs public backend", noCtx(SplitTCPStudy)},
-		{"xdiv", "§4: route diversity and peer fragility", noCtx(RouteDiversityStudy)},
-		{"xcap", "Edge Fabric's day job: capacity-driven egress overrides", noCtx(CapacityStudy)},
-		{"xdyn", "§4: site outages — anycast failover vs DNS caching", noCtx(SiteOutageStudy)},
-		{"xfaults", "Injected faults: BGP-vs-alternates degradation and blackholes", noCtx(FaultStudy)},
-		{"xavail", "Injected faults: anycast vs DNS-redirection availability", noCtx(AnycastFaultAvailability)},
-		{"xdetect", "Detection sensitivity: hold timers vs BFD under injected faults", noCtx(DetectionStudy)},
-		{"xflap", "Flap storms: route damping and emergent unreachability", noCtx(FlapStormStudy)},
-		{"xhybrid", "§4: hybrid anycast + DNS redirection policies", noCtx(HybridStudy)},
-		{"xodin", "Odin-style measurement pipeline: budget vs prediction quality", noCtx(OdinStudy)},
-		{"xsites", "§3.2.2: CDN build-out — how many sites are enough?", SiteDensityStudy},
-		{"xinfer", "§3.2.2 / ref [26]: predicting catchments from public data", noCtx(CatchmentInference)},
-		{"xcorridor", "What-if: the WAN leases the Europe-Asia corridor", CorridorStudy},
-		{"xqoe", "§4: the improvable slice in sessions and engagement terms", noCtx(QoEStudy)},
-		{"afate", "Ablation: shared-fate congestion disabled", AblationSharedFate},
-		{"aecs", "Ablation: oracle-granularity DNS redirection", AblationECS},
-		{"apni", "Ablation: PNIs as impairment-prone as public links", AblationPNI},
+		{"fig1", "CDF of median MinRTT difference, BGP minus best alternate (Figure 1)", noCtx(figure1)},
+		{"fig2", "Peer vs transit and private vs public peering differences (Figure 2)", noCtx(figure2)},
+		{"t31", "§3.1 in-text: improvable traffic share and client-PoP distances", noCtx(tableS31)},
+		{"t311", "§3.1.1: degradations vs improvement windows; persistence of winners", noCtx(tableS311)},
+		{"fig3", "CCDF of anycast minus best unicast per request (Figure 3)", noCtx(figure3)},
+		{"t32", "§2.3.2 in-text: distance to nth nearest front-end", noCtx(tableS32)},
+		{"fig4", "CDF of improvement from LDNS-grade DNS redirection (Figure 4)", noCtx(figure4)},
+		{"fig5", "Per-country median Standard minus Premium latency (Figure 5)", noCtx(figure5)},
+		{"t33", "§3.3 in-text: ingress distance by tier; India case study", noCtx(tableS33)},
+		{"t4g", "§4 footnote: 10 MB goodput, Premium vs Standard", noCtx(tableGoodput)},
+		{"xpeer", "§3.1.3 open question: reduced peering footprint", peeringReduction},
+		{"xgroom", "§3.2.2 open question: anycast grooming, nature vs nurture", noCtx(groomingStudy)},
+		{"xwan", "§3.3.2 open question: single-WAN behavior of public routes", noCtx(singleWANStudy)},
+		{"xsplit", "§4: split TCP with WAN vs public backend", noCtx(splitTCPStudy)},
+		{"xdiv", "§4: route diversity and peer fragility", noCtx(routeDiversityStudy)},
+		{"xcap", "Edge Fabric's day job: capacity-driven egress overrides", noCtx(capacityStudy)},
+		{"xdyn", "§4: site outages — anycast failover vs DNS caching", noCtx(siteOutageStudy)},
+		{"xfaults", "Injected faults: BGP-vs-alternates degradation and blackholes", noCtx(faultStudy)},
+		{"xavail", "Injected faults: anycast vs DNS-redirection availability", noCtx(anycastFaultAvailability)},
+		{"xdetect", "Detection sensitivity: hold timers vs BFD under injected faults", noCtx(detectionStudy)},
+		{"xflap", "Flap storms: route damping and emergent unreachability", noCtx(flapStormStudy)},
+		{"xhybrid", "§4: hybrid anycast + DNS redirection policies", noCtx(hybridStudy)},
+		{"xodin", "Odin-style measurement pipeline: budget vs prediction quality", noCtx(odinStudy)},
+		{"xsites", "§3.2.2: CDN build-out — how many sites are enough?", siteDensityStudy},
+		{"xinfer", "§3.2.2 / ref [26]: predicting catchments from public data", noCtx(catchmentInference)},
+		{"xcorridor", "What-if: the WAN leases the Europe-Asia corridor", corridorStudy},
+		{"xqoe", "§4: the improvable slice in sessions and engagement terms", noCtx(qoeStudy)},
+		{"afate", "Ablation: shared-fate congestion disabled", ablationSharedFate},
+		{"aecs", "Ablation: oracle-granularity DNS redirection", ablationECS},
+		{"apni", "Ablation: PNIs as impairment-prone as public links", ablationPNI},
 	}
 }
 

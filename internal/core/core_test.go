@@ -62,7 +62,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestFigure1Shape(t *testing.T) {
 	s := scenario(t, 1)
-	r, err := Figure1(s)
+	r, err := figure1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFigure1Shape(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	s := scenario(t, 2)
-	r, err := Figure2(s)
+	r, err := figure2(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestTableS31Shape(t *testing.T) {
 	s := scenario(t, 3)
-	r, err := TableS31(s)
+	r, err := tableS31(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTableS31Shape(t *testing.T) {
 
 func TestTableS311Shape(t *testing.T) {
 	s := scenario(t, 4)
-	r, err := TableS311(s)
+	r, err := tableS311(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTableS311Shape(t *testing.T) {
 
 func TestFigure3Shape(t *testing.T) {
 	s := scenario(t, 5)
-	r, err := Figure3(s)
+	r, err := figure3(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFigure3Shape(t *testing.T) {
 
 func TestTableS32Shape(t *testing.T) {
 	s := scenario(t, 6)
-	r, err := TableS32(s)
+	r, err := tableS32(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestTableS32Shape(t *testing.T) {
 
 func TestFigure4Shape(t *testing.T) {
 	s := scenario(t, 7)
-	r, err := Figure4(s)
+	r, err := figure4(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	s := scenario(t, 8)
-	r, err := Figure5(s)
+	r, err := figure5(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestTableS33Shape(t *testing.T) {
 	s := scenario(t, 9)
-	r, err := TableS33(s)
+	r, err := tableS33(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestTableS33Shape(t *testing.T) {
 
 func TestTableGoodputShape(t *testing.T) {
 	s := scenario(t, 10)
-	r, err := TableGoodput(s)
+	r, err := tableGoodput(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTableGoodputShape(t *testing.T) {
 
 func TestSingleWANShape(t *testing.T) {
 	s := scenario(t, 11)
-	r, err := SingleWANStudy(s)
+	r, err := singleWANStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestSingleWANShape(t *testing.T) {
 
 func TestSplitTCPShape(t *testing.T) {
 	s := scenario(t, 12)
-	r, err := SplitTCPStudy(s)
+	r, err := splitTCPStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSplitTCPShape(t *testing.T) {
 
 func TestAvailabilityShape(t *testing.T) {
 	s := scenario(t, 13)
-	r, err := RouteDiversityStudy(s)
+	r, err := routeDiversityStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestAvailabilityShape(t *testing.T) {
 
 func TestCapacityStudyShape(t *testing.T) {
 	s := scenario(t, 17)
-	r, err := CapacityStudy(s)
+	r, err := capacityStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestCapacityStudyShape(t *testing.T) {
 
 func TestSiteOutageShape(t *testing.T) {
 	s := scenario(t, 18)
-	r, err := SiteOutageStudy(s)
+	r, err := siteOutageStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestSiteOutageShape(t *testing.T) {
 
 func TestHybridShape(t *testing.T) {
 	s := scenario(t, 19)
-	r, err := HybridStudy(s)
+	r, err := hybridStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestHybridShape(t *testing.T) {
 
 func TestOdinStudyShape(t *testing.T) {
 	s := scenario(t, 20)
-	r, err := OdinStudy(s)
+	r, err := odinStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestOdinStudyShape(t *testing.T) {
 
 func TestSiteDensityShape(t *testing.T) {
 	s := scenario(t, 21)
-	r, err := SiteDensityStudy(context.Background(), s)
+	r, err := siteDensityStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestSiteDensityShape(t *testing.T) {
 
 func TestCorridorShape(t *testing.T) {
 	s := scenario(t, 23)
-	r, err := CorridorStudy(context.Background(), s)
+	r, err := corridorStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestCorridorShape(t *testing.T) {
 
 func TestAblationECSShape(t *testing.T) {
 	s := scenario(t, 15)
-	r, err := AblationECS(context.Background(), s)
+	r, err := ablationECS(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestAblationECSShape(t *testing.T) {
 
 func TestAblationPNIShape(t *testing.T) {
 	s := scenario(t, 16)
-	r, err := AblationPNI(context.Background(), s)
+	r, err := ablationPNI(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestAblationPNIShape(t *testing.T) {
 
 func TestCatchmentInferenceShape(t *testing.T) {
 	s := scenario(t, 22)
-	r, err := CatchmentInference(s)
+	r, err := catchmentInference(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestCatchmentInferenceShape(t *testing.T) {
 
 func TestResultRender(t *testing.T) {
 	s := scenario(t, 14)
-	r, err := Figure2(s)
+	r, err := figure2(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,11 +525,11 @@ func TestResultRender(t *testing.T) {
 }
 
 func TestScenarioDeterminism(t *testing.T) {
-	r1, err := Figure2(scenario(t, 21))
+	r1, err := figure2(scenario(t, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Figure2(scenario(t, 21))
+	r2, err := figure2(scenario(t, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,11 +548,11 @@ func TestSharedFateAblationWidensTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOn, err := TableS311(on)
+	rOn, err := tableS311(on)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rOff, err := TableS311(off)
+	rOff, err := tableS311(off)
 	if err != nil {
 		t.Fatal(err)
 	}

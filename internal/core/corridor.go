@@ -6,7 +6,7 @@ import (
 	"beatbgp/internal/stats"
 )
 
-// CorridorStudy runs the what-if behind the paper's §3.3.2 India finding:
+// corridorStudy runs the what-if behind the paper's §3.3.2 India finding:
 // the 2019-era WAN reached Asia only across the Pacific, so a Tier-1
 // carrying Standard-tier traffic west via the Suez route beat it. Lease
 // the missing Europe–Asia corridor and the comparison should flip — which
@@ -14,10 +14,10 @@ import (
 // Each arm is a Provider-only Derive of the base scenario: the topology
 // stage is shared, and the no-corridor arm (when it matches the base
 // config) reuses the whole immutable world.
-func CorridorStudy(ctx context.Context, s *Scenario) (Result, error) {
+func corridorStudy(ctx context.Context, s *Scenario) (Result, error) {
 	countries := []string{"IN", "PK", "AE", "SA", "JP", "AU", "US", "DE"}
 	run := func(corridor bool) (map[string]float64, error) {
-		sub, err := s.DeriveContext(ctx, func(c *Config) {
+		sub, err := s.Derive(ctx, func(c *Config) {
 			c.Provider.EuropeAsiaCorridor = corridor
 		})
 		if err != nil {

@@ -15,13 +15,13 @@ const (
 	outageSampleEvery = 1    // evaluate every site
 )
 
-// SiteOutageStudy quantifies §4's availability claim: "Anycast provides
+// siteOutageStudy quantifies §4's availability claim: "Anycast provides
 // resilience against site outages and avoids availability problems that
 // can be induced by DNS caching." Every CDN site is failed in turn; the
 // clients it was serving lose connectivity until either BGP reconverges
 // to another site (anycast) or health detection plus DNS cache expiry
 // move them (DNS redirection to a unicast front-end).
-func SiteOutageStudy(s *Scenario) (Result, error) {
+func siteOutageStudy(s *Scenario) (Result, error) {
 	preRIB, err := s.CDN.AnycastRIB(nil)
 	if err != nil {
 		return Result{}, err

@@ -125,10 +125,10 @@ func (s *Scenario) pairStatsAll() ([]pairStats, error) {
 	return out, nil
 }
 
-// Figure1 reproduces the paper's Figure 1: the traffic-weighted CDF of
+// figure1 reproduces the paper's Figure 1: the traffic-weighted CDF of
 // the median MinRTT difference between BGP's preferred route and the
 // best-performing alternate, with the confidence-interval band.
-func Figure1(s *Scenario) (Result, error) {
+func figure1(s *Scenario) (Result, error) {
 	pairs, err := s.pairStatsAll()
 	if err != nil {
 		return Result{}, err
@@ -156,9 +156,9 @@ func Figure1(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// Figure2 reproduces Figure 2: the traffic-weighted CDFs of (best peer -
+// figure2 reproduces Figure 2: the traffic-weighted CDFs of (best peer -
 // best transit) and (best private peer - best public peer) median MinRTT.
-func Figure2(s *Scenario) (Result, error) {
+func figure2(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err
@@ -213,12 +213,12 @@ func Figure2(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// TableS31 reports the §3.1 in-text numbers: the share of traffic whose
+// tableS31 reports the §3.1 in-text numbers: the share of traffic whose
 // median latency a performance-aware controller could improve by >=5 ms,
 // the client-to-PoP distance distribution of §2.3.1, and the benefit of
 // an omniscient versus a reactive (Edge-Fabric-style, previous-window)
 // controller.
-func TableS31(s *Scenario) (Result, error) {
+func tableS31(s *Scenario) (Result, error) {
 	pairs, err := s.pairStatsAll()
 	if err != nil {
 		return Result{}, err
@@ -267,10 +267,10 @@ func TableS31(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// TableS311 reproduces the §3.1.1 analysis: degradation on the preferred
+// tableS311 reproduces the §3.1.1 analysis: degradation on the preferred
 // path is more prevalent than improvement opportunities, and alternates
 // that do beat BGP tend to beat it all the time.
-func TableS311(s *Scenario) (Result, error) {
+func tableS311(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -70,7 +71,7 @@ func walkDigests(t *testing.T, s *Scenario, seq *delta.Sequence) []string {
 }
 
 // flapEpochs compiles the xflap storm through the session layer into an
-// epoch sequence, exactly as FlapStormStudy's replay would see it.
+// epoch sequence, exactly as flapStormStudy's replay would see it.
 func flapEpochs(t *testing.T, s *Scenario) *delta.Sequence {
 	t.Helper()
 	traces, err := s.efTraces()
@@ -120,7 +121,7 @@ func TestEpochRepairBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 		var want pipeline
 		for i, workers := range []int{1, 2, 8} {
-			s, err := base.Derive(func(c *Config) { c.Workers = workers })
+			s, err := base.Derive(context.Background(), func(c *Config) { c.Workers = workers })
 			if err != nil {
 				t.Fatal(err)
 			}

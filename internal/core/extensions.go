@@ -10,20 +10,19 @@ import (
 	"beatbgp/internal/netsim"
 	"beatbgp/internal/provider"
 	"beatbgp/internal/stats"
-	"beatbgp/internal/tcp"
 )
 
-// PeeringReduction explores §3.1.3: what happens to latency and route
+// peeringReduction explores §3.1.3: what happens to latency and route
 // diversity as the provider drastically reduces its peering footprint?
 // Each kept-peer fraction is a Provider-only Derive of the base scenario
 // (the shared topology is built once); everything else (seeds, workload)
 // is held fixed.
-func PeeringReduction(ctx context.Context, s *Scenario) (Result, error) {
+func peeringReduction(ctx context.Context, s *Scenario) (Result, error) {
 	fractions := []float64{1.0, 0.7, 0.4, 0.1}
 	tb := stats.Table{Name: "peering reduction sweep", Columns: []string{
 		"median_pref_rtt_ms", "frac_prefixes_ge3_routes", "frac_traffic_transit_only", "peer_links"}}
 	for _, frac := range fractions {
-		sub, err := s.DeriveContext(ctx, func(c *Config) {
+		sub, err := s.Derive(ctx, func(c *Config) {
 			c.Provider.PeerKeepFraction = frac
 			c.Workload.Days = 2 // latency statistics settle quickly
 		})
@@ -69,10 +68,10 @@ func PeeringReduction(ctx context.Context, s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// GroomingStudy explores §3.2.2 (nature vs nurture): how much does
+// groomingStudy explores §3.2.2 (nature vs nurture): how much does
 // manual anycast grooming — AS-path prepending at sites that attract
 // distant traffic — improve an ungroomed anycast prefix?
-func GroomingStudy(s *Scenario) (Result, error) {
+func groomingStudy(s *Scenario) (Result, error) {
 	times := []float64{9 * 60, 21 * 60}
 	evalCfg := func(g *cdn.Grooming) (median, p95, ge100 float64, err error) {
 		rib, err := s.CDN.AnycastRIB(g)
@@ -160,10 +159,10 @@ func GroomingStudy(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// SingleWANStudy explores §3.3.2: do public BGP routes perform like the
+// singleWANStudy explores §3.3.2: do public BGP routes perform like the
 // private WAN precisely when they spend most of their journey inside one
 // large network?
-func SingleWANStudy(s *Scenario) (Result, error) {
+func singleWANStudy(s *Scenario) (Result, error) {
 	ts, err := s.tiers()
 	if err != nil {
 		return Result{}, err
@@ -211,10 +210,10 @@ func SingleWANStudy(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// SplitTCPStudy explores §4's split-connection question: how does the
+// splitTCPStudy explores §4's split-connection question: how does the
 // latency benefit of terminating TCP at the edge change when the backend
 // runs over the private WAN versus the public Internet?
-func SplitTCPStudy(s *Scenario) (Result, error) {
+func splitTCPStudy(s *Scenario) (Result, error) {
 	ts, err := s.tiers()
 	if err != nil {
 		return Result{}, err
@@ -244,9 +243,9 @@ func SplitTCPStudy(s *Scenario) (Result, error) {
 		rtt2p := rtt2w * publicStretch
 		loss1 := s.Sim.LossRate(public, vp.Prefix, t)
 
-		direct := tcp.FetchDirectMs(payload, rtt1, loss1, rtt2p, publicLoss)
-		splitWAN := tcp.FetchSplitMs(payload, rtt1, loss1, rtt2w, wanLoss)
-		splitPub := tcp.FetchSplitMs(payload, rtt1, loss1, rtt2p, publicLoss)
+		direct := fetchDirectMs(payload, rtt1, loss1, rtt2p, publicLoss)
+		splitWAN := fetchSplitMs(payload, rtt1, loss1, rtt2w, wanLoss)
+		splitPub := fetchSplitMs(payload, rtt1, loss1, rtt2p, publicLoss)
 
 		d := geo.DistanceKm(s.Topo.Catalog.City(vp.City).Loc, dcLoc)
 		for _, b := range buckets {
@@ -270,11 +269,11 @@ func SplitTCPStudy(s *Scenario) (Result, error) {
 	return res, nil
 }
 
-// RouteDiversityStudy explores §4's availability discussion: route
+// routeDiversityStudy explores §4's availability discussion: route
 // diversity as failover insurance, and the outsized fragility of small
 // peers whose capacity concentrates on a single interconnection.
-// (Scheduled fault injection lives in AnycastFaultAvailability/xavail.)
-func RouteDiversityStudy(s *Scenario) (Result, error) {
+// (Scheduled fault injection lives in anycastFaultAvailability/xavail.)
+func routeDiversityStudy(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err

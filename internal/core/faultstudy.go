@@ -21,7 +21,7 @@ const (
 	faultDegradeMs  = 5.0            // degradation threshold for correlation
 )
 
-// FaultStudy injects a deterministic schedule of cable cuts, session
+// faultStudy injects a deterministic schedule of cable cuts, session
 // resets, AS outages, and congestion storms on top of the stochastic world
 // and asks the paper's §3.1.1 question under duress: when an injected
 // fault degrades the BGP-preferred egress route, do the alternates degrade
@@ -29,7 +29,7 @@ const (
 // measure blackhole windows, compares plain-BGP reconvergence against an
 // Edge-Fabric-style controller that shifts to a surviving option, and runs
 // the capacity controller during faults to price the spillover.
-func FaultStudy(s *Scenario) (Result, error) {
+func faultStudy(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err
@@ -321,8 +321,8 @@ func emergentDowntime(cfg session.Config, hist *session.History, pref provider.E
 		return e.Duration
 	}
 	down := lat + cfg.ExplorationMinutes(bgp.ExplorationHops(newRoute))
-	if o, ok := hist.OutageAt(link, e.Start); ok {
-		if restored := o.UsableAt - e.Start; restored > 0 && restored < down {
+	if usable, ok := hist.UsableAt(link, e.Start); ok {
+		if restored := usable - e.Start; restored > 0 && restored < down {
 			down = restored
 		}
 	}
@@ -358,7 +358,7 @@ func distQ(d stats.Dist, q float64) float64 {
 	return d.Quantile(q)
 }
 
-// AnycastFaultAvailability drives §4's availability comparison with the
+// anycastFaultAvailability drives §4's availability comparison with the
 // injected-fault engine: CDN sites are taken out by AS outages and cable
 // cuts at their landing cities, and clients recover by anycast
 // reconvergence or by DNS health-detection plus cache expiry. Planned
@@ -366,7 +366,7 @@ func distQ(d stats.Dist, q float64) float64 {
 // (withdraws its anycast announcement, repoints DNS) before the fault
 // lands, so nobody goes dark — and LDNS-staleness windows show the
 // DNS-redirection failure mode where the map cannot be rewritten at all.
-func AnycastFaultAvailability(s *Scenario) (Result, error) {
+func anycastFaultAvailability(s *Scenario) (Result, error) {
 	preRIB, err := s.CDN.AnycastRIB(nil)
 	if err != nil {
 		return Result{}, err

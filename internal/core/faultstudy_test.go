@@ -4,7 +4,7 @@ import "testing"
 
 func TestFaultStudyShape(t *testing.T) {
 	s := scenario(t, 24)
-	r, err := FaultStudy(s)
+	r, err := faultStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFaultStudyShape(t *testing.T) {
 
 func TestAnycastFaultAvailabilityShape(t *testing.T) {
 	s := scenario(t, 25)
-	r, err := AnycastFaultAvailability(s)
+	r, err := anycastFaultAvailability(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,13 @@ import (
 	"beatbgp/internal/stats"
 )
 
-// HybridStudy evaluates §4's suggestion that "performance-aware routing
+// hybridStudy evaluates §4's suggestion that "performance-aware routing
 // or hybrid approaches may be necessary to claim this 'lost'
 // performance": plain anycast, the Figure-4 best-predicted redirector,
 // and hybrids that override anycast only when the predicted gain clears a
 // margin. A good hybrid keeps most of the improvement while shedding the
 // did-worse mass.
-func HybridStudy(s *Scenario) (Result, error) {
+func hybridStudy(s *Scenario) (Result, error) {
 	tb := stats.Table{Name: "serving policy comparison",
 		Columns: []string{"frac_improved_gt_1ms", "frac_worse_gt_1ms", "mean_gain_ms"}}
 	schemes := []struct {

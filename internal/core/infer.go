@@ -6,11 +6,11 @@ import (
 	"beatbgp/internal/topology"
 )
 
-// CatchmentInference scores the §3.2.2 planning question: how well can a
+// catchmentInference scores the §3.2.2 planning question: how well can a
 // site's catchment be predicted from public data, without running (or
 // measuring) routing? Three predictors of increasing sophistication are
 // compared against the simulator's ground-truth catchments.
-func CatchmentInference(s *Scenario) (Result, error) {
+func catchmentInference(s *Scenario) (Result, error) {
 	type predictor struct {
 		label string
 		fn    func(p topology.Prefix) (int, error)

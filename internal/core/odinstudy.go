@@ -6,14 +6,14 @@ import (
 	"beatbgp/internal/stats"
 )
 
-// OdinStudy derives Figure 4's prediction errors mechanistically: instead
+// odinStudy derives Figure 4's prediction errors mechanistically: instead
 // of injecting estimation noise, it runs an Odin-style client-measurement
 // campaign at several sampling budgets, trains the redirector from the
 // collected aggregates, and evaluates it side-by-side with anycast on
 // later days. Sparse budgets produce noisy per-LDNS estimates and more
 // "did worse than anycast" mass — the same failure mode the paper
 // attributes to real redirection systems.
-func OdinStudy(s *Scenario) (Result, error) {
+func odinStudy(s *Scenario) (Result, error) {
 	tb := stats.Table{Name: "odin sampling budget sweep",
 		Columns: []string{"samples", "frac_improved_gt_1ms", "frac_worse_gt_1ms", "mean_gain_ms"}}
 	for _, rate := range []float64{0.002, 0.01, 0.05} {

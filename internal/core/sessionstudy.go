@@ -96,13 +96,13 @@ func sessionEventMetrics(cfg session.Config, tl *faults.Timeline, hist *session.
 	return m
 }
 
-// DetectionStudy sweeps the failure-detection axis: the same injected
+// detectionStudy sweeps the failure-detection axis: the same injected
 // fault schedule as xfaults, replayed through the session layer once per
 // timer setting, from a 90-second hold timer down to 50 ms BFD. The
 // sweep runs on internal/par workers (one session replay per setting)
 // and is bit-identical at any worker count: each setting's metrics are
 // computed independently and the rows land in the fixed settings order.
-func DetectionStudy(s *Scenario) (Result, error) {
+func detectionStudy(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err
@@ -207,14 +207,14 @@ func flapStormTimeline(s *Scenario, traces []workload.Trace, traceVol []float64)
 	return tl, links, nil
 }
 
-// FlapStormStudy injects bursts of short link flaps on the provider's
+// flapStormStudy injects bursts of short link flaps on the provider's
 // busiest egress links and measures what route-flap damping does to
 // them: each flap is physically brief, but once the penalty crosses the
 // suppress threshold the route stays withdrawn long after the link is
 // healthy — emergent unreachability the fault schedule never contains.
 // Rows compare damping on, damping on with BFD fast detection, and
 // damping off, over the identical storm.
-func FlapStormStudy(s *Scenario) (Result, error) {
+func flapStormStudy(s *Scenario) (Result, error) {
 	traces, err := s.efTraces()
 	if err != nil {
 		return Result{}, err

@@ -12,7 +12,7 @@ import (
 // strictly reduce unavailability relative to the default hold timer.
 func TestDetectionStudyShape(t *testing.T) {
 	s := scenario(t, 24)
-	r, err := DetectionStudy(s)
+	r, err := detectionStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDetectionStudyShape(t *testing.T) {
 // physically healthy — and turning damping off removes that entirely.
 func TestFlapStormShape(t *testing.T) {
 	s := scenario(t, 24)
-	r, err := FlapStormStudy(s)
+	r, err := flapStormStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFlapStormShape(t *testing.T) {
 // latency, and a quarter minute on the volume-weighted mean blackhole.
 func TestSessionDifferentialMatchesClosedForm(t *testing.T) {
 	s := scenario(t, 24)
-	r, err := FaultStudy(s)
+	r, err := faultStudy(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"beatbgp/internal/stats"
 )
 
-// SiteDensityStudy addresses the §3.2.2 open questions around CDN build-
+// siteDensityStudy addresses the §3.2.2 open questions around CDN build-
 // out: "How quickly does benefit diminish when adding PoPs? As PoPs are
 // added, the chance of anycast picking a suboptimal one increases, but
 // the number of reasonably performing ones increases. How do those
@@ -17,7 +17,7 @@ import (
 // anycast-vs-best-unicast distribution re-measured on each. Each density
 // is a CDN-only Derive of the base scenario, so the topology, provider
 // WAN, and DNS mapping are built once and shared across the sweep.
-func SiteDensityStudy(ctx context.Context, s *Scenario) (Result, error) {
+func siteDensityStudy(ctx context.Context, s *Scenario) (Result, error) {
 	baseSites := map[geo.Region]int{
 		geo.NorthAmerica: 10,
 		geo.Europe:       9,
@@ -31,7 +31,7 @@ func SiteDensityStudy(ctx context.Context, s *Scenario) (Result, error) {
 	tb := stats.Table{Name: "site density sweep",
 		Columns: []string{"sites", "median_anycast_ms", "median_gap_ms", "p95_gap_ms", "frac_miscaught"}}
 	for _, scale := range scales {
-		sub, err := s.DeriveContext(ctx, func(c *Config) {
+		sub, err := s.Derive(ctx, func(c *Config) {
 			c.CDN.SitesPerRegion = make(map[geo.Region]int, len(baseSites))
 			for r, n := range baseSites {
 				v := int(math.Round(float64(n) * scale))

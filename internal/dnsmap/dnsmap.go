@@ -142,15 +142,3 @@ func (m *Mapping) Resolvers() []Resolver {
 	copy(out, m.resolvers)
 	return out
 }
-
-// PrefixesBehind returns the prefix IDs served by the resolver, ascending.
-func (m *Mapping) PrefixesBehind(resolverID int) []int {
-	var out []int
-	for p, r := range m.byPrefix {
-		if r == resolverID {
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
-}

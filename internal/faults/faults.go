@@ -1,8 +1,8 @@
 // Package faults is the deterministic fault-injection layer of the
 // simulator. Where netsim draws stochastic per-entity incident schedules
 // from the scenario seed, faults holds an explicit, scheduled timeline of
-// infrastructure events — submarine cable cuts, AS and facility (PoP)
-// outages, peering-session resets, congestion storms, and LDNS-map
+// infrastructure events — submarine cable cuts, AS outages,
+// peering-session resets, congestion storms, and LDNS-map
 // staleness windows — that experiments inject on purpose to ask "what
 // happens when things break?".
 //
@@ -21,8 +21,7 @@
 // Links that also interconnect elsewhere survive (their sessions re-home
 // to the surviving facilities), which is how multi-facility peerings ride
 // out a single cut while single-homed stub sites — CDN front-ends,
-// city-restricted PNIs — go dark. The same facility rule drives
-// FacilityOutage (a whole metro interconnection facility failing).
+// city-restricted PNIs — go dark.
 package faults
 
 import (
@@ -47,9 +46,6 @@ const (
 	// ASOutage takes a whole AS dark (Target = AS ID): every one of its
 	// interdomain links goes down. Use it for CDN-site or stub outages.
 	ASOutage
-	// FacilityOutage darkens one metro interconnection facility
-	// (Target = city ID): every link anchored exclusively there drops.
-	FacilityOutage
 	// CongestionStorm adds MagnitudeMs of latency to every interdomain
 	// link interconnecting at the target city (Target = city ID).
 	CongestionStorm
@@ -66,8 +62,6 @@ func (k Kind) String() string {
 		return "link-down"
 	case ASOutage:
 		return "as-outage"
-	case FacilityOutage:
-		return "facility-outage"
 	case CongestionStorm:
 		return "congestion-storm"
 	case LDNSStale:
@@ -166,14 +160,12 @@ func (tl *Timeline) validate(e Event) error {
 		if e.Target < 0 || e.Target >= t.NumASes() {
 			return fmt.Errorf("as-outage AS %d out of range [0,%d)", e.Target, t.NumASes())
 		}
-	case FacilityOutage, CongestionStorm:
+	case CongestionStorm:
 		if e.Target < 0 || e.Target >= t.Catalog.Len() {
 			return fmt.Errorf("%s city %d out of range [0,%d)", e.Kind, e.Target, t.Catalog.Len())
 		}
-		if e.Kind == CongestionStorm {
-			if math.IsNaN(e.MagnitudeMs) || math.IsInf(e.MagnitudeMs, 0) || e.MagnitudeMs <= 0 {
-				return fmt.Errorf("congestion-storm magnitude %v must be finite and positive", e.MagnitudeMs)
-			}
+		if math.IsNaN(e.MagnitudeMs) || math.IsInf(e.MagnitudeMs, 0) || e.MagnitudeMs <= 0 {
+			return fmt.Errorf("congestion-storm magnitude %v must be finite and positive", e.MagnitudeMs)
 		}
 	case LDNSStale:
 		// No target.
@@ -201,8 +193,8 @@ func (tl *Timeline) resolve(e Event) {
 }
 
 // AffectedLinks returns the interdomain links an event touches, ascending.
-// For CableCut and FacilityOutage this applies the facility rule: only
-// links interconnecting exclusively at the darkened cities drop.
+// For CableCut this applies the facility rule: only links
+// interconnecting exclusively at the cut's endpoint cities drop.
 func (tl *Timeline) AffectedLinks(e Event) []int {
 	t := tl.topo
 	var out []int
@@ -216,8 +208,6 @@ func (tl *Timeline) AffectedLinks(e Event) []int {
 	case CableCut:
 		edge := t.Graph.Edge(e.Target)
 		out = linksAnchoredWithin(t, map[int]bool{edge.A: true, edge.B: true})
-	case FacilityOutage:
-		out = linksAnchoredWithin(t, map[int]bool{e.Target: true})
 	case CongestionStorm:
 		for _, l := range t.Links {
 			for _, c := range l.Cities {

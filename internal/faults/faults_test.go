@@ -64,7 +64,7 @@ func TestTimelineValidation(t *testing.T) {
 		{Kind: LinkDown, Start: 0, Duration: 10, Target: len(topo.Links)},
 		{Kind: CableCut, Start: 0, Duration: 10, Target: topo.Graph.NumEdges()},
 		{Kind: ASOutage, Start: 0, Duration: 10, Target: -1},
-		{Kind: FacilityOutage, Start: 0, Duration: 10, Target: topo.Catalog.Len()},
+		{Kind: CongestionStorm, Start: 0, Duration: 10, Target: topo.Catalog.Len(), MagnitudeMs: 5},
 		{Kind: CongestionStorm, Start: 0, Duration: 10, Target: cities["NewYork"], MagnitudeMs: 0},
 		{Kind: Kind(99), Start: 0, Duration: 10},
 	}
@@ -113,32 +113,21 @@ func TestLinkDownAndBoundaries(t *testing.T) {
 
 func TestFacilityRule(t *testing.T) {
 	topo, ids, cities := testTopo(t)
-	// Facility outage at NewYork: only STUB's single-homed uplink (link 2)
-	// is anchored exclusively there; the multi-city links survive.
-	tl, err := New(topo, []Event{
-		{Kind: FacilityOutage, Start: 0, Duration: 60, Target: cities["NewYork"]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tl.AffectedLinks(tl.Events()[0]); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("facility outage affects %v; only the single-homed stub uplink (2) may drop", got)
-	}
-	if ws := tl.DownWindows(2); !reflect.DeepEqual(ws, []Window{{Start: 0, End: 60}}) {
-		t.Fatalf("stub uplink windows = %v", ws)
-	}
-	if tl.DownWindows(0) != nil || tl.DownWindows(1) != nil {
-		t.Fatal("multi-facility links must survive a single-facility outage")
+	// Darkening NewYork alone drops only STUB's single-homed uplink (link
+	// 2), the one link anchored exclusively there; the multi-city links
+	// survive.
+	if got := linksAnchoredWithin(topo, map[int]bool{cities["NewYork"]: true}); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("a dark NewYork drops %v; only the single-homed stub uplink (2) may drop", got)
 	}
 
 	// AS outage downs every link of the AS.
-	tl2, err := New(topo, []Event{
+	tl, err := New(topo, []Event{
 		{Kind: ASOutage, Start: 0, Duration: 60, Target: ids["TRa"]},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tl2.FaultedLinks(); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := tl.FaultedLinks(); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("AS outage downed %v, want every adjacent link [0 1] and nothing else", got)
 	}
 }
@@ -242,8 +231,8 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(topo, GenConfig{PlannedFraction: 2}); err == nil {
 		t.Error("PlannedFraction > 1 accepted")
 	}
-	if _, err := Generate(topo, GenConfig{StormMagnitudeMs: -3, Storms: 1}); err == nil {
-		t.Error("negative storm magnitude accepted")
+	if _, err := Generate(topo, GenConfig{ASOutageMeanMin: -3, ASOutages: 1}); err == nil {
+		t.Error("negative mean outage length accepted")
 	}
 	if _, err := Generate(topo, GenConfig{LinkResets: 1, CandidateLinks: []int{}}); err == nil {
 		t.Error("empty explicit candidate pool accepted")

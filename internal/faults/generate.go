@@ -17,20 +17,12 @@ type GenConfig struct {
 	Seed           uint64
 	HorizonMinutes float64 // schedule window (default 10 days)
 
-	CableCuts          int     // submarine/terrestrial segment cuts
-	CableRepairMeanMin float64 // mean time to splice (default 12h)
-
-	LinkResets         int     // peering-session resets
-	LinkResetMeanMin   float64 // mean session-down time (default 30)
-	ASOutages          int     // whole-AS outages
-	ASOutageMeanMin    float64 // mean outage length (default 60)
-	FacilityOutages    int     // metro facility outages
-	FacilityMeanMin    float64 // mean facility-dark time (default 90)
-	Storms             int     // metro congestion storms
-	StormMeanMin       float64 // mean storm length (default 120)
-	StormMagnitudeMs   float64 // extra latency during a storm (default 25)
-	StaleWindows       int     // LDNS-map staleness windows
-	StaleWindowMeanMin float64 // mean staleness length (default 240)
+	CableCuts       int     // submarine/terrestrial segment cuts
+	LinkResets      int     // peering-session resets
+	ASOutages       int     // whole-AS outages
+	ASOutageMeanMin float64 // mean outage length (default 60)
+	Storms          int     // metro congestion storms
+	StaleWindows    int     // LDNS-map staleness windows
 
 	// PlannedFraction of events are flagged Planned (maintenance known in
 	// advance). Default 0: everything is a surprise.
@@ -38,49 +30,35 @@ type GenConfig struct {
 
 	// Candidate target pools. A nil pool defaults to every plausible
 	// target of that class: all submarine cable edges for cuts, all
-	// interdomain links for resets, all ASes for outages, all
-	// interconnection cities (cities hosting at least one link) for
-	// facility outages and storms.
-	CandidateEdges  []int
-	CandidateLinks  []int
-	CandidateASes   []int
-	CandidateCities []int
+	// interdomain links for resets and all ASes for outages. Storms hit
+	// interconnection cities (cities hosting at least one link).
+	CandidateEdges []int
+	CandidateLinks []int
+	CandidateASes  []int
 }
+
+// The generator's fixed event shapes.
+const (
+	cableRepairMeanMin = 12 * 60 // mean time to splice a cut
+	linkResetMeanMin   = 30      // mean session-down time of a reset
+	stormMeanMin       = 120     // mean storm length
+	stormMagnitudeMs   = 25      // extra latency during a storm
+	staleWindowMeanMin = 240     // mean LDNS-map staleness length
+)
 
 func (c *GenConfig) setDefaults() {
 	if c.HorizonMinutes == 0 {
 		c.HorizonMinutes = 10 * 24 * 60
 	}
-	if c.CableRepairMeanMin == 0 {
-		c.CableRepairMeanMin = 12 * 60
-	}
-	if c.LinkResetMeanMin == 0 {
-		c.LinkResetMeanMin = 30
-	}
 	if c.ASOutageMeanMin == 0 {
 		c.ASOutageMeanMin = 60
-	}
-	if c.FacilityMeanMin == 0 {
-		c.FacilityMeanMin = 90
-	}
-	if c.StormMeanMin == 0 {
-		c.StormMeanMin = 120
-	}
-	if c.StormMagnitudeMs == 0 {
-		c.StormMagnitudeMs = 25
-	}
-	if c.StaleWindowMeanMin == 0 {
-		c.StaleWindowMeanMin = 240
 	}
 }
 
 // Validate rejects nonsensical generation parameters.
 func (c *GenConfig) Validate() error {
 	for name, v := range map[string]float64{
-		"HorizonMinutes": c.HorizonMinutes, "CableRepairMeanMin": c.CableRepairMeanMin,
-		"LinkResetMeanMin": c.LinkResetMeanMin, "ASOutageMeanMin": c.ASOutageMeanMin,
-		"FacilityMeanMin": c.FacilityMeanMin, "StormMeanMin": c.StormMeanMin,
-		"StormMagnitudeMs": c.StormMagnitudeMs, "StaleWindowMeanMin": c.StaleWindowMeanMin,
+		"HorizonMinutes": c.HorizonMinutes, "ASOutageMeanMin": c.ASOutageMeanMin,
 		"PlannedFraction": c.PlannedFraction,
 	} {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
@@ -92,7 +70,7 @@ func (c *GenConfig) Validate() error {
 	}
 	for name, v := range map[string]int{
 		"CableCuts": c.CableCuts, "LinkResets": c.LinkResets, "ASOutages": c.ASOutages,
-		"FacilityOutages": c.FacilityOutages, "Storms": c.Storms, "StaleWindows": c.StaleWindows,
+		"Storms": c.Storms, "StaleWindows": c.StaleWindows,
 	} {
 		if v < 0 {
 			return fmt.Errorf("faults: %s = %d must be non-negative", name, v)
@@ -136,15 +114,13 @@ func Generate(t *topology.Topo, cfg GenConfig) (*Timeline, error) {
 			ases[i] = i
 		}
 	}
-	cities := cfg.CandidateCities
-	if cities == nil {
-		seen := make(map[int]bool)
-		for _, l := range t.Links {
-			for _, c := range l.Cities {
-				if !seen[c] {
-					seen[c] = true
-					cities = append(cities, c)
-				}
+	var cities []int
+	seen := make(map[int]bool)
+	for _, l := range t.Links {
+		for _, c := range l.Cities {
+			if !seen[c] {
+				seen[c] = true
+				cities = append(cities, c)
 			}
 		}
 	}
@@ -175,22 +151,19 @@ func Generate(t *topology.Topo, cfg GenConfig) (*Timeline, error) {
 		}
 		return nil
 	}
-	if err := draw("cable", cfg.CableCuts, CableCut, cfg.CableRepairMeanMin, edges, 0); err != nil {
+	if err := draw("cable", cfg.CableCuts, CableCut, cableRepairMeanMin, edges, 0); err != nil {
 		return nil, err
 	}
-	if err := draw("reset", cfg.LinkResets, LinkDown, cfg.LinkResetMeanMin, links, 0); err != nil {
+	if err := draw("reset", cfg.LinkResets, LinkDown, linkResetMeanMin, links, 0); err != nil {
 		return nil, err
 	}
 	if err := draw("asout", cfg.ASOutages, ASOutage, cfg.ASOutageMeanMin, ases, 0); err != nil {
 		return nil, err
 	}
-	if err := draw("facility", cfg.FacilityOutages, FacilityOutage, cfg.FacilityMeanMin, cities, 0); err != nil {
+	if err := draw("storm", cfg.Storms, CongestionStorm, stormMeanMin, cities, stormMagnitudeMs); err != nil {
 		return nil, err
 	}
-	if err := draw("storm", cfg.Storms, CongestionStorm, cfg.StormMeanMin, cities, cfg.StormMagnitudeMs); err != nil {
-		return nil, err
-	}
-	if err := draw("stale", cfg.StaleWindows, LDNSStale, cfg.StaleWindowMeanMin, nil, 0); err != nil {
+	if err := draw("stale", cfg.StaleWindows, LDNSStale, staleWindowMeanMin, nil, 0); err != nil {
 		return nil, err
 	}
 	return New(t, events)

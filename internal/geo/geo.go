@@ -41,14 +41,6 @@ func DistanceKm(a, b Point) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 
-// MinRTTMs returns the physical lower bound on round-trip time between two
-// points: great-circle distance at the speed of light in fiber, with no
-// routing stretch. The paper's "500 km ≈ 5 ms RTT" rule of thumb matches
-// this constant.
-func MinRTTMs(a, b Point) float64 {
-	return DistanceKm(a, b) * FiberRTTMsPerKm
-}
-
 // Region is a coarse geographic region used for per-region aggregation
 // (Figure 3) and for topology generation.
 type Region int
@@ -202,24 +194,4 @@ func (c *Catalog) All() []City {
 	out := make([]City, len(c.cities))
 	copy(out, c.cities)
 	return out
-}
-
-// Nearest returns the ID of the catalog city closest to p.
-func (c *Catalog) Nearest(p Point) int {
-	best, bestD := -1, math.Inf(1)
-	for i := range c.cities {
-		if d := DistanceKm(p, c.cities[i].Loc); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
-// PopWeights returns the population weight of every city, indexed by ID.
-func (c *Catalog) PopWeights() []float64 {
-	w := make([]float64, len(c.cities))
-	for i := range c.cities {
-		w[i] = c.cities[i].Pop
-	}
-	return w
 }

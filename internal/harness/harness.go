@@ -357,7 +357,7 @@ func buildWorld(ctx context.Context, base core.Config, seed uint64, prev *core.S
 	var s *core.Scenario
 	var err error
 	if prev != nil {
-		s, err = prev.DeriveContext(ctx, func(c *core.Config) { c.Seed = seed })
+		s, err = prev.Derive(ctx, func(c *core.Config) { c.Seed = seed })
 	} else {
 		wcfg := base
 		wcfg.Seed = seed

@@ -75,12 +75,12 @@ func BenchmarkMatbgpAllPairs(b *testing.B) {
 	// Distinct columns: all non-stubs, then one representative per class.
 	var origins []int
 	for v := 0; v < g.NumASes(); v++ {
-		if g.ClassOf(v) < 0 {
+		if int(g.classOf[v]) < 0 {
 			origins = append(origins, v)
 		}
 	}
-	for c := 0; c < g.NumClasses(); c++ {
-		origins = append(origins, int(g.ClassMembers(c)[0]))
+	for c := 0; c < len(g.classes); c++ {
+		origins = append(origins, int(g.classes[c][0]))
 	}
 	b.ReportMetric(float64(g.NumASes()), "ases")
 	b.ReportMetric(float64(len(origins)), "columns")
@@ -112,7 +112,7 @@ func BenchmarkTopologyCompress(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSink = uint32(g.NumClasses())
+		benchSink = uint32(len(g.classes))
 	}
 }
 
@@ -135,12 +135,12 @@ func BenchmarkDeltaRepair(b *testing.B) {
 	}
 	var origins []int
 	for v := 0; v < g.NumASes(); v++ {
-		if g.ClassOf(v) < 0 {
+		if int(g.classOf[v]) < 0 {
 			origins = append(origins, v)
 		}
 	}
-	for c := 0; c < g.NumClasses(); c++ {
-		origins = append(origins, int(g.ClassMembers(c)[0]))
+	for c := 0; c < len(g.classes); c++ {
+		origins = append(origins, int(g.classes[c][0]))
 	}
 	sc := g.NewRepairScratch()
 	reps := make([]*Repairer, len(origins))

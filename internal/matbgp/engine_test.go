@@ -58,7 +58,7 @@ func TestEngineMatchesReferenceAllOrigins(t *testing.T) {
 		ref := bgp.NewReference(topo)
 		stubs := 0
 		for as := 0; as < topo.NumASes(); as++ {
-			if eng.Graph().ClassOf(as) >= 0 {
+			if int(eng.Graph().classOf[as]) >= 0 {
 				stubs++
 			}
 			anns := []bgp.Announcement{{Origin: as}}
@@ -72,7 +72,7 @@ func TestEngineMatchesReferenceAllOrigins(t *testing.T) {
 			}
 			requireSameRIB(t, topo, want, got, fmt.Sprintf("seed %d origin %d", seed, as))
 		}
-		if classes := eng.Graph().NumClasses(); classes == 0 || classes >= stubs {
+		if classes := len(eng.Graph().classes); classes == 0 || classes >= stubs {
 			t.Fatalf("seed %d: compression ineffective: %d classes for %d stubs", seed, classes, stubs)
 		}
 	}
@@ -254,19 +254,19 @@ func TestCompressionEdgeCases(t *testing.T) {
 	g := eng.Graph()
 	// The provider-less clique ASes have customers, so they are not stubs.
 	for _, as := range []int{t1a, t1b, t1c, tr1, tr2} {
-		if g.ClassOf(as) >= 0 {
+		if int(g.classOf[as]) >= 0 {
 			t.Fatalf("AS %d should not be in a stub class", as)
 		}
 	}
 	// {s1,s2,s3,s4} share {tr1,tr2} as providers: one class. {s5,s6}
 	// share providers {tr1} and peers {tr2}: another.
-	if c := g.ClassOf(s1); c < 0 || g.ClassOf(s2) != c || g.ClassOf(s3) != c || g.ClassOf(s4) != c {
+	if c := int(g.classOf[s1]); c < 0 || int(g.classOf[s2]) != c || int(g.classOf[s3]) != c || int(g.classOf[s4]) != c {
 		t.Fatalf("s1..s4 classes = %d,%d,%d,%d; want one shared class",
-			g.ClassOf(s1), g.ClassOf(s2), g.ClassOf(s3), g.ClassOf(s4))
+			int(g.classOf[s1]), int(g.classOf[s2]), int(g.classOf[s3]), int(g.classOf[s4]))
 	}
-	if c := g.ClassOf(s5); c < 0 || g.ClassOf(s6) != c || c == g.ClassOf(s1) {
+	if c := int(g.classOf[s5]); c < 0 || int(g.classOf[s6]) != c || c == int(g.classOf[s1]) {
 		t.Fatalf("s5,s6 classes = %d,%d; want a shared class distinct from s1's %d",
-			g.ClassOf(s5), g.ClassOf(s6), g.ClassOf(s1))
+			int(g.classOf[s5]), int(g.classOf[s6]), int(g.classOf[s1]))
 	}
 
 	ref := bgp.NewReference(topo)
@@ -297,9 +297,9 @@ func TestCompressionEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine (extended): %v", err)
 	}
-	if c := eng2.Graph().ClassOf(p1); c < 0 || eng2.Graph().ClassOf(p2) != c {
+	if c := int(eng2.Graph().classOf[p1]); c < 0 || int(eng2.Graph().classOf[p2]) != c {
 		t.Fatalf("peer-only stubs p1,p2 classes = %d,%d; want shared",
-			eng2.Graph().ClassOf(p1), eng2.Graph().ClassOf(p2))
+			int(eng2.Graph().classOf[p1]), int(eng2.Graph().classOf[p2]))
 	}
 	ref2 := bgp.NewReference(topo)
 	for _, as := range []int{p1, p2, t1a, s1} {

@@ -160,15 +160,6 @@ func New(n int, asn []int, links []Link) (*Graph, error) {
 // NumASes returns the AS count.
 func (g *Graph) NumASes() int { return g.n }
 
-// NumClasses returns the number of stub equivalence classes.
-func (g *Graph) NumClasses() int { return len(g.classes) }
-
-// ClassOf returns the stub class of an AS, or -1 for non-stubs.
-func (g *Graph) ClassOf(as int) int { return int(g.classOf[as]) }
-
-// ClassMembers returns the members of a stub class, ascending.
-func (g *Graph) ClassMembers(class int) []int32 { return g.classes[class] }
-
 // compress groups stubs — ASes with no customer-view adjacencies — by
 // their deduplicated (neighbor, view) signature. Two stubs in one class
 // see the same provider and peer AS sets; parallel-link multiplicity and

@@ -19,35 +19,16 @@ import (
 	"beatbgp/internal/xrand"
 )
 
-// Config tunes the platform. Zero value gets defaults.
-type Config struct {
-	Seed           uint64
-	PingsPerProbe  int     // ping packets per measurement, min is reported (default 5)
-	PingCost       int     // credits per ping probe (default 1)
-	TracerouteCost int     // credits per traceroute (default 2)
-	IngressDetect  float64 // probability an ingress is localizable (default 0.72)
-	// VPPrefixBase offsets synthetic vantage-point prefix IDs so their
+// The platform's fixed parameters.
+const (
+	pingsPerProbe  = 5    // ping packets per measurement; the minimum is reported
+	pingCost       = 1    // credits per ping probe
+	tracerouteCost = 2    // credits per traceroute
+	ingressDetect  = 0.72 // probability an ingress is localizable
+	// vpPrefixBase offsets synthetic vantage-point prefix IDs so their
 	// congestion processes do not collide with real client prefixes.
-	VPPrefixBase int // default 1_000_000
-}
-
-func (c *Config) setDefaults() {
-	if c.PingsPerProbe == 0 {
-		c.PingsPerProbe = 5
-	}
-	if c.PingCost == 0 {
-		c.PingCost = 1
-	}
-	if c.TracerouteCost == 0 {
-		c.TracerouteCost = 2
-	}
-	if c.IngressDetect == 0 {
-		c.IngressDetect = 0.72
-	}
-	if c.VPPrefixBase == 0 {
-		c.VPPrefixBase = 1_000_000
-	}
-}
+	vpPrefixBase = 1_000_000
+)
 
 // VantagePoint is one measurement host: a ⟨City, AS⟩ location inside an
 // eyeball network, with a synthetic prefix carrying its last-mile
@@ -80,17 +61,17 @@ type Target struct {
 type Platform struct {
 	topo *topology.Topo
 	sim  *netsim.Sim
-	cfg  Config
+	seed uint64
 	vps  []VantagePoint
 
 	creditsUsed *atomic.Int64 // shared across WithSim views
 }
 
 // New enumerates vantage points (every ⟨footprint city, eyeball AS⟩ pair)
-// and returns a platform.
-func New(t *topology.Topo, sim *netsim.Sim, cfg Config) *Platform {
-	cfg.setDefaults()
-	p := &Platform{topo: t, sim: sim, cfg: cfg, creditsUsed: new(atomic.Int64)}
+// and returns a platform whose rotation and measurement noise derive from
+// seed.
+func New(t *topology.Topo, sim *netsim.Sim, seed uint64) *Platform {
+	p := &Platform{topo: t, sim: sim, seed: seed, creditsUsed: new(atomic.Int64)}
 	for _, asID := range t.ByClass(topology.Eyeball) {
 		for _, city := range t.ASes[asID].Cities {
 			id := len(p.vps)
@@ -99,7 +80,7 @@ func New(t *topology.Topo, sim *netsim.Sim, cfg Config) *Platform {
 				AS:   asID,
 				City: city,
 				Prefix: topology.Prefix{
-					ID:     cfg.VPPrefixBase + id,
+					ID:     vpPrefixBase + id,
 					Origin: asID,
 					City:   city,
 					Weight: 1,
@@ -124,7 +105,7 @@ func (p *Platform) Rotation(day, n int) []VantagePoint {
 	if n > len(p.vps) {
 		n = len(p.vps)
 	}
-	rng := xrand.New(p.cfg.Seed ^ (uint64(day)+1)*0x9e3779b97f4a7c15)
+	rng := xrand.New(p.seed ^ (uint64(day)+1)*0x9e3779b97f4a7c15)
 	perm := rng.Perm(len(p.vps))
 	out := make([]VantagePoint, 0, n)
 	for _, idx := range perm[:n] {
@@ -161,14 +142,14 @@ func nameHash(s string) uint64 {
 // Keying by the probe's identity (not by call order) is what makes the
 // platform order-independent and safe under parallel fan-out.
 func (p *Platform) probeRNG(vp VantagePoint, tgt Target, t float64) *xrand.Rand {
-	return xrand.Derive(p.cfg.Seed^0x5eedc, uint64(vp.ID), nameHash(tgt.Name), math.Float64bits(t))
+	return xrand.Derive(p.seed^0x5eedc, uint64(vp.ID), nameHash(tgt.Name), math.Float64bits(t))
 }
 
 // Ping probes the target from the VP at simulated minute t and returns
-// the minimum RTT over the configured packet count, like the ping tool's
-// "min" column. It consumes PingCost credits.
+// the minimum RTT over pingsPerProbe packets, like the ping tool's
+// "min" column. It consumes pingCost credits.
 func (p *Platform) Ping(vp VantagePoint, tgt Target, t float64) (float64, error) {
-	p.creditsUsed.Add(int64(p.cfg.PingCost))
+	p.creditsUsed.Add(int64(pingCost))
 	route, err := tgt.Route(vp)
 	if err != nil {
 		return 0, fmt.Errorf("measure: ping %s from vp%d: %w", tgt.Name, vp.ID, err)
@@ -179,7 +160,7 @@ func (p *Platform) Ping(vp VantagePoint, tgt Target, t float64) (float64, error)
 	}
 	rng := p.probeRNG(vp, tgt, t)
 	best := 0.0
-	for i := 0; i < p.cfg.PingsPerProbe; i++ {
+	for i := 0; i < pingsPerProbe; i++ {
 		rtt := p.sim.RouteRTTMs(route, vp.Prefix, t+float64(i)*0.01) + extra + rng.Exp(0.2)
 		if i == 0 || rtt < best {
 			best = rtt
@@ -193,15 +174,15 @@ func (p *Platform) Ping(vp VantagePoint, tgt Target, t float64) (float64, error)
 type TracerouteResult struct {
 	Route         netpath.Route
 	IngressCity   int  // city where traffic enters the final AS
-	IngressKnown  bool // detection succeeds with probability cfg.IngressDetect
+	IngressKnown  bool // detection succeeds with probability ingressDetect
 	IngressDistKm float64
 }
 
 // Traceroute probes the forwarding path and attempts to localize where it
 // enters the target's network, in the style of the paper's RIPE-probe
-// heuristic. It consumes TracerouteCost credits.
+// heuristic. It consumes tracerouteCost credits.
 func (p *Platform) Traceroute(vp VantagePoint, tgt Target) (TracerouteResult, error) {
-	p.creditsUsed.Add(int64(p.cfg.TracerouteCost))
+	p.creditsUsed.Add(int64(tracerouteCost))
 	route, err := tgt.Route(vp)
 	if err != nil {
 		return TracerouteResult{}, fmt.Errorf("measure: traceroute %s from vp%d: %w", tgt.Name, vp.ID, err)
@@ -211,7 +192,7 @@ func (p *Platform) Traceroute(vp VantagePoint, tgt Target) (TracerouteResult, er
 	}
 	res := TracerouteResult{Route: route}
 	res.IngressCity = route.Hops[len(route.Hops)-1].Ingress
-	res.IngressKnown = p.probeRNG(vp, tgt, -1).Bool(p.cfg.IngressDetect)
+	res.IngressKnown = p.probeRNG(vp, tgt, -1).Bool(ingressDetect)
 	res.IngressDistKm = geo.DistanceKm(
 		p.topo.Catalog.City(vp.City).Loc,
 		p.topo.Catalog.City(res.IngressCity).Loc)

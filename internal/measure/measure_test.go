@@ -17,7 +17,7 @@ func setup(t testing.TB) (*topology.Topo, *Platform, Target) {
 		t.Fatal(err)
 	}
 	sim := netsim.New(topo, netsim.Config{Seed: 6}, nil, nil, nil)
-	pl := New(topo, sim, Config{Seed: 6})
+	pl := New(topo, sim, 6)
 	// Target: the first prefix's origin city, reached via each VP's best
 	// BGP route.
 	p := topo.Prefixes[0]

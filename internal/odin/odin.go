@@ -32,29 +32,24 @@ type Config struct {
 	// SampleRate is the fraction of page views instrumented (default
 	// 0.01). The total measurement budget scales linearly with it.
 	SampleRate float64
-	// ViewsPerWeight converts a prefix's traffic weight into page views
-	// per measurement round (default 25).
-	ViewsPerWeight float64
-	// UnicastCandidates is how many nearby unicast front-ends each task
-	// measures alongside anycast (default 2).
-	UnicastCandidates int
-	// ClientJitterMs is the per-sample measurement jitter scale, an
-	// exponential tail on top of the network RTT (default 3).
-	ClientJitterMs float64
 }
+
+// The campaign's fixed parameters.
+const (
+	// viewsPerWeight converts a prefix's traffic weight into page views
+	// per measurement round.
+	viewsPerWeight = 25
+	// unicastCandidates is how many nearby unicast front-ends each task
+	// measures alongside anycast.
+	unicastCandidates = 2
+	// clientJitterMs is the per-sample measurement jitter scale, an
+	// exponential tail on top of the network RTT.
+	clientJitterMs = 3
+)
 
 func (c *Config) setDefaults() {
 	if c.SampleRate == 0 {
 		c.SampleRate = 0.01
-	}
-	if c.ViewsPerWeight == 0 {
-		c.ViewsPerWeight = 25
-	}
-	if c.UnicastCandidates == 0 {
-		c.UnicastCandidates = 2
-	}
-	if c.ClientJitterMs == 0 {
-		c.ClientJitterMs = 3
 	}
 }
 
@@ -131,11 +126,11 @@ func (p *Pipeline) Collect(prefixes []topology.Prefix, rounds []float64) (*Aggre
 		}
 		// Deterministic per-prefix stream, independent of slice order.
 		rng := xrand.New(p.cfg.Seed ^ uint64(px.ID)*0x9e3779b97f4a7c15)
-		nearby := p.cdn.NearestSites(px, p.cfg.UnicastCandidates+2)
+		nearby := p.cdn.NearestSites(px, unicastCandidates+2)
 		for _, t := range rounds {
 			// Number of instrumented views this round: the fractional
 			// expectation resolved by a Bernoulli draw on the remainder.
-			exp := px.Weight * p.cfg.ViewsPerWeight * p.cfg.SampleRate
+			exp := px.Weight * viewsPerWeight * p.cfg.SampleRate
 			views := int(exp)
 			if rng.Bool(exp - math.Floor(exp)) {
 				views++
@@ -143,14 +138,14 @@ func (p *Pipeline) Collect(prefixes []topology.Prefix, rounds []float64) (*Aggre
 			for v := 0; v < views; v++ {
 				jt := t + rng.Uniform(0, 10) // views spread across the round
 				if rtt, _, err := p.cdn.AnycastRTT(p.sim, px, nil, jt); err == nil {
-					add(r.ID, cdn.AnycastChoice, rtt+rng.Exp(p.cfg.ClientJitterMs))
+					add(r.ID, cdn.AnycastChoice, rtt+rng.Exp(clientJitterMs))
 				}
 				// A random subset of the nearby sites.
 				perm := rng.Perm(len(nearby))
-				for i := 0; i < p.cfg.UnicastCandidates && i < len(perm); i++ {
+				for i := 0; i < unicastCandidates && i < len(perm); i++ {
 					site := nearby[perm[i]]
 					if rtt, err := p.cdn.UnicastRTT(p.sim, px, site, jt); err == nil {
-						add(r.ID, site, rtt+rng.Exp(p.cfg.ClientJitterMs))
+						add(r.ID, site, rtt+rng.Exp(clientJitterMs))
 					}
 				}
 			}

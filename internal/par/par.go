@@ -61,36 +61,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("par: worker panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// Span is one contiguous index range [Lo, Hi) of a sharded input.
-type Span struct{ Lo, Hi int }
-
-// Chunks splits n items into at most `workers` contiguous spans of
-// near-equal size, in index order. It is the sharding rule for
-// coarse-grained fan-out: pass the spans to Map and iterate each span
-// serially inside the worker. n <= 0 yields no spans.
-func Chunks(n, workers int) []Span {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	out := make([]Span, 0, w)
-	lo := 0
-	for i := 0; i < w; i++ {
-		// Distribute the remainder one item at a time so span sizes
-		// differ by at most one.
-		size := n / w
-		if i < n%w {
-			size++
-		}
-		out = append(out, Span{Lo: lo, Hi: lo + size})
-		lo += size
-	}
-	return out
-}
-
 // Map applies fn to every item on a bounded worker pool and returns the
 // results in input order. See MapCtx for semantics.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {

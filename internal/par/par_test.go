@@ -151,46 +151,6 @@ func TestMapStateNewStatePanic(t *testing.T) {
 	}
 }
 
-func TestChunks(t *testing.T) {
-	cases := []struct {
-		n, workers int
-		want       []Span
-	}{
-		{0, 4, nil},
-		{-3, 4, nil},
-		{5, 2, []Span{{0, 3}, {3, 5}}},
-		{4, 4, []Span{{0, 1}, {1, 2}, {2, 3}, {3, 4}}},
-		{3, 8, []Span{{0, 1}, {1, 2}, {2, 3}}},
-		{10, 3, []Span{{0, 4}, {4, 7}, {7, 10}}},
-	}
-	for _, c := range cases {
-		got := Chunks(c.n, c.workers)
-		if len(got) != len(c.want) {
-			t.Fatalf("Chunks(%d,%d) = %v, want %v", c.n, c.workers, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("Chunks(%d,%d) = %v, want %v", c.n, c.workers, got, c.want)
-			}
-		}
-	}
-	// Spans must always tile [0, n) in order.
-	for n := 1; n < 40; n++ {
-		for w := 1; w < 12; w++ {
-			lo := 0
-			for _, sp := range Chunks(n, w) {
-				if sp.Lo != lo || sp.Hi <= sp.Lo {
-					t.Fatalf("Chunks(%d,%d): bad span %v", n, w, sp)
-				}
-				lo = sp.Hi
-			}
-			if lo != n {
-				t.Fatalf("Chunks(%d,%d) covers [0,%d), want [0,%d)", n, w, lo, n)
-			}
-		}
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Fatal("explicit worker count not honored")

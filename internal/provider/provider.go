@@ -463,10 +463,3 @@ func (p *Provider) ServingPoP(clientCity int) int {
 	}
 	return best
 }
-
-// PoPDistanceKm returns the geodesic distance from a client city to its
-// serving PoP.
-func (p *Provider) PoPDistanceKm(clientCity int) float64 {
-	pop := p.ServingPoP(clientCity)
-	return geo.DistanceKm(p.Topo.Catalog.City(clientCity).Loc, p.Topo.Catalog.City(pop).Loc)
-}

@@ -425,9 +425,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // grace phase in front of Shutdown. Idempotent; Start resets it.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether the server is in its drain phase.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown gracefully drains the listener started by Start: readiness
 // flips to draining, no new connections are accepted, connections that
 // have sent nothing are closed, in-flight requests run to completion

@@ -144,7 +144,7 @@ func TestServeDegradedFallbackAndBreaker(t *testing.T) {
 	if w.Epochs.Len() < 2 {
 		t.Skip("world has a single epoch")
 	}
-	srv := New(w, WithBreaker(3, time.Hour)) // no half-open probes
+	srv := New(w, withBreaker(3, time.Hour)) // no half-open probes
 	const prefix = 0
 	origin := w.Topo.Prefixes[prefix].Origin
 
@@ -181,7 +181,7 @@ func TestServeDegradedFallbackAndBreaker(t *testing.T) {
 
 	// Recovery: chaos off, cooldown elapsed → probe succeeds, answers
 	// come back healthy.
-	quick := New(w, WithBreaker(3, time.Millisecond))
+	quick := New(w, withBreaker(3, time.Millisecond))
 	if _, err := quick.AnswerLatency(prefix, epochStart(w, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestServeCatchmentDegraded(t *testing.T) {
 	if w.Epochs.Len() < 2 {
 		t.Skip("world has a single epoch")
 	}
-	srv := New(w, WithBreaker(3, time.Hour))
+	srv := New(w, withBreaker(3, time.Hour))
 	warm, err := srv.AnswerCatchment(0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestServeCatchmentDegraded(t *testing.T) {
 // answer.
 func TestServeColdChainUnavailable(t *testing.T) {
 	w := smallWorld(t, 42)
-	srv := New(w, WithBreaker(3, time.Hour))
+	srv := New(w, withBreaker(3, time.Hour))
 	srv.SetChaos(mustChaos(t, chaos.Config{Seed: 5, RepairErrP: 1}))
 	_, err := srv.AnswerLatency(0, epochStart(w, 0))
 	if !errors.Is(err, ErrUnavailable) {
@@ -280,7 +280,7 @@ func TestServeDegradedBytesDeterministic(t *testing.T) {
 		t.Skip("world has a single epoch")
 	}
 	run := func() ([]byte, []byte) {
-		srv := New(w, WithBreaker(3, time.Hour))
+		srv := New(w, withBreaker(3, time.Hour))
 		if _, err := srv.AnswerLatency(0, epochStart(w, 0)); err != nil {
 			t.Fatal(err)
 		}
@@ -414,8 +414,8 @@ func TestServeHealthReadyDrain(t *testing.T) {
 	check("/readyz", http.StatusOK, HealthResp{Query: "readyz", Status: "ready"})
 
 	srv.StartDrain()
-	if !srv.Draining() {
-		t.Fatal("Draining() false after StartDrain")
+	if !srv.draining.Load() {
+		t.Fatal("draining false after StartDrain")
 	}
 	check("/healthz", http.StatusOK, HealthResp{Query: "healthz", Status: "ok"})
 	check("/readyz", http.StatusServiceUnavailable, HealthResp{Query: "readyz", Status: "draining"})
@@ -556,7 +556,7 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 	w := smallWorld(t, 42)
 	before := runtime.NumGoroutine()
 
-	srv := New(w, WithAdmission(4, 8), WithQueryTimeout(30*time.Millisecond), WithBreaker(3, 10*time.Millisecond))
+	srv := New(w, WithAdmission(4, 8), WithQueryTimeout(30*time.Millisecond), withBreaker(3, 10*time.Millisecond))
 	srv.SetChaos(mustChaos(t, chaos.Config{Seed: 8, LatencyP: 0.2, LatencyMeanMs: 1, RepairErrP: 0.3, StallP: 0.3, StallMs: 50}))
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -110,8 +110,8 @@ func WithQueryTimeout(d time.Duration) Option {
 	return func(o *Options) { o.QueryTimeout = d }
 }
 
-// WithBreaker tunes the repair-chain circuit breaker.
-func WithBreaker(threshold int, cooldown time.Duration) Option {
+// withBreaker tunes the repair-chain circuit breaker.
+func withBreaker(threshold int, cooldown time.Duration) Option {
 	return func(o *Options) { o.BreakerThreshold, o.BreakerCooldown = threshold, cooldown }
 }
 

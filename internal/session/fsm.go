@@ -2,33 +2,33 @@ package session
 
 import "fmt"
 
-// State is a BGP session FSM state (RFC 4271 §8.2.2, condensed: the two
+// fsmState is a BGP session FSM state (RFC 4271 §8.2.2, condensed: the two
 // transport-racing states Connect and Active collapse into Connect, since
 // the simulator's transport either comes up after a message delay or the
 // attempt fails and the retry timer re-arms).
-type State uint8
+type fsmState uint8
 
 // BGP FSM states, in handshake order.
 const (
-	Idle State = iota
-	Connect
-	OpenSent
-	OpenConfirm
-	Established
+	stIdle fsmState = iota
+	stConnect
+	stOpenSent
+	stOpenConfirm
+	stEstablished
 	numStates
 )
 
-func (s State) String() string {
+func (s fsmState) String() string {
 	switch s {
-	case Idle:
+	case stIdle:
 		return "Idle"
-	case Connect:
+	case stConnect:
 		return "Connect"
-	case OpenSent:
+	case stOpenSent:
 		return "OpenSent"
-	case OpenConfirm:
+	case stOpenConfirm:
 		return "OpenConfirm"
-	case Established:
+	case stEstablished:
 		return "Established"
 	default:
 		return fmt.Sprintf("State(%d)", uint8(s))
@@ -36,39 +36,39 @@ func (s State) String() string {
 }
 
 // Valid reports whether s is one of the five defined states.
-func (s State) Valid() bool { return s < numStates }
+func (s fsmState) Valid() bool { return s < numStates }
 
-// Ev is an input to the BGP session FSM: operator/timer actions and
+// fsmEv is an input to the BGP session FSM: operator/timer actions and
 // received protocol messages.
-type Ev uint8
+type fsmEv uint8
 
 // FSM inputs.
 const (
-	// EvStart arms a connection attempt (ManualStart / retry-timer fire).
-	EvStart Ev = iota
-	// EvTCPOpen reports the transport came up.
-	EvTCPOpen
-	// EvTCPFail reports the transport attempt failed or was torn down.
-	EvTCPFail
-	// EvBGPOpen is a received OPEN message.
-	EvBGPOpen
-	// EvKeepalive is a received KEEPALIVE message.
-	EvKeepalive
-	// EvUpdate is a received UPDATE message.
-	EvUpdate
-	// EvHoldExpire is the hold timer firing: no KEEPALIVE/UPDATE heard
+	// evStart arms a connection attempt (ManualStart / retry-timer fire).
+	evStart fsmEv = iota
+	// evTCPOpen reports the transport came up.
+	evTCPOpen
+	// evTCPFail reports the transport attempt failed or was torn down.
+	evTCPFail
+	// evBGPOpen is a received OPEN message.
+	evBGPOpen
+	// evKeepalive is a received KEEPALIVE message.
+	evKeepalive
+	// evUpdate is a received UPDATE message.
+	evUpdate
+	// evHoldExpire is the hold timer firing: no KEEPALIVE/UPDATE heard
 	// for the negotiated hold time.
-	EvHoldExpire
-	// EvLinkDown is a liveness loss signalled from outside the BGP
+	evHoldExpire
+	// evLinkDown is a liveness loss signalled from outside the BGP
 	// machinery itself — an interface down notification or a BFD session
 	// declaring the forwarding path dead.
-	EvLinkDown
-	// EvStop is an administrative stop.
-	EvStop
+	evLinkDown
+	// evStop is an administrative stop.
+	evStop
 	numEvents
 )
 
-func (e Ev) String() string {
+func (e fsmEv) String() string {
 	names := [...]string{"Start", "TCPOpen", "TCPFail", "BGPOpen", "Keepalive", "Update", "HoldExpire", "LinkDown", "Stop"}
 	if int(e) < len(names) {
 		return names[e]
@@ -79,100 +79,100 @@ func (e Ev) String() string {
 // transitions is the full state-transition table. Every (state, event)
 // pair maps to a defined state: events that RFC 4271 treats as FSM errors
 // (a message arriving in a state that cannot legally receive it) reset the
-// session to Idle, exactly as the RFC's "FSM error" handling closes the
+// session to stIdle, exactly as the RFC's "FSM error" handling closes the
 // connection; events that are meaningless in a state (Start while already
 // started, a duplicate transport-up report) leave the state unchanged.
-// Established is entered from OpenConfirm on EvKeepalive ONLY — the fuzz
+// stEstablished is entered from stOpenConfirm on evKeepalive ONLY — the fuzz
 // test pins that the full handshake is the one road in.
-var transitions = [numStates][numEvents]State{
-	Idle: {
-		EvStart:   Connect,
-		EvTCPOpen: Idle, EvTCPFail: Idle,
-		EvBGPOpen: Idle, EvKeepalive: Idle, EvUpdate: Idle,
-		EvHoldExpire: Idle, EvLinkDown: Idle, EvStop: Idle,
+var transitions = [numStates][numEvents]fsmState{
+	stIdle: {
+		evStart:   stConnect,
+		evTCPOpen: stIdle, evTCPFail: stIdle,
+		evBGPOpen: stIdle, evKeepalive: stIdle, evUpdate: stIdle,
+		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
 	},
-	Connect: {
-		EvStart:   Connect,
-		EvTCPOpen: OpenSent, // transport up: send OPEN
-		EvTCPFail: Idle,
-		EvBGPOpen: Idle, EvKeepalive: Idle, EvUpdate: Idle, // FSM error
-		EvHoldExpire: Idle, EvLinkDown: Idle, EvStop: Idle,
+	stConnect: {
+		evStart:   stConnect,
+		evTCPOpen: stOpenSent, // transport up: send OPEN
+		evTCPFail: stIdle,
+		evBGPOpen: stIdle, evKeepalive: stIdle, evUpdate: stIdle, // FSM error
+		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
 	},
-	OpenSent: {
-		EvStart:     OpenSent,
-		EvTCPOpen:   OpenSent, // duplicate transport report: ignore
-		EvTCPFail:   Idle,
-		EvBGPOpen:   OpenConfirm,          // OPEN accepted: send KEEPALIVE
-		EvKeepalive: Idle, EvUpdate: Idle, // FSM error
-		EvHoldExpire: Idle, EvLinkDown: Idle, EvStop: Idle,
+	stOpenSent: {
+		evStart:     stOpenSent,
+		evTCPOpen:   stOpenSent, // duplicate transport report: ignore
+		evTCPFail:   stIdle,
+		evBGPOpen:   stOpenConfirm,            // OPEN accepted: send KEEPALIVE
+		evKeepalive: stIdle, evUpdate: stIdle, // FSM error
+		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
 	},
-	OpenConfirm: {
-		EvStart:      OpenConfirm,
-		EvTCPOpen:    OpenConfirm,
-		EvTCPFail:    Idle,
-		EvBGPOpen:    Idle,        // collision resolution, simplified: reset
-		EvKeepalive:  Established, // peer confirmed our OPEN
-		EvUpdate:     Idle,        // FSM error
-		EvHoldExpire: Idle, EvLinkDown: Idle, EvStop: Idle,
+	stOpenConfirm: {
+		evStart:      stOpenConfirm,
+		evTCPOpen:    stOpenConfirm,
+		evTCPFail:    stIdle,
+		evBGPOpen:    stIdle,        // collision resolution, simplified: reset
+		evKeepalive:  stEstablished, // peer confirmed our OPEN
+		evUpdate:     stIdle,        // FSM error
+		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
 	},
-	Established: {
-		EvStart:      Established,
-		EvTCPOpen:    Established,
-		EvTCPFail:    Idle,
-		EvBGPOpen:    Idle,        // FSM error
-		EvKeepalive:  Established, // refreshes the hold timer
-		EvUpdate:     Established, // refreshes the hold timer
-		EvHoldExpire: Idle, EvLinkDown: Idle, EvStop: Idle,
+	stEstablished: {
+		evStart:      stEstablished,
+		evTCPOpen:    stEstablished,
+		evTCPFail:    stIdle,
+		evBGPOpen:    stIdle,        // FSM error
+		evKeepalive:  stEstablished, // refreshes the hold timer
+		evUpdate:     stEstablished, // refreshes the hold timer
+		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
 	},
 }
 
-// Step applies one event to a state and returns the next state. It is
+// fsmStep applies one event to a state and returns the next state. It is
 // total: any (state, event) pair — including out-of-range values, which
-// reset to Idle — yields a defined state, and it never panics. The second
+// reset to stIdle — yields a defined state, and it never panics. The second
 // return reports whether the input pair was in-range.
-func Step(s State, e Ev) (State, bool) {
+func fsmStep(s fsmState, e fsmEv) (fsmState, bool) {
 	if s >= numStates || e >= numEvents {
-		return Idle, false
+		return stIdle, false
 	}
 	return transitions[s][e], true
 }
 
-// BFDState is a BFD liveness FSM state (RFC 5880 §6.2, without
+// bfdState is a BFD liveness FSM state (RFC 5880 §6.2, without
 // AdminDown: the simulator never administratively disables a session it
 // is replaying).
-type BFDState uint8
+type bfdState uint8
 
 // BFD states.
 const (
-	BFDDown BFDState = iota
-	BFDInit
-	BFDUp
+	bfdDown bfdState = iota
+	bfdInit
+	bfdUp
 	numBFDStates
 )
 
-func (s BFDState) String() string {
+func (s bfdState) String() string {
 	switch s {
-	case BFDDown:
+	case bfdDown:
 		return "BFDDown"
-	case BFDInit:
+	case bfdInit:
 		return "BFDInit"
-	case BFDUp:
+	case bfdUp:
 		return "BFDUp"
 	default:
 		return fmt.Sprintf("BFDState(%d)", uint8(s))
 	}
 }
 
-// BFDEv is an input to the BFD FSM: the remote state carried in a
+// bfdEv is an input to the BFD FSM: the remote state carried in a
 // received control packet, or the local detection timer expiring.
-type BFDEv uint8
+type bfdEv uint8
 
 // BFD FSM inputs.
 const (
-	BFDRecvDown BFDEv = iota // packet with State=Down
-	BFDRecvInit              // packet with State=Init
-	BFDRecvUp                // packet with State=Up
-	BFDTimeout               // detection time (DetectMult × interval) with no packet
+	bfdRecvDown bfdEv = iota // packet with fsmState=Down
+	bfdRecvInit              // packet with fsmState=Init
+	bfdRecvUp                // packet with fsmState=Up
+	bfdTimeout               // detection time (DetectMult × interval) with no packet
 	numBFDEvents
 )
 
@@ -180,17 +180,17 @@ const (
 // received Down answers with Init, Init+Init (or Init+Up) brings the
 // session Up, and either a received Down or the detection timer tears it
 // back to Down.
-var bfdTransitions = [numBFDStates][numBFDEvents]BFDState{
-	BFDDown: {BFDRecvDown: BFDInit, BFDRecvInit: BFDUp, BFDRecvUp: BFDDown, BFDTimeout: BFDDown},
-	BFDInit: {BFDRecvDown: BFDInit, BFDRecvInit: BFDUp, BFDRecvUp: BFDUp, BFDTimeout: BFDDown},
-	BFDUp:   {BFDRecvDown: BFDDown, BFDRecvInit: BFDUp, BFDRecvUp: BFDUp, BFDTimeout: BFDDown},
+var bfdTransitions = [numBFDStates][numBFDEvents]bfdState{
+	bfdDown: {bfdRecvDown: bfdInit, bfdRecvInit: bfdUp, bfdRecvUp: bfdDown, bfdTimeout: bfdDown},
+	bfdInit: {bfdRecvDown: bfdInit, bfdRecvInit: bfdUp, bfdRecvUp: bfdUp, bfdTimeout: bfdDown},
+	bfdUp:   {bfdRecvDown: bfdDown, bfdRecvInit: bfdUp, bfdRecvUp: bfdUp, bfdTimeout: bfdDown},
 }
 
-// BFDStep applies one event to a BFD state, total and panic-free like
-// Step; out-of-range inputs reset to BFDDown.
-func BFDStep(s BFDState, e BFDEv) (BFDState, bool) {
+// bfdStep applies one event to a BFD state, total and panic-free like
+// fsmStep; out-of-range inputs reset to bfdDown.
+func bfdStep(s bfdState, e bfdEv) (bfdState, bool) {
 	if s >= numBFDStates || e >= numBFDEvents {
-		return BFDDown, false
+		return bfdDown, false
 	}
 	return bfdTransitions[s][e], true
 }

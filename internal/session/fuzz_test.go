@@ -3,9 +3,9 @@ package session
 import "testing"
 
 // FuzzFSMTransitions drives both FSMs with arbitrary event sequences and
-// pins the structural invariants: every reachable state is defined, Step
-// is total (never panics, even on out-of-range inputs), and Established
-// is entered exclusively through the full handshake — an OpenConfirm
+// pins the structural invariants: every reachable state is defined, fsmStep
+// is total (never panics, even on out-of-range inputs), and stEstablished
+// is entered exclusively through the full handshake — an stOpenConfirm
 // session receiving the confirming KEEPALIVE.
 func FuzzFSMTransitions(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 4})          // the clean handshake
@@ -14,45 +14,45 @@ func FuzzFSMTransitions(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 3, 3}) // duplicate events
 	f.Add([]byte{250, 9, 10, 255})     // out-of-range events
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := Idle
+		s := stIdle
 		for _, b := range data {
 			// Bias toward defined events but keep out-of-range inputs in
 			// the mix: totality is part of the contract.
-			e := Ev(b)
+			e := fsmEv(b)
 			if b < 128 {
-				e = Ev(b % uint8(numEvents))
+				e = fsmEv(b % uint8(numEvents))
 			}
 			prev := s
-			next, ok := Step(s, e)
+			next, ok := fsmStep(s, e)
 			if !next.Valid() {
 				t.Fatalf("Step(%v, %v) reached invalid state %d", prev, e, uint8(next))
 			}
-			if !ok && next != Idle {
+			if !ok && next != stIdle {
 				t.Fatalf("out-of-range input (%v, %v) must reset to Idle, got %v", prev, e, next)
 			}
-			if next == Established && prev != Established {
-				if prev != OpenConfirm || e != EvKeepalive {
+			if next == stEstablished && prev != stEstablished {
+				if prev != stOpenConfirm || e != evKeepalive {
 					t.Fatalf("Established entered from %v on %v: only OpenConfirm+Keepalive may establish", prev, e)
 				}
 			}
 			s = next
 		}
 
-		bs := BFDDown
+		bs := bfdDown
 		for _, b := range data {
-			e := BFDEv(b)
+			e := bfdEv(b)
 			if b < 128 {
-				e = BFDEv(b % uint8(numBFDEvents))
+				e = bfdEv(b % uint8(numBFDEvents))
 			}
 			prev := bs
-			next, ok := BFDStep(bs, e)
+			next, ok := bfdStep(bs, e)
 			if next >= numBFDStates {
 				t.Fatalf("BFDStep(%v, %v) reached invalid state %d", prev, e, uint8(next))
 			}
-			if !ok && next != BFDDown {
+			if !ok && next != bfdDown {
 				t.Fatalf("out-of-range BFD input must reset to Down, got %v", next)
 			}
-			if next == BFDUp && prev == BFDDown && e != BFDRecvInit {
+			if next == bfdUp && prev == bfdDown && e != bfdRecvInit {
 				t.Fatalf("BFD Up entered straight from Down on %v", e)
 			}
 			bs = next

@@ -10,16 +10,6 @@ import (
 // Links returns the replayed link IDs, ascending.
 func (h *History) Links() []int { return append([]int(nil), h.links...) }
 
-// Outages returns the link's outage episodes in start order. Nil for a
-// link that was never faulted (or not replayed).
-func (h *History) Outages(link int) []Outage {
-	lh := h.perLink[link]
-	if lh == nil {
-		return nil
-	}
-	return append([]Outage(nil), lh.outages...)
-}
-
 // Flaps returns how many times the link's session dropped.
 func (h *History) Flaps(link int) int {
 	lh := h.perLink[link]
@@ -29,22 +19,12 @@ func (h *History) Flaps(link int) int {
 	return lh.flaps
 }
 
-// Transitions returns the link's recorded FSM state changes in time
-// order.
-func (h *History) Transitions(link int) []Transition {
-	lh := h.perLink[link]
-	if lh == nil {
-		return nil
-	}
-	return append([]Transition(nil), lh.transitions...)
-}
-
-// OutageAt returns the outage episode covering minute t on the link: an
+// outageAt returns the outage episode covering minute t on the link: an
 // episode spans [Start, max(End, UsableAt)).
-func (h *History) OutageAt(link int, t float64) (Outage, bool) {
+func (h *History) outageAt(link int, t float64) (outage, bool) {
 	lh := h.perLink[link]
 	if lh == nil {
-		return Outage{}, false
+		return outage{}, false
 	}
 	for _, o := range lh.outages {
 		end := o.End
@@ -55,7 +35,14 @@ func (h *History) OutageAt(link int, t float64) (Outage, bool) {
 			return o, true
 		}
 	}
-	return Outage{}, false
+	return outage{}, false
+}
+
+// UsableAt returns the minute the link's route is usable again after the
+// outage episode covering minute t. ok is false when no episode covers t.
+func (h *History) UsableAt(link int, t float64) (float64, bool) {
+	o, ok := h.outageAt(link, t)
+	return o.UsableAt, ok
 }
 
 // DetectionLatencyMin returns how long after minute t (a fault onset
@@ -64,7 +51,7 @@ func (h *History) OutageAt(link int, t float64) (Outage, bool) {
 // when no episode covers t or the episode was never detected — the
 // fault was invisible to every timer.
 func (h *History) DetectionLatencyMin(link int, t float64) (float64, bool) {
-	o, found := h.OutageAt(link, t)
+	o, found := h.outageAt(link, t)
 	if !found || !o.Detected {
 		return 0, false
 	}

@@ -15,16 +15,16 @@ const phaseKey = 0x5e551017
 
 // Detector names recorded on detected outages.
 const (
-	DetectorHold = "hold"
-	DetectorBFD  = "bfd"
+	detectorHold = "hold"
+	detectorBFD  = "bfd"
 )
 
-// Outage is one outage EPISODE on a link: a maximal span from the first
+// outage is one outage EPISODE on a link: a maximal span from the first
 // physical down instant to the moment the route is usable again. An
 // episode may cover several merged fault windows (when the session never
 // stabilizes in between) and several session flaps. All times are
 // simulated minutes.
-type Outage struct {
+type outage struct {
 	Link  int
 	Start float64 // first physical-down minute of the episode
 	End   float64 // last physical recovery minute seen (capped at the horizon)
@@ -45,20 +45,20 @@ type Outage struct {
 	Suppressed bool
 }
 
-// Transition is one recorded BGP FSM state change.
-type Transition struct {
+// transition is one recorded BGP FSM state change.
+type transition struct {
 	Link     int
 	AtMin    float64
-	From, To State
-	Ev       Ev
+	From, To fsmState
+	Ev       fsmEv
 }
 
 // linkHistory is the replay result for one link, all times in minutes.
 type linkHistory struct {
-	outages     []Outage
+	outages     []outage
 	ctlDown     []faults.Window // route withdrawn/suppressed spans
 	suppressed  []faults.Window // damping suppression spans
-	transitions []Transition
+	transitions []transition
 	flaps       int
 }
 
@@ -122,7 +122,7 @@ func dedupeInts(xs []int) []int {
 	return out
 }
 
-// episode is an in-flight Outage, in seconds.
+// episode is an in-flight outage, in seconds.
 type episode struct {
 	start, end float64
 	detected   bool
@@ -169,12 +169,12 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 
 	c := newClock(horizon)
 
-	// Mutable session state. The warm start is Established at t=0 with a
+	// Mutable session state. The warm start is stEstablished at t=0 with a
 	// full advertisement history (lastAdv = −MRAI: free to re-advertise
 	// immediately after the first recovery).
 	var (
-		st    = Established
-		bfdSt = BFDUp
+		st    = stEstablished
+		bfdSt = bfdUp
 
 		holdGen, bfdGen, retryGen, hsGen, advGen uint64
 		holdPending, bfdPending                  bool
@@ -193,11 +193,11 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 		epi *episode
 	)
 
-	step := func(t float64, e Ev) {
+	step := func(t float64, e fsmEv) {
 		from := st
-		st, _ = Step(st, e)
+		st, _ = fsmStep(st, e)
 		if st != from {
-			lh.transitions = append(lh.transitions, Transition{Link: link, AtMin: t / 60, From: from, To: st, Ev: e})
+			lh.transitions = append(lh.transitions, transition{Link: link, AtMin: t / 60, From: from, To: st, Ev: e})
 		}
 	}
 	physDownAt := func(t float64) bool {
@@ -207,7 +207,7 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 	closeEpisode := func(usableSec float64) {
 		e := epi
 		epi = nil
-		lh.outages = append(lh.outages, Outage{
+		lh.outages = append(lh.outages, outage{
 			Link: link, Start: e.start / 60, End: e.end / 60,
 			Detected: e.detected, Detector: e.detector, DetectAt: e.detectAt / 60,
 			UsableAt: usableSec / 60, Flaps: e.flaps, Suppressed: e.suppressed,
@@ -260,8 +260,8 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 		if cfg.BFD {
 			// The BFD session bootstraps alongside: Down → Init on the
 			// peer's Down packet, Up on its Up packet.
-			bfdSt, _ = BFDStep(bfdSt, BFDRecvDown)
-			bfdSt, _ = BFDStep(bfdSt, BFDRecvUp)
+			bfdSt, _ = bfdStep(bfdSt, bfdRecvDown)
+			bfdSt, _ = bfdStep(bfdSt, bfdRecvUp)
 		}
 		// Re-advertise once the MRAI permits and damping has released.
 		at := t
@@ -274,7 +274,7 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 		advGen++
 		gen := advGen
 		c.schedule(at, func(now float64) {
-			if gen != advGen || st != Established {
+			if gen != advGen || st != stEstablished {
 				return
 			}
 			lastAdv = now
@@ -289,25 +289,25 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 	}
 
 	beginHandshake = func(t float64) {
-		step(t, EvStart) // Idle → Connect
+		step(t, evStart) // stIdle → stConnect
 		hsGen++
 		gen := hsGen
 		d := cfg.MsgDelaySec
 		c.schedule(t+d, func(now float64) {
 			if gen == hsGen {
-				step(now, EvTCPOpen) // Connect → OpenSent
+				step(now, evTCPOpen) // stConnect → stOpenSent
 			}
 		})
 		c.schedule(t+2*d, func(now float64) {
 			if gen == hsGen {
-				step(now, EvBGPOpen) // OpenSent → OpenConfirm
+				step(now, evBGPOpen) // stOpenSent → stOpenConfirm
 			}
 		})
 		c.schedule(t+3*d, func(now float64) {
 			if gen != hsGen {
 				return
 			}
-			step(now, EvKeepalive) // OpenConfirm → Established
+			step(now, evKeepalive) // stOpenConfirm → stEstablished
 			onEstablished(now)
 		})
 	}
@@ -316,7 +316,7 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 		retryGen++
 		gen := retryGen
 		c.schedule(at, func(now float64) {
-			if gen != retryGen || st != Idle {
+			if gen != retryGen || st != stIdle {
 				return
 			}
 			if physDownAt(now) {
@@ -328,14 +328,14 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 	}
 
 	detect := func(t float64, detector string) {
-		ev := EvHoldExpire
-		if detector == DetectorBFD {
-			bfdSt, _ = BFDStep(bfdSt, BFDTimeout)
-			ev = EvLinkDown
+		ev := evHoldExpire
+		if detector == detectorBFD {
+			bfdSt, _ = bfdStep(bfdSt, bfdTimeout)
+			ev = evLinkDown
 		} else if cfg.BFD {
-			bfdSt = BFDDown // hold fired first; the BFD session tears down with the BGP one
+			bfdSt = bfdDown // hold fired first; the BFD session tears down with the BGP one
 		}
-		step(t, ev) // Established → Idle
+		step(t, ev) // stEstablished → stIdle
 		holdPending, bfdPending = false, false
 		holdGen++
 		bfdGen++
@@ -356,7 +356,7 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 				epi = &episode{start: t, end: t}
 			}
 			switch st {
-			case Established:
+			case stEstablished:
 				// Arm the detection timers from the last packet that
 				// actually arrived. A timer already pending from an
 				// earlier window (the session never heard a packet in
@@ -371,7 +371,7 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 							return
 						}
 						holdPending = false
-						detect(now, DetectorHold)
+						detect(now, detectorHold)
 					})
 				}
 				if cfg.BFD && !bfdPending {
@@ -384,15 +384,15 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 							return
 						}
 						bfdPending = false
-						detect(now, DetectorBFD)
+						detect(now, detectorBFD)
 					})
 				}
-			case Connect, OpenSent, OpenConfirm:
+			case stConnect, stOpenSent, stOpenConfirm:
 				// Transport torn down mid-handshake.
 				hsGen++
-				step(t, EvTCPFail)
+				step(t, evTCPFail)
 				scheduleRetry(t + cfg.ConnectRetrySec)
-			case Idle:
+			case stIdle:
 				// The pending retry will find the link down and re-arm.
 			}
 		}
@@ -407,7 +407,7 @@ func replayLink(link int, windows []faults.Window, cfg Config, rng *xrand.Rand, 
 			if epi != nil && t > epi.end {
 				epi.end = t
 			}
-			if st != Established {
+			if st != stEstablished {
 				return // retry/handshake machinery handles recovery
 			}
 			// Survival check: a pending timer is cancelled only if the

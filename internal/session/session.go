@@ -117,9 +117,6 @@ type Config struct {
 	BFDMultiplier int
 }
 
-// DefaultConfig returns the fully-populated default configuration.
-func DefaultConfig() Config { return Config{}.ApplyDefaults() }
-
 // ApplyDefaults fills zero fields with defaults and returns the
 // completed config. KeepaliveSec defaults to HoldSec/3 so tuning only
 // the hold timer keeps the conventional 3:1 ratio.

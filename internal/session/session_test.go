@@ -75,7 +75,7 @@ func timeline(t testing.TB, topo *topology.Topo, evs [][3]float64) *faults.Timel
 }
 
 func TestConfigDefaultsAndValidate(t *testing.T) {
-	def := DefaultConfig()
+	def := Config{}.ApplyDefaults()
 	if def.HoldSec != 36 || def.KeepaliveSec != 12 || def.MRAISec != 30 {
 		t.Fatalf("unexpected defaults: %+v", def)
 	}
@@ -114,44 +114,44 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 }
 
 func TestHandshakePath(t *testing.T) {
-	s := Idle
+	s := stIdle
 	for _, step := range []struct {
-		ev   Ev
-		want State
+		ev   fsmEv
+		want fsmState
 	}{
-		{EvStart, Connect}, {EvTCPOpen, OpenSent}, {EvBGPOpen, OpenConfirm}, {EvKeepalive, Established},
+		{evStart, stConnect}, {evTCPOpen, stOpenSent}, {evBGPOpen, stOpenConfirm}, {evKeepalive, stEstablished},
 	} {
 		var ok bool
-		s, ok = Step(s, step.ev)
+		s, ok = fsmStep(s, step.ev)
 		if !ok || s != step.want {
 			t.Fatalf("after %v: state %v ok=%v, want %v", step.ev, s, ok, step.want)
 		}
 	}
-	// Keepalives and updates refresh Established; a stray OPEN is an FSM
+	// Keepalives and updates refresh stEstablished; a stray OPEN is an FSM
 	// error and resets.
-	if s, _ := Step(Established, EvUpdate); s != Established {
+	if s, _ := fsmStep(stEstablished, evUpdate); s != stEstablished {
 		t.Fatalf("update in Established -> %v", s)
 	}
-	if s, _ := Step(Established, EvBGPOpen); s != Idle {
+	if s, _ := fsmStep(stEstablished, evBGPOpen); s != stIdle {
 		t.Fatalf("OPEN in Established -> %v, want Idle", s)
 	}
 	// Out-of-range inputs are total and reset.
-	if s, ok := Step(State(200), EvStart); ok || s != Idle {
+	if s, ok := fsmStep(fsmState(200), evStart); ok || s != stIdle {
 		t.Fatalf("bogus state -> %v ok=%v", s, ok)
 	}
-	if s, ok := Step(Idle, Ev(200)); ok || s != Idle {
+	if s, ok := fsmStep(stIdle, fsmEv(200)); ok || s != stIdle {
 		t.Fatalf("bogus event -> %v ok=%v", s, ok)
 	}
 	// BFD three-way bring-up and teardown.
-	b, _ := BFDStep(BFDDown, BFDRecvDown)
-	if b != BFDInit {
+	b, _ := bfdStep(bfdDown, bfdRecvDown)
+	if b != bfdInit {
 		t.Fatalf("BFD Down+RecvDown -> %v", b)
 	}
-	b, _ = BFDStep(b, BFDRecvUp)
-	if b != BFDUp {
+	b, _ = bfdStep(b, bfdRecvUp)
+	if b != bfdUp {
 		t.Fatalf("BFD Init+RecvUp -> %v", b)
 	}
-	if b, _ = BFDStep(b, BFDTimeout); b != BFDDown {
+	if b, _ = bfdStep(b, bfdTimeout); b != bfdDown {
 		t.Fatalf("BFD Up+Timeout -> %v", b)
 	}
 }
@@ -164,12 +164,12 @@ func TestReplayDetectsLongFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := h.Outages(link)
+	outs := outagesOf(h, link)
 	if len(outs) != 1 {
 		t.Fatalf("outages = %+v, want 1", outs)
 	}
 	o := outs[0]
-	if !o.Detected || o.Detector != DetectorHold || o.Flaps != 1 {
+	if !o.Detected || o.Detector != detectorHold || o.Flaps != 1 {
 		t.Fatalf("outage %+v: want detected via hold, 1 flap", o)
 	}
 	// Detection lands within [Hold-KA, Hold] of the fault onset.
@@ -191,11 +191,11 @@ func TestReplayDetectsLongFault(t *testing.T) {
 		t.Fatalf("PhysDownMinutes = %v, want 10", got)
 	}
 	// The full FSM walked: drop, then a complete handshake back up.
-	var evs []Ev
-	for _, tr := range h.Transitions(link) {
+	var evs []fsmEv
+	for _, tr := range transitionsOf(h, link) {
 		evs = append(evs, tr.Ev)
 	}
-	want := []Ev{EvHoldExpire, EvStart, EvTCPOpen, EvBGPOpen, EvKeepalive}
+	want := []fsmEv{evHoldExpire, evStart, evTCPOpen, evBGPOpen, evKeepalive}
 	if !reflect.DeepEqual(evs, want) {
 		t.Fatalf("transitions %v, want %v", evs, want)
 	}
@@ -233,7 +233,7 @@ func TestShortFaultInvisibleToHoldCaughtByBFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := slow.Outages(link)
+	outs := outagesOf(slow, link)
 	if len(outs) != 1 || outs[0].Detected || outs[0].Flaps != 0 {
 		t.Fatalf("hold-timer outages = %+v, want one undetected", outs)
 	}
@@ -255,8 +255,8 @@ func TestShortFaultInvisibleToHoldCaughtByBFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs = fast.Outages(link)
-	if len(outs) != 1 || !outs[0].Detected || outs[0].Detector != DetectorBFD {
+	outs = outagesOf(fast, link)
+	if len(outs) != 1 || !outs[0].Detected || outs[0].Detector != detectorBFD {
 		t.Fatalf("BFD outages = %+v, want one detected via bfd", outs)
 	}
 	if lat := outs[0].DetectAt - outs[0].Start; lat <= 0 || lat > (0.9+0.3)/60+1e-9 {
@@ -278,7 +278,7 @@ func TestOverlappingFaultWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := h.Outages(link)
+	outs := outagesOf(h, link)
 	if len(outs) != 1 {
 		t.Fatalf("outages = %+v, want one merged episode", outs)
 	}
@@ -312,7 +312,7 @@ func TestFlapStormCrossesSuppressThreshold(t *testing.T) {
 	if got := h.Flaps(link); got != 5 {
 		t.Fatalf("flaps = %d, want 5", got)
 	}
-	outs := h.Outages(link)
+	outs := outagesOf(h, link)
 	if len(outs) == 0 {
 		t.Fatal("no outages")
 	}
@@ -362,10 +362,10 @@ func TestReplayDeterministicAndSeedSensitive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range a.Links() {
-		if !reflect.DeepEqual(a.Outages(l), b.Outages(l)) {
+		if !reflect.DeepEqual(outagesOf(a, l), outagesOf(b, l)) {
 			t.Fatalf("link %d outages differ across identical replays", l)
 		}
-		if !reflect.DeepEqual(a.Transitions(l), b.Transitions(l)) {
+		if !reflect.DeepEqual(transitionsOf(a, l), transitionsOf(b, l)) {
 			t.Fatalf("link %d transitions differ across identical replays", l)
 		}
 	}
@@ -375,7 +375,7 @@ func TestReplayDeterministicAndSeedSensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Outages(link)[0].DetectAt == c.Outages(link)[0].DetectAt {
+	if outagesOf(a, link)[0].DetectAt == outagesOf(c, link)[0].DetectAt {
 		t.Fatal("different seeds produced identical detection instants")
 	}
 	// Replaying an explicit subset matches the full replay on that link.
@@ -383,7 +383,7 @@ func TestReplayDeterministicAndSeedSensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sub.Outages(link), a.Outages(link)) {
+	if !reflect.DeepEqual(outagesOf(sub, link), outagesOf(a, link)) {
 		t.Fatal("subset replay differs from full replay")
 	}
 }
@@ -400,7 +400,7 @@ func TestBoundariesIncludeSessionEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := h.Outages(link)[0]
+	o := outagesOf(h, link)[0]
 	if o.UsableAt <= 20 {
 		t.Fatalf("outage %+v has no control-plane tail", o)
 	}
@@ -444,7 +444,7 @@ func TestDeltasMatchLinkDownAt(t *testing.T) {
 	// The session layer's tail must be visible as epochs: the link stays
 	// down past the physical end (minute 30) of its merged stub fault,
 	// until the route is re-advertised at UsableAt.
-	o, ok := h.OutageAt(stub, 29)
+	o, ok := h.outageAt(stub, 29)
 	if !ok || o.UsableAt <= 30 {
 		t.Fatalf("expected a detected stub outage with a tail, got %+v ok=%v", o, ok)
 	}
@@ -519,4 +519,22 @@ func checkSeqAgainstScan(t testing.TB, h *History, seq *delta.Sequence, links []
 			}
 		}
 	}
+}
+
+// outagesOf returns the link's outage episodes in start order; nil for a
+// link that was never replayed.
+func outagesOf(h *History, link int) []outage {
+	if lh := h.perLink[link]; lh != nil {
+		return lh.outages
+	}
+	return nil
+}
+
+// transitionsOf returns the link's recorded FSM state changes in time
+// order.
+func transitionsOf(h *History, link int) []transition {
+	if lh := h.perLink[link]; lh != nil {
+		return lh.transitions
+	}
+	return nil
 }

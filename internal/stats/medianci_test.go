@@ -173,7 +173,7 @@ func TestMedianCIDegenerateCases(t *testing.T) {
 		t.Fatalf("empty dist: got (%v, %v), want NaNs", lo, hi)
 	}
 	var tiny Dist
-	tiny.AddAll(3, 1, 2)
+	addAll(&tiny, 3, 1, 2)
 	lo, hi = tiny.MedianCI(0.95)
 	if lo != 1 || hi != 3 {
 		t.Fatalf("tiny dist: got (%v, %v), want (1, 3)", lo, hi)

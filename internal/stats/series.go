@@ -102,11 +102,6 @@ func (t *Table) Cell(rowLabel, column string) (float64, bool) {
 	return 0, false
 }
 
-// SortRowsByLabel orders rows alphabetically for stable output.
-func (t *Table) SortRowsByLabel() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i].Label < t.Rows[j].Label })
-}
-
 // Render draws the table as aligned text.
 func (t *Table) Render() string {
 	var b strings.Builder

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -37,13 +36,6 @@ func (d *Dist) Add(value, weight float64) {
 	d.samples = append(d.samples, WeightedSample{value, weight})
 	d.total += weight
 	d.sorted = false
-}
-
-// AddAll appends value with weight 1 for each value.
-func (d *Dist) AddAll(values ...float64) {
-	for _, v := range values {
-		d.Add(v, 1)
-	}
 }
 
 // N returns the number of observations.
@@ -316,41 +308,4 @@ func selectKth(a []float64, k int) float64 {
 		}
 	}
 	return a[lo]
-}
-
-// Summary holds the common descriptive statistics of a distribution.
-type Summary struct {
-	N      int
-	Weight float64
-	Mean   float64
-	Min    float64
-	P10    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P90    float64
-	P99    float64
-	Max    float64
-}
-
-// Summarize computes a Summary.
-func (d *Dist) Summarize() Summary {
-	return Summary{
-		N:      d.N(),
-		Weight: d.TotalWeight(),
-		Mean:   d.Mean(),
-		Min:    d.Min(),
-		P10:    d.Quantile(0.10),
-		P25:    d.Quantile(0.25),
-		Median: d.Median(),
-		P75:    d.Quantile(0.75),
-		P90:    d.Quantile(0.90),
-		P99:    d.Quantile(0.99),
-		Max:    d.Max(),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d w=%.0f mean=%.2f p10=%.2f p50=%.2f p90=%.2f p99=%.2f",
-		s.N, s.Weight, s.Mean, s.P10, s.Median, s.P90, s.P99)
 }

@@ -77,7 +77,7 @@ type AS struct {
 	Exit       ExitPolicy
 	LastMileMs float64 // median access-network RTT added for clients homed here
 
-	links []int // link IDs incident to this AS
+	adj []Neighbor // adjacencies in link order, appended by Connect
 }
 
 // Rel is the business relationship on a link.
@@ -182,9 +182,9 @@ func (t *Topo) Clone() *Topo {
 	}
 	for i, a := range t.ASes {
 		cp := *a
-		// Cities slices are never mutated after AddAS; the incident-link
+		// Cities slices are never mutated after AddAS; the adjacency
 		// list grows on Connect and must not alias the original's.
-		cp.links = append([]int(nil), a.links...)
+		cp.adj = append([]Neighbor(nil), a.adj...)
 		nt.ASes[i] = &cp
 	}
 	return nt
@@ -283,30 +283,19 @@ func (t *Topo) Connect(a, b int, rel Rel, cities []int, private bool) (Link, err
 	sort.Ints(cities)
 	l := Link{ID: len(t.Links), A: a, B: b, Rel: rel, Cities: cities, Private: private}
 	t.Links = append(t.Links, l)
-	t.ASes[a].links = append(t.ASes[a].links, l.ID)
-	t.ASes[b].links = append(t.ASes[b].links, l.ID)
+	viewA, viewB := ViewProvider, ViewCustomer // a is the customer; b its provider
+	if rel == P2P {
+		viewA, viewB = ViewPeer, ViewPeer
+	}
+	t.ASes[a].adj = append(t.ASes[a].adj, Neighbor{Link: l.ID, Other: b, View: viewA})
+	t.ASes[b].adj = append(t.ASes[b].adj, Neighbor{Link: l.ID, Other: a, View: viewB})
 	return l, nil
 }
 
-// Neighbors returns every adjacency of the AS, in link order.
-func (t *Topo) Neighbors(asID int) []Neighbor {
-	a := t.ASes[asID]
-	out := make([]Neighbor, 0, len(a.links))
-	for _, lid := range a.links {
-		l := t.Links[lid]
-		var view RelView
-		switch {
-		case l.Rel == P2P:
-			view = ViewPeer
-		case l.A == asID:
-			view = ViewProvider // I am the customer; neighbor is my provider
-		default:
-			view = ViewCustomer
-		}
-		out = append(out, Neighbor{Link: lid, Other: l.Other(asID), View: view})
-	}
-	return out
-}
+// Neighbors returns every adjacency of the AS, in link order. The result
+// is the AS's own adjacency list, not a copy: callers must treat it as
+// read-only.
+func (t *Topo) Neighbors(asID int) []Neighbor { return t.ASes[asID].adj }
 
 // AddPrefix originates a prefix at the AS, anchored at one of its
 // footprint cities.

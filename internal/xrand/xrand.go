@@ -229,61 +229,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
-// Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^s. It precomputes the CDF once; construct with NewZipf.
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf returns a Zipf sampler over n ranks with exponent s > 0. A
-// non-positive n is clamped to a single rank.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	if n <= 0 {
-		n = 1
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, r: r}
-}
-
-// Rank returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Rank() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Weight returns the probability mass of rank i under the sampler.
-func (z *Zipf) Weight(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
 // WeightedChoice picks an index in [0, len(weights)) with probability
 // proportional to weights[i]. Negative weights count as zero; when the sum
 // is not positive (including an empty slice) it returns 0 without

@@ -171,52 +171,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	r := New(29)
-	s := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: %v", s)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(31)
-	z := NewZipf(r, 100, 1.1)
-	counts := make([]int, 100)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Rank()]++
-	}
-	if counts[0] <= counts[10] || counts[10] <= counts[90] {
-		t.Fatalf("Zipf counts not decreasing: c0=%d c10=%d c90=%d",
-			counts[0], counts[10], counts[90])
-	}
-	// Rank 0 should hold a substantial share under s=1.1 over 100 ranks.
-	if frac := float64(counts[0]) / n; frac < 0.10 {
-		t.Fatalf("rank-0 share %v too small for Zipf(1.1)", frac)
-	}
-}
-
-func TestZipfWeightsSumToOne(t *testing.T) {
-	z := NewZipf(New(1), 50, 0.9)
-	sum := 0.0
-	for i := 0; i < 50; i++ {
-		w := z.Weight(i)
-		if w <= 0 {
-			t.Fatalf("weight %d non-positive", i)
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("weights sum to %v", sum)
-	}
-}
-
 func TestWeightedChoiceRespectsWeights(t *testing.T) {
 	r := New(37)
 	w := []float64{1, 0, 3}
