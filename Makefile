@@ -35,8 +35,8 @@ fuzz:
 fuzz-par:
 	$(GO) test -run=^$$ -fuzz=FuzzMapVsSerial -fuzztime=$(FUZZTIME) ./internal/par/
 
-# Fuzz the BGP/BFD session FSMs: random event sequences must never reach
-# an invalid state, never panic, and never enter Established without the
+# Fuzz the BGP session FSM: random event sequences must never reach an
+# invalid state, never panic, and never enter Established without the
 # full handshake.
 fuzz-session:
 	$(GO) test -run=^$$ -fuzz=FuzzFSMTransitions -fuzztime=$(FUZZTIME) ./internal/session/
@@ -112,10 +112,11 @@ bench-check:
 # The full pre-merge gate: formatting, static checks, build, the whole
 # test suite, the benchmark module's own checks, the whole suite under
 # the race detector, every example, the route engine's oracle and
-# delta-repair differential fuzz, the epoch compiler's differential
-# fuzz, the race-enabled overload soak and the extra campaign goldens,
+# delta-repair differential fuzz, the session FSM fuzz, the epoch
+# compiler's differential fuzz, the session layer's workers-1-vs-8
+# stress, the race-enabled overload soak and the extra campaign goldens,
 # in fail-fast order.
-verify: fmt-check vet build test bench-check race examples fuzz-matbgp fuzz-delta fuzz-faults stress-serve stress-golden
+verify: fmt-check vet build test bench-check race examples fuzz-matbgp fuzz-delta fuzz-session fuzz-faults stress-session stress-serve stress-golden
 
 clean:
 	$(GO) clean ./...

@@ -64,12 +64,17 @@ func (m ConvergenceModel) ApplyDefaults() ConvergenceModel {
 // than any observed outage is a config typo, not a scenario).
 func (m ConvergenceModel) Validate() error {
 	const dayMin = 24 * 60.0
-	for name, v := range map[string]float64{"BaseMin": m.BaseMin, "PerHopMin": m.PerHopMin} {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("bgp: convergence %s = %v must be finite and non-negative", name, v)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"BaseMin", m.BaseMin}, {"PerHopMin", m.PerHopMin},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("bgp: convergence %s = %v must be finite and non-negative", f.name, f.v)
 		}
-		if v > dayMin {
-			return fmt.Errorf("bgp: convergence %s = %v exceeds a day", name, v)
+		if f.v > dayMin {
+			return fmt.Errorf("bgp: convergence %s = %v exceeds a day", f.name, f.v)
 		}
 	}
 	return nil

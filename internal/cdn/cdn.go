@@ -55,11 +55,15 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("cdn: SitesPerRegion[%v] = %d must be non-negative", region, n)
 		}
 	}
-	for name, v := range map[string]float64{
-		"EyeballPeerProb": c.EyeballPeerProb, "TransitPeerProb": c.TransitPeerProb,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"EyeballPeerProb", c.EyeballPeerProb},
+		{"TransitPeerProb", c.TransitPeerProb},
 	} {
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return fmt.Errorf("cdn: %s = %v must be a probability in [0, 1]", name, v)
+		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
+			return fmt.Errorf("cdn: %s = %v must be a probability in [0, 1]", f.name, f.v)
 		}
 	}
 	if math.IsNaN(c.ServerMs) || math.IsInf(c.ServerMs, 0) || c.ServerMs < 0 {

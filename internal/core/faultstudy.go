@@ -144,6 +144,8 @@ func faultStudy(s *Scenario) (Result, error) {
 	var detectLat, baseDelta stats.Dist
 	var detectedEvents, undetectedEvents int
 	var affectedVol, eventVol, shiftedVol, spillVol float64
+	// Reused per trace: each demand copies its surviving links out.
+	var surviving []provider.EgressOption
 	for _, e := range tl.Events() {
 		if e.Kind == faults.CongestionStorm || e.Kind == faults.LDNSStale {
 			continue
@@ -171,7 +173,7 @@ func faultStudy(s *Scenario) (Result, error) {
 		demands := make([]provider.Demand, len(traces))
 		for i, tr := range traces {
 			opts := tr.Options()
-			surviving := provider.SurvivingOptions(opts, isDown)
+			surviving = provider.SurvivingOptions(surviving[:0], opts, isDown)
 			links := make([]int, len(surviving))
 			for r, o := range surviving {
 				links[r] = o.Link

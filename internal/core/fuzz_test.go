@@ -1,15 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
 // FuzzConfigValidate throws arbitrary field values at Config.Validate and
-// checks the contract: it never panics, and whenever it accepts a config
-// every fuzzed field is within its documented range (probabilities in
-// [0, 1], counts non-negative, rates finite) and the trace fits the
-// netsim horizon. Run with
+// checks the contract: it never panics, repeated calls return the same
+// error text (with several fields invalid, the same one is named), and
+// whenever it accepts a config every fuzzed field is within its
+// documented range (probabilities in [0, 1], counts non-negative, rates
+// finite) and the trace fits the netsim horizon. Run with
 // `go test -fuzz=FuzzConfigValidate ./internal/core/` (or `make fuzz`).
 func FuzzConfigValidate(f *testing.F) {
 	f.Add(uint64(42), 10, 3, 0.5, 1.2, 0.1, 15.0, 2.0, 0.0)
@@ -17,6 +19,7 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(uint64(7), -1, 5, 1.5, 0.5, math.NaN(), -3.0, math.Inf(1), -1.0)
 	f.Add(uint64(3), 41, 3, 0.5, 1.2, 0.1, 15.0, 2.0, 0.0)
 	f.Add(uint64(5), 0, 3, 0.5, 1.2, 0.1, 15.0, 2.0, 5*24*60.0)
+	f.Add(uint64(9), 0, 3, 0.5, 1.2, -0.5, 15.0, 2.0, math.Inf(1))
 	f.Fuzz(func(t *testing.T, seed uint64, days, topk int,
 		pniProb, wanStretch, impairProb, windowMin, serverMs, horizonMin float64) {
 		cfg := Config{Seed: seed}
@@ -29,6 +32,11 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.CDN.ServerMs = serverMs
 		cfg.Net.HorizonMinutes = horizonMin
 		err := cfg.Validate()
+		for i := 0; i < 8; i++ {
+			if again := cfg.Validate(); fmt.Sprint(again) != fmt.Sprint(err) {
+				t.Fatalf("Validate is not repeatable: %v, then %v", err, again)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -59,6 +59,7 @@ type sessionMetrics struct {
 func sessionEventMetrics(cfg session.Config, tl *faults.Timeline, hist *session.History,
 	traces []workload.Trace, traceVol []float64) sessionMetrics {
 	var m sessionMetrics
+	var surviving []provider.EgressOption // reused per trace; nothing outlives its iteration
 	for _, e := range tl.Events() {
 		if e.Kind == faults.CongestionStorm || e.Kind == faults.LDNSStale {
 			continue
@@ -82,7 +83,7 @@ func sessionEventMetrics(cfg session.Config, tl *faults.Timeline, hist *session.
 		isDown := func(l int) bool { return downE[l] }
 		for i, tr := range traces {
 			opts := tr.Options()
-			surviving := provider.SurvivingOptions(opts, isDown)
+			surviving = provider.SurvivingOptions(surviving[:0], opts, isDown)
 			if len(surviving) > 0 && surviving[0].Link == opts[0].Link {
 				continue // preferred route survived this event
 			}

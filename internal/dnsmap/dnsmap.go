@@ -32,11 +32,15 @@ type Config struct {
 // Validate rejects nonsensical parameters. Zero values are fine (they
 // select defaults).
 func (c *Config) Validate() error {
-	for name, v := range map[string]float64{
-		"PublicResolverProb": c.PublicResolverProb, "ISPECSProb": c.ISPECSProb,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PublicResolverProb", c.PublicResolverProb},
+		{"ISPECSProb", c.ISPECSProb},
 	} {
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return fmt.Errorf("dnsmap: %s = %v must be a probability in [0, 1]", name, v)
+		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
+			return fmt.Errorf("dnsmap: %s = %v must be a probability in [0, 1]", f.name, f.v)
 		}
 	}
 	return nil

@@ -57,23 +57,31 @@ func (c *GenConfig) setDefaults() {
 
 // Validate rejects nonsensical generation parameters.
 func (c *GenConfig) Validate() error {
-	for name, v := range map[string]float64{
-		"HorizonMinutes": c.HorizonMinutes, "ASOutageMeanMin": c.ASOutageMeanMin,
-		"PlannedFraction": c.PlannedFraction,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HorizonMinutes", c.HorizonMinutes},
+		{"ASOutageMeanMin", c.ASOutageMeanMin},
+		{"PlannedFraction", c.PlannedFraction},
 	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("faults: %s = %v must be finite and non-negative", name, v)
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("faults: %s = %v must be finite and non-negative", f.name, f.v)
 		}
 	}
 	if c.PlannedFraction > 1 {
 		return fmt.Errorf("faults: PlannedFraction = %v must be at most 1", c.PlannedFraction)
 	}
-	for name, v := range map[string]int{
-		"CableCuts": c.CableCuts, "LinkResets": c.LinkResets, "ASOutages": c.ASOutages,
-		"Storms": c.Storms, "StaleWindows": c.StaleWindows,
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"CableCuts", c.CableCuts}, {"LinkResets", c.LinkResets},
+		{"ASOutages", c.ASOutages}, {"Storms", c.Storms},
+		{"StaleWindows", c.StaleWindows},
 	} {
-		if v < 0 {
-			return fmt.Errorf("faults: %s = %d must be non-negative", name, v)
+		if f.v < 0 {
+			return fmt.Errorf("faults: %s = %d must be non-negative", f.name, f.v)
 		}
 	}
 	return nil

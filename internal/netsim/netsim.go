@@ -79,21 +79,24 @@ type Config struct {
 // select defaults); negative, NaN, or infinite rates and durations, and
 // probabilities above 1, are errors.
 func (c *Config) Validate() error {
-	for name, v := range map[string]float64{
-		"HorizonMinutes":          c.HorizonMinutes,
-		"LastMileDiurnalMedianMs": c.LastMileDiurnalMedianMs,
-		"PrefixIncidentsPerDay":   c.PrefixIncidentsPerDay,
-		"PrefixIncidentMeanMin":   c.PrefixIncidentMeanMin,
-		"LinkImpairedProb":        c.LinkImpairedProb,
-		"LinkImpairMinMs":         c.LinkImpairMinMs,
-		"LinkImpairMaxMs":         c.LinkImpairMaxMs,
-		"LinkIncidentsPerDay":     c.LinkIncidentsPerDay,
-		"LinkIncidentMeanMin":     c.LinkIncidentMeanMin,
-		"LinkFailuresPerDay":      c.LinkFailuresPerDay,
-		"LinkRepairMeanMin":       c.LinkRepairMeanMin,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HorizonMinutes", c.HorizonMinutes},
+		{"LastMileDiurnalMedianMs", c.LastMileDiurnalMedianMs},
+		{"PrefixIncidentsPerDay", c.PrefixIncidentsPerDay},
+		{"PrefixIncidentMeanMin", c.PrefixIncidentMeanMin},
+		{"LinkImpairedProb", c.LinkImpairedProb},
+		{"LinkImpairMinMs", c.LinkImpairMinMs},
+		{"LinkImpairMaxMs", c.LinkImpairMaxMs},
+		{"LinkIncidentsPerDay", c.LinkIncidentsPerDay},
+		{"LinkIncidentMeanMin", c.LinkIncidentMeanMin},
+		{"LinkFailuresPerDay", c.LinkFailuresPerDay},
+		{"LinkRepairMeanMin", c.LinkRepairMeanMin},
 	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("netsim: %s = %v must be finite and non-negative", name, v)
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("netsim: %s = %v must be finite and non-negative", f.name, f.v)
 		}
 	}
 	if c.LinkImpairedProb > 1 {

@@ -63,17 +63,14 @@ func (p *Provider) EgressOptions(rib *bgp.RIB, popCity int) []EgressOption {
 	return out
 }
 
-// SurvivingOptions filters an egress-option list down to the options whose
-// routes avoid every link the predicate reports down, preserving policy
-// order. This is the Edge-Fabric-style override under faults: when the
-// BGP-preferred option (index 0) dies, the controller shifts traffic to
-// the best surviving alternative instead of blackholing through
-// convergence. A nil predicate returns the list unchanged.
-func SurvivingOptions(opts []EgressOption, down func(linkID int) bool) []EgressOption {
-	if down == nil {
-		return opts
-	}
-	var out []EgressOption
+// SurvivingOptions appends to dst the options of opts whose routes avoid
+// every link the predicate reports down, preserving policy order, and
+// returns the extended slice; callers reuse one buffer across calls by
+// passing buf[:0]. This is the Edge-Fabric-style override under faults:
+// when the BGP-preferred option (index 0) dies, the controller shifts
+// traffic to the best surviving alternative instead of blackholing
+// through convergence.
+func SurvivingOptions(dst, opts []EgressOption, down func(linkID int) bool) []EgressOption {
 	for _, o := range opts {
 		ok := !down(o.Link)
 		for _, l := range o.Route.Links {
@@ -83,10 +80,10 @@ func SurvivingOptions(opts []EgressOption, down func(linkID int) bool) []EgressO
 			}
 		}
 		if ok {
-			out = append(out, o)
+			dst = append(dst, o)
 		}
 	}
-	return out
+	return dst
 }
 
 // PremiumAnnouncement announces the provider's prefix over every link:

@@ -68,12 +68,15 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("provider: PoPsPerRegion[%v] = %d must be non-negative", region, n)
 		}
 	}
-	for name, v := range map[string]float64{
-		"PNIProb": c.PNIProb, "PublicPeerProb": c.PublicPeerProb,
-		"PeerKeepFraction": c.PeerKeepFraction,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PNIProb", c.PNIProb}, {"PublicPeerProb", c.PublicPeerProb},
+		{"PeerKeepFraction", c.PeerKeepFraction},
 	} {
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return fmt.Errorf("provider: %s = %v must be a probability in [0, 1]", name, v)
+		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
+			return fmt.Errorf("provider: %s = %v must be a probability in [0, 1]", f.name, f.v)
 		}
 	}
 	if math.IsNaN(c.WANStretch) || math.IsInf(c.WANStretch, 0) || c.WANStretch < 0 ||

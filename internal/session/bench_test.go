@@ -10,9 +10,9 @@ import (
 // benchTimeline builds a dense synthetic fault schedule: `events`
 // outages spread across the test topology's links over a 10-day
 // horizon, with durations from a minute to a few hours.
-func benchTimeline(b *testing.B, events int) (*faults.Timeline, float64) {
-	b.Helper()
-	topo, links := testTopo(b)
+func benchTimeline(tb testing.TB, events int) (*faults.Timeline, float64) {
+	tb.Helper()
+	topo, links := testTopo(tb)
 	ids := []int{links["trab"], links["eye"], links["stub"]}
 	rng := xrand.New(99)
 	const horizon = 10 * 24 * 60.0
@@ -27,7 +27,7 @@ func benchTimeline(b *testing.B, events int) (*faults.Timeline, float64) {
 	}
 	tl, err := faults.New(topo, evs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tl, horizon
 }
@@ -53,10 +53,11 @@ func BenchmarkSessionReplayBFD(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionFlapStorm stresses the damping/suppression path: a
-// burst of short flaps on one link.
-func BenchmarkSessionFlapStorm(b *testing.B) {
-	topo, links := testTopo(b)
+// flapStorm builds a burst of 14 short flaps on the "eye" link, 1.5
+// minutes down every 3 minutes, and returns the timeline and the link.
+func flapStorm(tb testing.TB) (*faults.Timeline, int) {
+	tb.Helper()
+	topo, links := testTopo(tb)
 	link := links["eye"]
 	var evs []faults.Event
 	for i := 0; i < 14; i++ {
@@ -67,8 +68,15 @@ func BenchmarkSessionFlapStorm(b *testing.B) {
 	}
 	tl, err := faults.New(topo, evs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return tl, link
+}
+
+// BenchmarkSessionFlapStorm stresses the damping/suppression path: a
+// burst of short flaps on one link.
+func BenchmarkSessionFlapStorm(b *testing.B) {
+	tl, link := flapStorm(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h, err := Replay(tl, nil, Config{}, 42, 24*60)

@@ -1,31 +1,34 @@
 package session
 
 // clock is the discrete-event scheduler driving one link's replay: a
-// binary min-heap of timed callbacks ordered by (time, insertion
-// sequence). The sequence tiebreak makes same-instant events fire in the
-// order they were scheduled, so a replay is a pure function of its inputs
-// — no map iteration, no goroutines, no wall clock — which is what keeps
-// session experiments byte-identical across worker counts.
+// binary min-heap of event values ordered by (time, insertion sequence).
+// The sequence tiebreak makes same-instant events fire in the order they
+// were scheduled, so a replay is a pure function of its inputs — no map
+// iteration, no goroutines, no wall clock — which is what keeps session
+// experiments byte-identical across worker counts.
 //
-// Timer cancellation is by generation counter, not heap surgery: the
-// scheduling site captures a generation value in the callback's closure
-// and the owner invalidates it by bumping the counter, so a stale timer
-// pops and returns without effect. This is cheaper and simpler than
-// removing heap entries, and the pop order stays deterministic.
+// An event is data, not a callback: its kind names what happens when it
+// pops, and the replay's run loop dispatches on it. Timer cancellation is
+// by generation, not heap surgery: a timer event carries its kind's
+// generation at scheduling time and the owner voids it by bumping that
+// generation, so a stale timer pops and is dropped. This is cheaper and
+// simpler than removing heap entries, the pop order stays deterministic,
+// and once the heap reaches its peak depth no event allocates.
 type clock struct {
 	now     float64
 	horizon float64 // events strictly beyond this instant are dropped
 	seq     uint64
-	heap    []timer
+	heap    []event
 }
 
-type timer struct {
-	at  float64
-	seq uint64
-	fn  func(now float64)
+// event is one scheduled happening on a link's replay.
+type event struct {
+	at   float64
+	seq  uint64
+	kind evKind
+	gen  uint64 // the kind's generation when scheduled (timers only)
+	win  int    // the fault window a kPhysDown/kPhysUp edge belongs to
 }
-
-func newClock(horizon float64) *clock { return &clock{horizon: horizon} }
 
 func (c *clock) less(i, j int) bool {
 	if c.heap[i].at != c.heap[j].at {
@@ -34,19 +37,20 @@ func (c *clock) less(i, j int) bool {
 	return c.heap[i].seq < c.heap[j].seq
 }
 
-// schedule enqueues fn to run at instant `at`. Events beyond the horizon
-// are dropped — the replay finalizer truncates whatever they would have
-// closed. Scheduling in the past is a replay bug; clamp to now so it
-// still fires deterministically rather than corrupting heap order.
-func (c *clock) schedule(at float64, fn func(now float64)) {
-	if at > c.horizon {
+// push enqueues e. Events beyond the horizon are dropped — the replay
+// finalizer truncates whatever they would have closed. Scheduling in the
+// past is a replay bug; clamp to now so it still fires deterministically
+// rather than corrupting heap order.
+func (c *clock) push(e event) {
+	if e.at > c.horizon {
 		return
 	}
-	if at < c.now {
-		at = c.now
+	if e.at < c.now {
+		e.at = c.now
 	}
-	c.heap = append(c.heap, timer{at: at, seq: c.seq, fn: fn})
+	e.seq = c.seq
 	c.seq++
+	c.heap = append(c.heap, e)
 	// Sift up.
 	i := len(c.heap) - 1
 	for i > 0 {
@@ -59,32 +63,30 @@ func (c *clock) schedule(at float64, fn func(now float64)) {
 	}
 }
 
-// run pops and fires events in (time, seq) order until the heap drains.
-// Callbacks may schedule further events.
-func (c *clock) run() {
-	for len(c.heap) > 0 {
-		t := c.heap[0]
-		// Pop: move last to root, sift down.
-		last := len(c.heap) - 1
-		c.heap[0] = c.heap[last]
-		c.heap = c.heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < last && c.less(l, small) {
-				small = l
-			}
-			if r < last && c.less(r, small) {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			c.heap[i], c.heap[small] = c.heap[small], c.heap[i]
-			i = small
+// pop removes the earliest event from a non-empty heap, advances now to
+// it and returns it.
+func (c *clock) pop() event {
+	e := c.heap[0]
+	// Move last to root, sift down.
+	last := len(c.heap) - 1
+	c.heap[0] = c.heap[last]
+	c.heap = c.heap[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < last && c.less(l, small) {
+			small = l
 		}
-		c.now = t.at
-		t.fn(t.at)
+		if r < last && c.less(r, small) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		c.heap[i], c.heap[small] = c.heap[small], c.heap[i]
+		i = small
 	}
+	c.now = e.at
+	return e
 }

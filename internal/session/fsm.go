@@ -38,8 +38,9 @@ func (s fsmState) String() string {
 // Valid reports whether s is one of the five defined states.
 func (s fsmState) Valid() bool { return s < numStates }
 
-// fsmEv is an input to the BGP session FSM: operator/timer actions and
-// received protocol messages.
+// fsmEv is an input to the BGP session FSM: timer actions, transport
+// reports and received protocol messages — the inputs the replay
+// produces.
 type fsmEv uint8
 
 // FSM inputs.
@@ -54,22 +55,18 @@ const (
 	evBGPOpen
 	// evKeepalive is a received KEEPALIVE message.
 	evKeepalive
-	// evUpdate is a received UPDATE message.
-	evUpdate
 	// evHoldExpire is the hold timer firing: no KEEPALIVE/UPDATE heard
 	// for the negotiated hold time.
 	evHoldExpire
 	// evLinkDown is a liveness loss signalled from outside the BGP
-	// machinery itself — an interface down notification or a BFD session
-	// declaring the forwarding path dead.
+	// machinery itself — an interface down notification or BFD's
+	// detection time passing with no packet from the peer.
 	evLinkDown
-	// evStop is an administrative stop.
-	evStop
 	numEvents
 )
 
 func (e fsmEv) String() string {
-	names := [...]string{"Start", "TCPOpen", "TCPFail", "BGPOpen", "Keepalive", "Update", "HoldExpire", "LinkDown", "Stop"}
+	names := [...]string{"Start", "TCPOpen", "TCPFail", "BGPOpen", "Keepalive", "HoldExpire", "LinkDown"}
 	if int(e) < len(names) {
 		return names[e]
 	}
@@ -88,23 +85,23 @@ var transitions = [numStates][numEvents]fsmState{
 	stIdle: {
 		evStart:   stConnect,
 		evTCPOpen: stIdle, evTCPFail: stIdle,
-		evBGPOpen: stIdle, evKeepalive: stIdle, evUpdate: stIdle,
-		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
+		evBGPOpen: stIdle, evKeepalive: stIdle,
+		evHoldExpire: stIdle, evLinkDown: stIdle,
 	},
 	stConnect: {
 		evStart:   stConnect,
 		evTCPOpen: stOpenSent, // transport up: send OPEN
 		evTCPFail: stIdle,
-		evBGPOpen: stIdle, evKeepalive: stIdle, evUpdate: stIdle, // FSM error
-		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
+		evBGPOpen: stIdle, evKeepalive: stIdle, // FSM error
+		evHoldExpire: stIdle, evLinkDown: stIdle,
 	},
 	stOpenSent: {
-		evStart:     stOpenSent,
-		evTCPOpen:   stOpenSent, // duplicate transport report: ignore
-		evTCPFail:   stIdle,
-		evBGPOpen:   stOpenConfirm,            // OPEN accepted: send KEEPALIVE
-		evKeepalive: stIdle, evUpdate: stIdle, // FSM error
-		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
+		evStart:      stOpenSent,
+		evTCPOpen:    stOpenSent, // duplicate transport report: ignore
+		evTCPFail:    stIdle,
+		evBGPOpen:    stOpenConfirm, // OPEN accepted: send KEEPALIVE
+		evKeepalive:  stIdle,        // FSM error
+		evHoldExpire: stIdle, evLinkDown: stIdle,
 	},
 	stOpenConfirm: {
 		evStart:      stOpenConfirm,
@@ -112,8 +109,7 @@ var transitions = [numStates][numEvents]fsmState{
 		evTCPFail:    stIdle,
 		evBGPOpen:    stIdle,        // collision resolution, simplified: reset
 		evKeepalive:  stEstablished, // peer confirmed our OPEN
-		evUpdate:     stIdle,        // FSM error
-		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
+		evHoldExpire: stIdle, evLinkDown: stIdle,
 	},
 	stEstablished: {
 		evStart:      stEstablished,
@@ -121,8 +117,7 @@ var transitions = [numStates][numEvents]fsmState{
 		evTCPFail:    stIdle,
 		evBGPOpen:    stIdle,        // FSM error
 		evKeepalive:  stEstablished, // refreshes the hold timer
-		evUpdate:     stEstablished, // refreshes the hold timer
-		evHoldExpire: stIdle, evLinkDown: stIdle, evStop: stIdle,
+		evHoldExpire: stIdle, evLinkDown: stIdle,
 	},
 }
 
@@ -135,62 +130,4 @@ func fsmStep(s fsmState, e fsmEv) (fsmState, bool) {
 		return stIdle, false
 	}
 	return transitions[s][e], true
-}
-
-// bfdState is a BFD liveness FSM state (RFC 5880 §6.2, without
-// AdminDown: the simulator never administratively disables a session it
-// is replaying).
-type bfdState uint8
-
-// BFD states.
-const (
-	bfdDown bfdState = iota
-	bfdInit
-	bfdUp
-	numBFDStates
-)
-
-func (s bfdState) String() string {
-	switch s {
-	case bfdDown:
-		return "BFDDown"
-	case bfdInit:
-		return "BFDInit"
-	case bfdUp:
-		return "BFDUp"
-	default:
-		return fmt.Sprintf("BFDState(%d)", uint8(s))
-	}
-}
-
-// bfdEv is an input to the BFD FSM: the remote state carried in a
-// received control packet, or the local detection timer expiring.
-type bfdEv uint8
-
-// BFD FSM inputs.
-const (
-	bfdRecvDown bfdEv = iota // packet with fsmState=Down
-	bfdRecvInit              // packet with fsmState=Init
-	bfdRecvUp                // packet with fsmState=Up
-	bfdTimeout               // detection time (DetectMult × interval) with no packet
-	numBFDEvents
-)
-
-// bfdTransitions follows RFC 5880 figure 1: both ends start Down, a
-// received Down answers with Init, Init+Init (or Init+Up) brings the
-// session Up, and either a received Down or the detection timer tears it
-// back to Down.
-var bfdTransitions = [numBFDStates][numBFDEvents]bfdState{
-	bfdDown: {bfdRecvDown: bfdInit, bfdRecvInit: bfdUp, bfdRecvUp: bfdDown, bfdTimeout: bfdDown},
-	bfdInit: {bfdRecvDown: bfdInit, bfdRecvInit: bfdUp, bfdRecvUp: bfdUp, bfdTimeout: bfdDown},
-	bfdUp:   {bfdRecvDown: bfdDown, bfdRecvInit: bfdUp, bfdRecvUp: bfdUp, bfdTimeout: bfdDown},
-}
-
-// bfdStep applies one event to a BFD state, total and panic-free like
-// fsmStep; out-of-range inputs reset to bfdDown.
-func bfdStep(s bfdState, e bfdEv) (bfdState, bool) {
-	if s >= numBFDStates || e >= numBFDEvents {
-		return bfdDown, false
-	}
-	return bfdTransitions[s][e], true
 }

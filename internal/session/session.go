@@ -6,8 +6,8 @@
 // mechanism:
 //
 //   - detection comes from timers — a hold timer refreshed by keepalives
-//     on a per-link phase grid, or an optional BFD liveness session with
-//     sub-second intervals and a detection multiplier;
+//     on a per-link phase grid, or an optional BFD detection timer on a
+//     sub-second packet grid with a detection multiplier;
 //   - a fault shorter than the detection window is invisible: the session
 //     survives and no withdrawal ever propagates;
 //   - re-advertisement after recovery pays the connect-retry and
@@ -16,13 +16,13 @@
 //     route stays unusable long after the link is physically healthy —
 //     emergent unreachability no closed form predicts.
 //
-// Each link is replayed independently on a discrete-event clock (see
-// clock.go) through the RFC 4271 FSM (fsm.go); the result is a History:
-// per-link outage episodes, control-plane-down spans, and damping
-// suppression spans, queryable by experiments and compiled by Deltas
-// into the epoch sequence (internal/delta) that every route pipeline and
-// netsim read (a link is unusable when it is physically down OR its
-// route is withdrawn/suppressed).
+// Each link is replayed independently on a discrete-event clock of typed
+// event values (see clock.go) through the RFC 4271 FSM (fsm.go); the
+// result is a History: per-link outage episodes, control-plane-down
+// spans, and damping suppression spans, queryable by experiments and
+// compiled by Deltas into the epoch sequence (internal/delta) that every
+// route pipeline and netsim read (a link is unusable when it is
+// physically down OR its route is withdrawn/suppressed).
 //
 // # Determinism contract
 //
@@ -107,8 +107,8 @@ type Config struct {
 	// turn caps the accrued penalty at Reuse·2^(MaxSuppress/HalfLife).
 	DampMaxSuppressSec float64
 
-	// BFD enables the fast-detection liveness session in parallel with
-	// the hold timer; whichever detects first wins.
+	// BFD enables the fast-detection timer on the peer's BFD packet grid
+	// in parallel with the hold timer; whichever detects first wins.
 	BFD bool
 	// BFDIntervalMs is the BFD control-packet interval.
 	BFDIntervalMs float64
@@ -171,15 +171,20 @@ func (c Config) Validate() error {
 		}
 		return nil
 	}
-	for name, v := range map[string]float64{
-		"HoldSec": c.HoldSec, "KeepaliveSec": c.KeepaliveSec,
-		"ConnectRetrySec": c.ConnectRetrySec, "MsgDelaySec": c.MsgDelaySec,
-		"MRAISec": c.MRAISec, "DampHalfLifeSec": c.DampHalfLifeSec,
-		"DampPenalty": c.DampPenalty, "DampSuppress": c.DampSuppress,
-		"DampReuse": c.DampReuse, "DampMaxSuppressSec": c.DampMaxSuppressSec,
-		"BFDIntervalMs": c.BFDIntervalMs,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HoldSec", c.HoldSec}, {"KeepaliveSec", c.KeepaliveSec},
+		{"ConnectRetrySec", c.ConnectRetrySec},
+		{"MsgDelaySec", c.MsgDelaySec}, {"MRAISec", c.MRAISec},
+		{"DampHalfLifeSec", c.DampHalfLifeSec},
+		{"DampPenalty", c.DampPenalty}, {"DampSuppress", c.DampSuppress},
+		{"DampReuse", c.DampReuse},
+		{"DampMaxSuppressSec", c.DampMaxSuppressSec},
+		{"BFDIntervalMs", c.BFDIntervalMs},
 	} {
-		if err := pos(name, v); err != nil {
+		if err := pos(f.name, f.v); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"beatbgp/internal/cable"
@@ -99,6 +100,14 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 			t.Errorf("bad config %d validated: %+v", i, c)
 		}
 	}
+	// An infinite hold makes the derived keepalive infinite too; the
+	// error names the first invalid field in declaration order, every
+	// time.
+	for i := 0; i < 10; i++ {
+		if err := (Config{HoldSec: math.Inf(1)}).Validate(); err == nil || !strings.Contains(err.Error(), "HoldSec = +Inf") {
+			t.Fatalf("Config{HoldSec: +Inf}.Validate() = %v, want it to name HoldSec", err)
+		}
+	}
 	// Calibration: the default mean detection matches the reference
 	// model's base term, and MRAI matches its per-hop term.
 	if got := def.MeanDetectSec() / 60; got != 0.5 {
@@ -127,10 +136,10 @@ func TestHandshakePath(t *testing.T) {
 			t.Fatalf("after %v: state %v ok=%v, want %v", step.ev, s, ok, step.want)
 		}
 	}
-	// Keepalives and updates refresh stEstablished; a stray OPEN is an FSM
-	// error and resets.
-	if s, _ := fsmStep(stEstablished, evUpdate); s != stEstablished {
-		t.Fatalf("update in Established -> %v", s)
+	// Keepalives refresh stEstablished; a stray OPEN is an FSM error and
+	// resets.
+	if s, _ := fsmStep(stEstablished, evKeepalive); s != stEstablished {
+		t.Fatalf("keepalive in Established -> %v", s)
 	}
 	if s, _ := fsmStep(stEstablished, evBGPOpen); s != stIdle {
 		t.Fatalf("OPEN in Established -> %v, want Idle", s)
@@ -141,18 +150,6 @@ func TestHandshakePath(t *testing.T) {
 	}
 	if s, ok := fsmStep(stIdle, fsmEv(200)); ok || s != stIdle {
 		t.Fatalf("bogus event -> %v ok=%v", s, ok)
-	}
-	// BFD three-way bring-up and teardown.
-	b, _ := bfdStep(bfdDown, bfdRecvDown)
-	if b != bfdInit {
-		t.Fatalf("BFD Down+RecvDown -> %v", b)
-	}
-	b, _ = bfdStep(b, bfdRecvUp)
-	if b != bfdUp {
-		t.Fatalf("BFD Init+RecvUp -> %v", b)
-	}
-	if b, _ = bfdStep(b, bfdTimeout); b != bfdDown {
-		t.Fatalf("BFD Up+Timeout -> %v", b)
 	}
 }
 
@@ -169,7 +166,7 @@ func TestReplayDetectsLongFault(t *testing.T) {
 		t.Fatalf("outages = %+v, want 1", outs)
 	}
 	o := outs[0]
-	if !o.Detected || o.Detector != detectorHold || o.Flaps != 1 {
+	if !o.Detected || o.Detector != evHoldExpire || o.Flaps != 1 {
 		t.Fatalf("outage %+v: want detected via hold, 1 flap", o)
 	}
 	// Detection lands within [Hold-KA, Hold] of the fault onset.
@@ -256,7 +253,7 @@ func TestShortFaultInvisibleToHoldCaughtByBFD(t *testing.T) {
 		t.Fatal(err)
 	}
 	outs = outagesOf(fast, link)
-	if len(outs) != 1 || !outs[0].Detected || outs[0].Detector != detectorBFD {
+	if len(outs) != 1 || !outs[0].Detected || outs[0].Detector != evLinkDown {
 		t.Fatalf("BFD outages = %+v, want one detected via bfd", outs)
 	}
 	if lat := outs[0].DetectAt - outs[0].Start; lat <= 0 || lat > (0.9+0.3)/60+1e-9 {

@@ -34,20 +34,29 @@ type GenConfig struct {
 // Validate rejects nonsensical generation parameters. Zero values are
 // fine (they select defaults).
 func (c *GenConfig) Validate() error {
-	for name, v := range map[string]int{
-		"Tier1Count": c.Tier1Count, "TransitsPerRegion": c.TransitsPerRegion,
-		"EyeballsPerRegion": c.EyeballsPerRegion, "PrefixesPerEyeball": c.PrefixesPerEyeball,
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Tier1Count", c.Tier1Count},
+		{"TransitsPerRegion", c.TransitsPerRegion},
+		{"EyeballsPerRegion", c.EyeballsPerRegion},
+		{"PrefixesPerEyeball", c.PrefixesPerEyeball},
 	} {
-		if v < 0 {
-			return fmt.Errorf("topology: %s = %d must be non-negative", name, v)
+		if f.v < 0 {
+			return fmt.Errorf("topology: %s = %d must be non-negative", f.name, f.v)
 		}
 	}
-	for name, v := range map[string]float64{
-		"TransitPeerProb": c.TransitPeerProb, "EyeballPeerProb": c.EyeballPeerProb,
-		"BigEyeballTier1Prob": c.BigEyeballTier1Prob,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"TransitPeerProb", c.TransitPeerProb},
+		{"EyeballPeerProb", c.EyeballPeerProb},
+		{"BigEyeballTier1Prob", c.BigEyeballTier1Prob},
 	} {
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return fmt.Errorf("topology: %s = %v must be a probability in [0, 1]", name, v)
+		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
+			return fmt.Errorf("topology: %s = %v must be a probability in [0, 1]", f.name, f.v)
 		}
 	}
 	return nil
