@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test examples bench-check race fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta fuzz-faults stress-par stress-session stress-harness stress-serve stress-golden verify clean
+.PHONY: all build vet fmt-check test examples bench-check race fuzz fuzz-par fuzz-session fuzz-matbgp fuzz-delta fuzz-faults stress-par stress-session stress-harness stress-serve stress-golden knobs verify clean
 
 all: vet fmt-check build test
 
@@ -86,6 +86,14 @@ stress-harness:
 stress-golden:
 	STRESS_GOLDEN=1 $(GO) test -run 'TestStressCampaignGolden' -v -timeout 10m .
 
+# Dead-knob sweep: every numeric, bool and string leaf of core.Config
+# (but the seeds and Workers) is set to each value of a fixed ladder on
+# a world derived from seed 42, and the full campaign must move by at
+# least one byte for some accepted value, unless the leaf is on the
+# test's short allowlist of fields an experiment sets itself.
+knobs:
+	KNOBS=1 $(GO) test -run 'TestNoDeadKnobs' -v -timeout 20m .
+
 # Overload soak: an open-loop flash crowd (Poisson arrivals, 5x burst)
 # from a small HTTP driver inside the test drives a live listener far
 # past its admission capacity while chaos stalls and errors hit the
@@ -114,9 +122,9 @@ bench-check:
 # the race detector, every example, the route engine's oracle and
 # delta-repair differential fuzz, the session FSM fuzz, the epoch
 # compiler's differential fuzz, the session layer's workers-1-vs-8
-# stress, the race-enabled overload soak and the extra campaign goldens,
-# in fail-fast order.
-verify: fmt-check vet build test bench-check race examples fuzz-matbgp fuzz-delta fuzz-session fuzz-faults stress-session stress-serve stress-golden
+# stress, the race-enabled overload soak, the extra campaign goldens and
+# the dead-knob sweep, in fail-fast order.
+verify: fmt-check vet build test bench-check race examples fuzz-matbgp fuzz-delta fuzz-session fuzz-faults stress-session stress-serve stress-golden knobs
 
 clean:
 	$(GO) clean ./...

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -244,6 +245,10 @@ var calledOnlyFromOtherTests = map[string]string{
 	"internal/stats.Sketch.Merge":           "as stats.NewSketch",
 }
 
+// facadeRef matches a qualified reference to a root facade name in the
+// docs' code snippets.
+var facadeRef = regexp.MustCompile(`\bbeatbgp\.([A-Z]\w*)`)
+
 // interfaceMethods are method names that exist to satisfy a standard
 // library interface (error, fmt.Stringer, errors.Unwrap, sort.Interface,
 // heap.Interface) and need not be called by name.
@@ -259,10 +264,17 @@ var interfaceMethods = map[string]bool{
 // test or nowhere. Methods on unexported types are not checked. The
 // match is by name, so it can miss a dead export whose name something
 // else uses, but it never flags a live one.
+//
+// The root facade is held to the same rule, by qualified name: each of
+// its exported types, funcs, consts and vars must be named as beatbgp.X
+// by a Go file outside it or a README.md/DESIGN.md snippet, or be used
+// by the facade itself (a type in one of its signatures). Tests count
+// here: a test that drives the facade calls it as any importer would.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
-	used := make(map[string]bool)    // identifier names outside declarations
-	decls := make(map[string]string) // "internal/pkg.[Recv.]Name" -> position
+	used := make(map[string]bool)     // identifier names outside declarations
+	rootUsed := make(map[string]bool) // facade names: beatbgp.X anywhere, or used inside the facade
+	decls := make(map[string]string)  // "internal/pkg.[Recv.]Name" or "beatbgp.Name" -> position
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -274,7 +286,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -282,7 +294,25 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasSuffix(name, "_test.go") { // a test counts only as a caller of the facade
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "beatbgp" {
+						rootUsed[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		}
 		declared := make(map[*ast.Ident]bool)
+		selected := make(map[*ast.Ident]bool) // the X.Sel of a selector
+		declare := func(id *ast.Ident) {
+			declared[id] = true
+			if dir == "." && id.IsExported() {
+				decls["beatbgp."+id.Name] = fset.Position(id.Pos()).String()
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
@@ -306,22 +336,36 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 						break
 					}
 					key = dir + "." + base.Name + "." + n.Name.Name
+				} else {
+					declare(n.Name)
 				}
 				if strings.HasPrefix(dir, "internal/") && n.Name.IsExported() {
 					decls[key] = fset.Position(n.Name.Pos()).String()
 				}
 			case *ast.TypeSpec:
-				declared[n.Name] = true
+				declare(n.Name)
 				if strings.HasPrefix(dir, "internal/") && n.Name.IsExported() {
 					decls[dir+"."+n.Name.Name] = fset.Position(n.Name.Pos()).String()
+				}
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					declare(id)
 				}
 			case *ast.Field:
 				for _, id := range n.Names {
 					declared[id] = true
 				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "beatbgp" {
+					rootUsed[n.Sel.Name] = true
+				}
+				selected[n.Sel] = true
 			case *ast.Ident:
 				if !declared[n] {
 					used[n.Name] = true
+					if dir == "." && !selected[n] { // core.Table names no facade Table
+						rootUsed[n.Name] = true
+					}
 				}
 			}
 			return true
@@ -330,6 +374,15 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range facadeRef.FindAllStringSubmatch(string(data), -1) {
+			rootUsed[m[1]] = true
+		}
 	}
 	for key := range calledOnlyFromOtherTests {
 		if _, ok := decls[key]; !ok {
@@ -340,6 +393,10 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	for key, pos := range decls {
 		_, allowed := calledOnlyFromOtherTests[key]
 		switch name := key[strings.LastIndex(key, ".")+1:]; {
+		case strings.HasPrefix(key, "beatbgp."):
+			if !rootUsed[name] {
+				dead = append(dead, pos+": "+key)
+			}
 		case used[name] && allowed:
 			t.Errorf("allowlisted %s is named by non-test code: drop it from calledOnlyFromOtherTests", key)
 		case !used[name] && !allowed:

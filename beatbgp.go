@@ -32,13 +32,9 @@ import (
 
 	"beatbgp/internal/cdn"
 	"beatbgp/internal/core"
-	"beatbgp/internal/dnsmap"
 	"beatbgp/internal/harness"
-	"beatbgp/internal/netsim"
 	"beatbgp/internal/provider"
-	"beatbgp/internal/stats"
 	"beatbgp/internal/topology"
-	"beatbgp/internal/workload"
 )
 
 // Core orchestration types.
@@ -56,37 +52,16 @@ type (
 	Result = core.Result
 	// Experiment is one runnable paper artifact.
 	Experiment = core.Experiment
-	// BuildReport instruments a scenario build: per-stage wall time and
-	// rebuilt-vs-reused counts (see Scenario.BuildReport and Derive).
-	BuildReport = core.BuildReport
-	// StageReport is one stage of a BuildReport.
-	StageReport = core.StageReport
 )
 
-// Domain configuration and result types, for callers composing their own
-// studies on the substrate.
+// Domain types, for callers composing their own studies on the substrate.
 type (
-	TopologyConfig = topology.GenConfig
-	ProviderConfig = provider.Config
-	CDNConfig      = cdn.Config
-	DNSConfig      = dnsmap.Config
-	NetConfig      = netsim.Config
-	WorkloadConfig = workload.Config
-
-	// EgressOption is one route a provider PoP could use toward a prefix.
-	EgressOption = provider.EgressOption
-	// RouteClass ranks egress options under provider BGP policy.
-	RouteClass = provider.RouteClass
 	// Grooming holds manual anycast route-optimization knobs.
 	Grooming = cdn.Grooming
 	// TrainOpts tunes DNS-redirector training.
 	TrainOpts = cdn.TrainOpts
 	// Prefix is a client address block with geography and weight.
 	Prefix = topology.Prefix
-
-	// Series is a plottable line; Table a labelled grid.
-	Series = stats.Series
-	Table  = stats.Table
 )
 
 // Supervisor types: the crash-safe campaign runner (internal/harness)
@@ -110,10 +85,6 @@ type (
 	Outcome = harness.Outcome
 	// CellRef names one (experiment, seed) cell and its content key.
 	CellRef = harness.CellRef
-	// CellStatus is a cell's final disposition (ok, resumed, failed, ...).
-	CellStatus = harness.Status
-	// FailureKind files a failed cell under the supervisor's taxonomy.
-	FailureKind = harness.Kind
 )
 
 // Supervisor event kinds.
@@ -128,13 +99,11 @@ const (
 // ManifestName is the manifest's filename inside a run directory.
 const ManifestName = harness.ManifestName
 
-// Supervisor error taxonomy: failed cells match these under errors.Is,
-// and ErrPartial marks a campaign that ended with incomplete cells (the
-// exit-code-2 condition in cmd/beatbgp).
+// Supervisor errors, matched under errors.Is: ErrBuildFailed marks a
+// cell whose world could not be built, and ErrPartial a campaign that
+// ended with incomplete cells (the exit-code-2 condition in
+// cmd/beatbgp).
 var (
-	ErrPanic       = harness.ErrPanic
-	ErrTimeout     = harness.ErrTimeout
-	ErrCancelled   = harness.ErrCancelled
 	ErrBuildFailed = harness.ErrBuildFailed
 	ErrPartial     = harness.ErrPartial
 )
@@ -147,17 +116,11 @@ func RunCampaign(ctx context.Context, camp Campaign, cfg SupervisorConfig) (*Cam
 	return harness.Run(ctx, camp, cfg)
 }
 
-// WorldKey is the content key of the world cfg builds: the chained hash
-// over every build-graph stage input. Two configs with equal keys build
-// byte-identical worlds (worker count and other non-semantic knobs are
-// excluded). It is the key checkpoints are filed under.
-func WorldKey(cfg Config) (string, error) { return core.WorldKey(cfg) }
-
-// Egress route classes, in decreasing BGP-policy preference.
+// Egress route classes: the most and the least preferred under
+// provider BGP policy.
 const (
-	ClassPNI        = provider.ClassPNI
-	ClassPublicPeer = provider.ClassPublicPeer
-	ClassTransit    = provider.ClassTransit
+	ClassPNI     = provider.ClassPNI
+	ClassTransit = provider.ClassTransit
 )
 
 // NewScenario builds the simulation world for the config: every stage of

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,9 @@ import (
 	"beatbgp/internal/xrand"
 )
 
+// baseASN is the first site's AS number; site i is baseASN+i.
+const baseASN = 65000
+
 // Config tunes CDN construction. Zero value gets defaults.
 type Config struct {
 	Seed uint64
@@ -39,19 +43,24 @@ type Config struct {
 
 	TransitsPerSite int     // Tier-1 transit contracts per site (default 2)
 	EyeballPeerProb float64 // peering probability with co-located eyeballs (default 0.6)
-	TransitPeerProb float64 // peering probability with co-located regional transits (default 0.7)
+	TransitPeerProb float64 // peering probability with co-located regional transits (default 0.75)
 	ServerMs        float64 // server processing time added to every request (default 0.5)
-	BaseASN         int     // first site ASN (default 65000)
 }
 
 // Validate rejects nonsensical parameters. Zero values are fine (they
 // select defaults).
 func (c *Config) Validate() error {
-	if c.TransitsPerSite < 0 || c.BaseASN < 0 {
-		return fmt.Errorf("cdn: TransitsPerSite/BaseASN must be non-negative")
+	if c.TransitsPerSite < 0 {
+		return fmt.Errorf("cdn: TransitsPerSite = %d must be non-negative", c.TransitsPerSite)
 	}
-	for region, n := range c.SitesPerRegion {
-		if n < 0 {
+	// In region order, so two bad regions always name the same one.
+	regions := make([]geo.Region, 0, len(c.SitesPerRegion))
+	for region := range c.SitesPerRegion {
+		regions = append(regions, region)
+	}
+	slices.Sort(regions)
+	for _, region := range regions {
+		if n := c.SitesPerRegion[region]; n < 0 {
 			return fmt.Errorf("cdn: SitesPerRegion[%v] = %d must be non-negative", region, n)
 		}
 	}
@@ -95,9 +104,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.ServerMs == 0 {
 		c.ServerMs = 0.5
-	}
-	if c.BaseASN == 0 {
-		c.BaseASN = 65000
 	}
 }
 
@@ -170,7 +176,7 @@ func Build(t *topology.Topo, cfg Config, lower func(*topology.Topo) (bgp.Compute
 		nearest:  make([]atomic.Pointer[[]int], t.Catalog.Len()),
 	}
 	catalog := t.Catalog
-	asn := cfg.BaseASN
+	asn := baseASN
 	// The CDN signs global transit contracts: every site buys from the
 	// same few Tier-1s wherever they are present. This is what real CDNs
 	// do, and it is load-bearing for anycast quality: a carrier that

@@ -55,11 +55,6 @@ type Config struct {
 	Workers int
 }
 
-// defaultHorizonMinutes is the netsim schedule window a scenario gets
-// when Net.HorizonMinutes is zero: 40 days, covering the 10-day Edge
-// Fabric trace and the (time-compressed) cloud-tier campaign with slack.
-const defaultHorizonMinutes = 40 * 24 * 60
-
 func (c *Config) setDefaults() {
 	if c.Topology.Seed == 0 {
 		c.Topology.Seed = c.Seed
@@ -78,9 +73,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Workload.Seed == 0 {
 		c.Workload.Seed = c.Seed + 5
-	}
-	if c.Net.HorizonMinutes == 0 {
-		c.Net.HorizonMinutes = defaultHorizonMinutes
 	}
 	// Normalize the dynamics models so equal effective configs hash to
 	// equal world keys regardless of which zero fields the caller left.
@@ -115,15 +107,10 @@ func (c *Config) Validate() error {
 	}
 	// netsim draws incidents and link failures only inside its horizon,
 	// so a longer trace would end in silently quiet days. Compare the
-	// effective values: zero selects each side's default.
-	horizon := c.Net.HorizonMinutes
-	if horizon == 0 {
-		horizon = defaultHorizonMinutes
-	}
-	days := workload.NewGenerator(nil, nil, c.Workload).Config().Days
-	if float64(days)*24*60 > horizon {
-		return fmt.Errorf("core: Workload.Days = %d (%v minutes) exceeds Net.HorizonMinutes = %v",
-			days, float64(days)*24*60, horizon)
+	// effective value: zero days selects the default.
+	const horizonDays = netsim.HorizonMinutes / (24 * 60)
+	if days := workload.NewGenerator(nil, nil, c.Workload).Config().Days; days > horizonDays {
+		return fmt.Errorf("core: Workload.Days = %d exceeds the netsim horizon of %d days", days, horizonDays)
 	}
 	if err := c.Convergence.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

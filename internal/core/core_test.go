@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"beatbgp/internal/netsim"
 )
 
 // smallConfig keeps integration tests fast: a reduced world and a 2-day
@@ -572,8 +574,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"prob above one", func(c *Config) { c.Provider.PNIProb = 1.5 }},
 		{"NaN impair prob", func(c *Config) { c.Net.LinkImpairedProb = math.NaN() }},
 		{"negative days", func(c *Config) { c.Workload.Days = -3 }},
-		{"trace past the default horizon", func(c *Config) { c.Workload.Days = 41 }},
-		{"trace past a set horizon", func(c *Config) { c.Workload.Days = 0; c.Net.HorizonMinutes = 9 * 24 * 60 }},
+		{"trace past the horizon", func(c *Config) { c.Workload.Days = netsim.HorizonMinutes/(24*60) + 1 }},
 		{"wan stretch below one", func(c *Config) { c.Provider.WANStretch = 0.5 }},
 	}
 	for _, tc := range cases {

@@ -38,14 +38,16 @@ import (
 	"beatbgp/internal/xrand"
 )
 
-// Config tunes the congestion model. The zero value gets defaults.
+// HorizonMinutes bounds the incident and link-failure schedules:
+// evaluating beyond it finds none. 40 days cover the 10-day Edge Fabric
+// trace and the time-compressed cloud-tier campaign with slack; a longer
+// trace is a config error (core.Config.Validate).
+const HorizonMinutes = 40 * 24 * 60
+
+// Config tunes the congestion model. The zero value gets defaults. Every
+// Sim draws its schedules up to the one HorizonMinutes.
 type Config struct {
 	Seed uint64
-
-	// HorizonMinutes bounds the incident schedules; evaluating beyond it
-	// returns no incidents. Default 16 days (covers the 10-day Edge
-	// Fabric trace plus slack); the cloud-tier study uses its own config.
-	HorizonMinutes float64
 
 	// Last-mile (per prefix, shared fate across routes).
 	LastMileDiurnalMedianMs float64 // median diurnal peak amplitude (default 3)
@@ -83,7 +85,6 @@ func (c *Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"HorizonMinutes", c.HorizonMinutes},
 		{"LastMileDiurnalMedianMs", c.LastMileDiurnalMedianMs},
 		{"PrefixIncidentsPerDay", c.PrefixIncidentsPerDay},
 		{"PrefixIncidentMeanMin", c.PrefixIncidentMeanMin},
@@ -113,9 +114,6 @@ func (c *Config) Validate() error {
 }
 
 func (c *Config) setDefaults() {
-	if c.HorizonMinutes == 0 {
-		c.HorizonMinutes = 16 * 24 * 60
-	}
 	if c.LastMileDiurnalMedianMs == 0 {
 		c.LastMileDiurnalMedianMs = 3
 	}
@@ -322,14 +320,14 @@ func (s *Sim) seedFor(kind, id int) uint64 {
 }
 
 // drawIncidents builds a deterministic incident schedule.
-func drawIncidents(rng *xrand.Rand, horizon, perDay, meanDurMin, magXm, magAlpha, magCap float64) []incident {
+func drawIncidents(rng *xrand.Rand, perDay, meanDurMin, magXm, magAlpha, magCap float64) []incident {
 	if perDay <= 0 {
 		return nil
 	}
 	meanGapMin := 24 * 60 / perDay
 	var out []incident
 	t := rng.Exp(meanGapMin)
-	for t < horizon {
+	for t < HorizonMinutes {
 		dur := rng.Exp(meanDurMin)
 		mag := rng.Pareto(magXm, magAlpha)
 		if mag > magCap {
@@ -446,8 +444,7 @@ func (s *Sim) prefixProcFor(p topology.Prefix) *prefixProc {
 		baseMs:     origin.LastMileMs * rng.LogNormal(0, 0.3),
 		diurnalMs:  rng.LogNormal(math.Log(s.cfg.LastMileDiurnalMedianMs), 0.8),
 		phaseHours: city.Loc.Lon / 15,
-		incidents: drawIncidents(rng, s.cfg.HorizonMinutes,
-			s.cfg.PrefixIncidentsPerDay, s.cfg.PrefixIncidentMeanMin, 4, 1.3, 200),
+		incidents:  drawIncidents(rng, s.cfg.PrefixIncidentsPerDay, s.cfg.PrefixIncidentMeanMin, 4, 1.3, 200),
 	}
 	return s.prefixes.install(p.ID, pp)
 }
@@ -474,8 +471,7 @@ func (s *Sim) linkProcFor(linkID int) *linkProc {
 		impairMs:  impair,
 		diurnalMs: rng.LogNormal(0, 0.8), // median 1 ms
 		phase:     s.topo.Catalog.City(link.Cities[0]).Loc.Lon / 15,
-		incidents: drawIncidents(rng, s.cfg.HorizonMinutes,
-			s.cfg.LinkIncidentsPerDay, s.cfg.LinkIncidentMeanMin, 3, 1.5, 100),
+		incidents: drawIncidents(rng, s.cfg.LinkIncidentsPerDay, s.cfg.LinkIncidentMeanMin, 3, 1.5, 100),
 	}
 	return s.links.install(linkID, lp)
 }
@@ -637,7 +633,7 @@ func (s *Sim) failSchedule(linkID int) []incident {
 		rate *= scale
 	}
 	rng := s.rngFor(kindLinkFail, linkID)
-	f := drawIncidents(rng, s.cfg.HorizonMinutes, rate, s.cfg.LinkRepairMeanMin, 1, 2, 1)
+	f := drawIncidents(rng, rate, s.cfg.LinkRepairMeanMin, 1, 2, 1)
 	return *s.linkFails.install(linkID, &f)
 }
 

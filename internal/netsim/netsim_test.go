@@ -116,7 +116,7 @@ func TestSharedFateHitsAllRoutes(t *testing.T) {
 	// Find a moment with a strong prefix incident.
 	base := s.prefixProcFor(f.prefix).baseMs
 	found := false
-	for tm := 0.0; tm < s.cfg.HorizonMinutes; tm += 7 {
+	for tm := 0.0; tm < HorizonMinutes; tm += 7 {
 		lm := s.LastMileMs(f.prefix, tm)
 		if lm > base+10 {
 			found = true
@@ -374,8 +374,7 @@ func TestScaleLinkFailures(t *testing.T) {
 	scales := map[int]float64{link: 10}
 	scaled := New(f.topo, Config{Seed: 14, LinkFailuresPerDay: 0.5}, nil, nil, scales)
 	scales[link] = 1 // the Sim holds its own copy
-	horizon := base.cfg.HorizonMinutes
-	if b, s2 := stochasticDowntime(base, link, 0, horizon), stochasticDowntime(scaled, link, 0, horizon); s2 <= b {
+	if b, s2 := stochasticDowntime(base, link, 0, HorizonMinutes), stochasticDowntime(scaled, link, 0, HorizonMinutes); s2 <= b {
 		t.Fatalf("scaled downtime %v not above base %v", s2, b)
 	}
 }

@@ -10,6 +10,7 @@ package provider
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"beatbgp/internal/cable"
@@ -18,11 +19,16 @@ import (
 	"beatbgp/internal/xrand"
 )
 
+// The provider's AS name and number. Nothing reads them but the AS
+// record and the WAN's name, so they are constants, not knobs.
+const (
+	providerName = "CP"
+	providerASN  = 64500
+)
+
 // Config parameterizes provider construction. The zero value gets defaults.
 type Config struct {
 	Seed uint64
-	Name string // default "CP"
-	ASN  int    // default 64500
 
 	// PoPsPerRegion sets how many PoPs to place in each region, at the
 	// region's highest-population cities. Defaults approximate a global
@@ -33,9 +39,9 @@ type Config struct {
 
 	TransitCount int // Tier-1 transit contracts (default 3)
 
-	PNIProb        float64 // PNI probability per co-located eyeball (default 0.65)
-	PublicPeerProb float64 // public-IXP peering probability otherwise (default 0.5)
-	TransitPeerMax int     // regional transits peered per PoP region (default 2)
+	PNIProb        float64 // PNI probability per co-located eyeball (default 0.8)
+	PublicPeerProb float64 // public-IXP peering probability otherwise (default 0.6)
+	TransitPeerMax int     // regional transits peered per PoP region (default 3)
 
 	WANStretch float64 // WAN operational stretch (default 1.02)
 
@@ -57,14 +63,17 @@ type Config struct {
 // Validate rejects nonsensical parameters. Zero values are fine (they
 // select defaults).
 func (c *Config) Validate() error {
-	if c.ASN < 0 {
-		return fmt.Errorf("provider: ASN = %d must be non-negative", c.ASN)
-	}
 	if c.TransitCount < 0 || c.TransitPeerMax < 0 {
 		return fmt.Errorf("provider: TransitCount/TransitPeerMax must be non-negative")
 	}
-	for region, n := range c.PoPsPerRegion {
-		if n < 0 {
+	// In region order, so two bad regions always name the same one.
+	regions := make([]geo.Region, 0, len(c.PoPsPerRegion))
+	for region := range c.PoPsPerRegion {
+		regions = append(regions, region)
+	}
+	slices.Sort(regions)
+	for _, region := range regions {
+		if n := c.PoPsPerRegion[region]; n < 0 {
 			return fmt.Errorf("provider: PoPsPerRegion[%v] = %d must be non-negative", region, n)
 		}
 	}
@@ -90,12 +99,6 @@ func (c *Config) Validate() error {
 }
 
 func (c *Config) setDefaults() {
-	if c.Name == "" {
-		c.Name = "CP"
-	}
-	if c.ASN == 0 {
-		c.ASN = 64500
-	}
 	if c.PoPsPerRegion == nil {
 		c.PoPsPerRegion = map[geo.Region]int{
 			geo.NorthAmerica: 8,
@@ -211,14 +214,14 @@ func Build(t *topology.Topo, cfg Config) (*Provider, error) {
 		sort.Ints(footprint)
 	}
 
-	graph, wan, err := buildWAN(t.Graph, cfg.Name+"-wan", footprint, cfg.WANStretch, cfg.EuropeAsiaCorridor)
+	graph, wan, err := buildWAN(t.Graph, providerName+"-wan", footprint, cfg.WANStretch, cfg.EuropeAsiaCorridor)
 	if err != nil {
 		return nil, err
 	}
 	// The topology adopts the WAN-extended map; the graph it was cloned
 	// with stays as built, shared with every other topology over it.
 	t.Graph = graph
-	as, err := t.AddASWithNetwork(cfg.ASN, cfg.Name, topology.Content,
+	as, err := t.AddASWithNetwork(providerASN, providerName, topology.Content,
 		geo.NorthAmerica, footprint, wan, topology.LateExit)
 	if err != nil {
 		return nil, err

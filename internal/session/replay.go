@@ -339,10 +339,7 @@ func (r *linkReplay) flap(t float64) {
 	if cfg.DisableDamping || r.penalty < cfg.DampSuppress {
 		return
 	}
-	holdFor := cfg.DampHalfLifeSec * math.Log2(r.penalty/cfg.DampReuse)
-	if holdFor > cfg.DampMaxSuppressSec {
-		holdFor = cfg.DampMaxSuppressSec
-	}
+	holdFor := min(cfg.DampHalfLifeSec*math.Log2(r.penalty/cfg.DampReuse), dampMaxSuppressSec)
 	until := t + holdFor
 	if until > r.suppressedUntil {
 		if n := len(r.supp); n > 0 && t <= r.supp[n-1].End {

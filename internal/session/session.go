@@ -59,19 +59,25 @@ const (
 	DefaultMsgDelaySec     = 0.5
 	DefaultMRAISec         = 30.0
 
-	DefaultDampHalfLifeSec    = 900.0  // 15 min
-	DefaultDampPenalty        = 1000.0 // per flap
-	DefaultDampSuppress       = 2000.0 // suppress above
-	DefaultDampReuse          = 750.0  // reuse below
-	DefaultDampMaxSuppressSec = 3600.0 // 60 min cap
+	DefaultDampHalfLifeSec = 900.0  // 15 min
+	DefaultDampPenalty     = 1000.0 // per flap
+	DefaultDampSuppress    = 2000.0 // suppress above
+	DefaultDampReuse       = 750.0  // reuse below
 
 	DefaultBFDIntervalMs = 300.0
 	DefaultBFDMultiplier = 3
 )
 
+// dampMaxSuppressSec caps how long one flap can suppress a route (the
+// RFC 2439 max-suppress time, 60 min), which in turn caps the accrued
+// penalty at Reuse·2^(MaxSuppress/HalfLife).
+const dampMaxSuppressSec = 3600.0
+
 // Config parameterizes the session layer. The zero value means "all
 // defaults" (booleans keep their zero meaning: damping on, BFD off), so
-// it embeds in a larger experiment config without ceremony.
+// it embeds in a larger experiment config without ceremony. Whatever
+// the damping settings, one flap suppresses for at most an hour
+// (dampMaxSuppressSec).
 type Config struct {
 	// HoldSec is the negotiated hold time: the session drops when no
 	// keepalive arrives for this long.
@@ -103,9 +109,6 @@ type Config struct {
 	// DampReuse: a suppressed route is announced again once its penalty
 	// decays below this.
 	DampReuse float64
-	// DampMaxSuppressSec caps how long one flap can suppress, which in
-	// turn caps the accrued penalty at Reuse·2^(MaxSuppress/HalfLife).
-	DampMaxSuppressSec float64
 
 	// BFD enables the fast-detection timer on the peer's BFD packet grid
 	// in parallel with the hold timer; whichever detects first wins.
@@ -148,9 +151,6 @@ func (c Config) ApplyDefaults() Config {
 	if c.DampReuse == 0 {
 		c.DampReuse = DefaultDampReuse
 	}
-	if c.DampMaxSuppressSec == 0 {
-		c.DampMaxSuppressSec = DefaultDampMaxSuppressSec
-	}
 	if c.BFDIntervalMs == 0 {
 		c.BFDIntervalMs = DefaultBFDIntervalMs
 	}
@@ -181,7 +181,6 @@ func (c Config) Validate() error {
 		{"DampHalfLifeSec", c.DampHalfLifeSec},
 		{"DampPenalty", c.DampPenalty}, {"DampSuppress", c.DampSuppress},
 		{"DampReuse", c.DampReuse},
-		{"DampMaxSuppressSec", c.DampMaxSuppressSec},
 		{"BFDIntervalMs", c.BFDIntervalMs},
 	} {
 		if err := pos(f.name, f.v); err != nil {
@@ -229,7 +228,7 @@ func (c Config) ExplorationMinutes(hops int) float64 {
 }
 
 // penaltyCeiling is the maximum accrued damping penalty: the value that
-// decays to DampReuse in exactly DampMaxSuppressSec (RFC 2439 §4.2).
+// decays to DampReuse in exactly dampMaxSuppressSec (RFC 2439 §4.2).
 func (c Config) penaltyCeiling() float64 {
-	return c.DampReuse * math.Exp2(c.DampMaxSuppressSec/c.DampHalfLifeSec)
+	return c.DampReuse * math.Exp2(dampMaxSuppressSec/c.DampHalfLifeSec)
 }
